@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, EnumerationLimitError,
                      FieldMismatchError, UnknownBlockError)
-from .fields import MatrixF, PrimeField, Subspace, kernel
+from .fields import MatrixF, PrimeField, Subspace, kernel, rank
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -111,6 +111,19 @@ class BlockedCode:
         rows = self.space.basis.array[:, cols]
         sub = self.structure.restrict(block_ids)
         return BlockedCode(sub, Subspace.spanned_by(self.field, sub.total, MatrixF(self.field, rows)))
+
+    def projection_dim(self, block_ids: Sequence[str]) -> int:
+        """dim of project(block_ids): the rank of the basis columns there."""
+        return self._rank_at(self.structure.positions(block_ids))
+
+    def cross_section_dim(self, block_ids: Sequence[str]) -> int:
+        """dim of cross_section(block_ids): dim minus the rank off those blocks."""
+        off = np.ones(self.structure.total, dtype=bool)
+        off[self.structure.positions(block_ids)] = False
+        return self.dim - self._rank_at(off)
+
+    def _rank_at(self, cols: np.ndarray) -> int:
+        return rank(MatrixF(self.field, self.space.basis.array[:, cols]))
 
     def cross_section(self, block_ids: Sequence[str]) -> "BlockedCode":
         """Subcode vanishing off the given blocks, seen on those blocks."""

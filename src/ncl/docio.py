@@ -49,7 +49,8 @@ def _require(obj: Any, key: str, kind: type, path: str) -> Any:
     return value
 
 
-def _int_rows(raw: Any, path: str) -> list[list[int]]:
+def _int_rows(raw: Any, path: str, p: int) -> list[list[int]]:
+    """Integer rows reduced mod p, so any JSON integer becomes a residue."""
     if not isinstance(raw, list):
         raise DocumentError(path, "expected a list of rows")
     rows = []
@@ -59,8 +60,15 @@ def _int_rows(raw: Any, path: str) -> list[list[int]]:
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise DocumentError(f"{path}[{i}][{j}]", "expected an integer")
-        rows.append([int(x) for x in row])
+        rows.append([x % p for x in row])
     return rows
+
+
+def _matrix(field: PrimeField, rows: list[list[int]], width: int, path: str) -> MatrixF:
+    try:
+        return MatrixF(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
+    except (ValueError, OverflowError, MemoryError) as e:
+        raise DocumentError(path, f"cannot hold a {len(rows)} x {width} matrix: {e}") from None
 
 
 def parse_realization(text: str) -> Realization:
@@ -122,7 +130,7 @@ def parse_realization(text: str) -> Realization:
                 raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
             if v not in dim_of:
                 raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
-        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators")
+        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators", p)
         width = sum(dim_of[v] for v in raw_vars)
         for j, row in enumerate(rows):
             if len(row) != width:
@@ -131,7 +139,7 @@ def parse_realization(text: str) -> Realization:
                     f"row length {len(row)} != total var dim {width}")
         constraints.append(Constraint(cid, tuple(raw_vars)))
         structure = BlockStructure(tuple((v, dim_of[v]) for v in raw_vars))
-        matrix = MatrixF(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
+        matrix = _matrix(field, rows, width, f"{path}.generators")
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
         codes[cid] = BlockedCode.from_rows(field, structure, matrix)
@@ -179,7 +187,7 @@ def parse_code_document(text: str) -> BlockedCode:
         field = PrimeField(p)
     except ValueError as e:
         raise DocumentError("$.field", str(e)) from None
-    rows = _int_rows(_require(doc, "generators", list, "$"), "$.generators")
+    rows = _int_rows(_require(doc, "generators", list, "$"), "$.generators", p)
     width = doc.get("width")
     if width is None:
         if not rows:
@@ -192,7 +200,7 @@ def parse_code_document(text: str) -> BlockedCode:
             raise DocumentError(f"$.generators[{j}]",
                                 f"row length {len(row)} != width {width}")
     structure = BlockStructure((("word", width),))
-    matrix = MatrixF(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
+    matrix = _matrix(field, rows, width, "$.generators")
     return BlockedCode.from_rows(field, structure, matrix)
 
 

@@ -147,7 +147,15 @@ class MatrixF:
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination mod p; returns (rref, pivot columns)."""
+    """Gauss-Jordan elimination mod p; returns (rref, pivot columns).
+
+    The one elimination kernel: rref, rank, kernel, inverse and
+    complete_to_basis all run it, and so do the rank tests behind the
+    trim and proper verdicts. `a` holds residues mod p. Each pivot clears
+    its column in one block update of every other row with a nonzero
+    there (an XOR when p = 2), so the work per pivot is a few numpy calls,
+    not one per row.
+    """
     m = a.copy()
     m.setflags(write=True)
     nrows, ncols = m.shape
@@ -156,7 +164,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        hits = np.nonzero(m[r:, c])[0]
+        hits = m[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
         i = r + int(hits[0])
@@ -165,9 +173,14 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         lead = int(m[r, c])
         if lead != 1:
             m[r] = m[r] * pow(lead, p - 2, p) % p
-        for j in np.nonzero(m[:, c])[0]:
-            if j != r:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        hits = m[:, c].nonzero()[0]
+        if hits.size > 1:
+            others = hits[hits != r]
+            block = m[others]
+            if p == 2:
+                m[others] = block ^ m[r]
+            else:
+                m[others] = (block - block[:, c, None] * m[r]) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -186,19 +199,14 @@ def rank(m: MatrixF) -> int:
 def kernel(m: MatrixF) -> "Subspace":
     """The right null space {x : m @ x = 0}, as a row-vector subspace."""
     a, piv = _rref_array(m.array, m.field.p)
-    p = m.field.p
     n = m.cols
     pivset = set(piv)
-    rows = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(piv):
-            v[c] = (-a[i, f]) % p
-        rows.append(v)
-    return Subspace.spanned_by(m.field, n, rows)
+    free = [f for f in range(n) if f not in pivset]
+    # one vector per free column f: e_f minus column f of the rref on the pivots
+    rows = np.zeros((len(free), n), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, piv] = -a[:len(piv), free].T
+    return Subspace.spanned_by(m.field, n, MatrixF(m.field, rows))
 
 
 def inverse(m: MatrixF) -> MatrixF:

@@ -282,7 +282,7 @@ class Realization:
                 found.append(ValidationIssue(
                     "missing-code", f"constraint {c.id!r} has no code", (c.id,)))
         for cid in self._codes:
-            if not any(c.id == cid for c in self.topology.constraints):
+            if cid not in self.topology._constraints_by_id:
                 found.append(ValidationIssue(
                     "unknown-id", f"code given for undeclared constraint {cid!r}", (cid,)))
         if any(i.tag in ("duplicate-id", "unknown-id", "missing-code") for i in found):
@@ -399,7 +399,8 @@ def unobservable_behavior(r: Realization) -> BlockedCode:
 
 
 def is_observable(r: Realization) -> bool:
-    return unobservable_behavior(r).dim == 0
+    """No nonzero trajectory has all-zero symbols: a rank test on the behavior."""
+    return r._behavior_code.cross_section_dim(r.topology.state_ids()) == 0
 
 
 def controllability_defect(r: Realization) -> int:
@@ -413,16 +414,22 @@ def is_controllable(r: Realization) -> bool:
 
 
 def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
-    """Trim check for one constraint at one of its states, with witness."""
+    """Trim check for one constraint at one of its states, with witness.
+
+    A rank test: trim means the code's basis columns at the state have
+    full rank. Only on a failure is the projection built, to name the
+    first standard basis vector of the state space that it misses.
+    """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
     if state_id not in c.vars or not r.topology.is_state(state_id):
         raise UnknownBlockError(
             f"state {state_id!r} is not involved in constraint {constraint_id!r}")
-    proj = r.code(constraint_id).project([state_id]).space
+    code = r.code(constraint_id)
     d = r.topology.var_dim(state_id)
-    if proj.dim == d:
+    if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
+    proj = code.project([state_id]).space
     for i in range(d):
         probe = np.zeros(d, dtype=np.int64)
         probe[i] = 1
@@ -432,16 +439,19 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 
 
 def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
-    """Proper check for one constraint, with an offending codeword if any."""
+    """Proper check for one constraint, with an offending codeword if any.
+
+    A rank test per state: the cross-section on the state is zero when
+    the basis columns off the state have full rank. Only on a failure is
+    the cross-section built, to give its first canonical generator.
+    """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
     code = r.code(constraint_id)
     for v in c.vars:
-        if not r.topology.is_state(v):
+        if not r.topology.is_state(v) or code.cross_section_dim([v]) == 0:
             continue
         cs = code.cross_section([v])
-        if cs.dim == 0:
-            continue
         word = np.zeros(code.structure.total, dtype=np.int64)
         at = code.structure.offset(v)
         word[at:at + cs.structure.total] = cs.space.basis.row(0)
@@ -450,13 +460,15 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
 
 
 def is_state_trim(r: Realization) -> bool:
+    """The behavior projects onto every state space: one rank test per state."""
     b = r._behavior_code
-    return all(b.project([s.id]).dim == s.dim for s in r.topology.states)
+    return all(b.projection_dim([s.id]) == s.dim for s in r.topology.states)
 
 
 def is_branch_trim(r: Realization) -> bool:
+    """The behavior projects onto every constraint code: one rank test each."""
     b = r._behavior_code
-    return all(b.project(list(c.vars)).dim == r.code(c.id).dim
+    return all(b.projection_dim(c.vars) == r.code(c.id).dim
                for c in r.topology.constraints)
 
 
@@ -584,7 +596,7 @@ def analyze(r: Realization) -> AnalysisReport:
     r.ensure_valid()
     topo = r.topology
     b = r._behavior_code
-    unobs = unobservable_behavior(r).dim
+    unobs = b.cross_section_dim(topo.state_ids())
     defect = controllability_defect(r)
     reports = []
     for c in topo.constraints:
@@ -594,6 +606,8 @@ def analyze(r: Realization) -> AnalysisReport:
     # state merge. Either way some state dimension can be cut in place.
     all_local = all(cr.fully_trim and cr.proper.ok for cr in reports)
     cycle_free = topo.is_cycle_free()
+    state_trim = is_state_trim(r)
+    branch_trim = is_branch_trim(r)
     observable = unobs == 0
     controllable = defect == 0
     return AnalysisReport(
@@ -602,14 +616,14 @@ def analyze(r: Realization) -> AnalysisReport:
         state_dims=tuple((s.id, s.dim) for s in topo.states),
         constraint_dims=tuple((c.id, r.code(c.id).dim) for c in topo.constraints),
         behavior_dim=b.dim,
-        realized_dim=realized_code(r).dim,
+        realized_dim=b.projection_dim(topo.symbol_ids()),
         unobservable_dim=unobs,
         defect=defect,
         observable=observable,
         controllable=controllable,
-        state_trim=is_state_trim(r),
-        branch_trim=is_branch_trim(r),
-        reduced=is_reduced(r),
+        state_trim=state_trim,
+        branch_trim=branch_trim,
+        reduced=state_trim and branch_trim,
         cycle_free=cycle_free,
         minimal=all_local if cycle_free else None,
         locally_reducible=not all_local,

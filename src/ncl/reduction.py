@@ -35,6 +35,7 @@ from .realization import (
     StateVar,
     Topology,
     dualize,
+    is_observable,
     is_trim,
     unobservable_behavior,
 )
@@ -247,7 +248,7 @@ def next_reduction(r: Realization) -> tuple[str, str, str] | None:
         for sid in incident:
             if not is_trim(r, c.id, sid).ok:
                 return (TRIM, sid, c.id)
-            if r.code(c.id).cross_section([sid]).dim > 0:
+            if r.code(c.id).cross_section_dim([sid]) > 0:
                 return (MERGE, sid, c.id)
     return None
 
@@ -270,7 +271,7 @@ def reduce_to_fixpoint(r: Realization) -> tuple[Realization, list[ReductionStep]
             current, step = op(current, sid, cid)
             steps.append(step)
             continue
-        if unobservable_behavior(current).dim > 0:
+        if not is_observable(current):
             current, step = reduce_unobservable(current)
             steps.append(step)
             continue
@@ -307,7 +308,7 @@ def minimize_cycle_free(r: Realization, *, constraint_order: Sequence[str] | Non
                     current, step = trim_state(current, sid, cid)
                     steps.append(step)
                     changed = True
-                if current.code(cid).cross_section([sid]).dim > 0:
+                if current.code(cid).cross_section_dim([sid]) > 0:
                     current, step = merge_state(current, sid, cid)
                     steps.append(step)
                     changed = True

@@ -384,3 +384,37 @@ class TestErrorMapping:
         payload = json.loads(err)
         assert payload["error"]["type"] == "document"
         assert "not valid JSON" in payload["error"]["message"]
+
+    def test_huge_dimension_is_a_document_error(self, run, tmp_path):
+        doc = json.dumps({"field": 3, "symbols": [{"id": "a0", "dim": 10 ** 29}],
+                          "states": [],
+                          "constraints": [{"id": "c0", "vars": ["a0"], "generators": []}]})
+        path = tmp_path / "huge.json"
+        path.write_text(doc, encoding="utf-8")
+        code, _, err = run("analyze", str(path), "--json")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "document"
+        assert payload["error"]["message"].startswith("$.constraints[0].generators:")
+
+    def test_huge_entries_are_read_mod_p(self, run, tmp_path):
+        def doc(entry):
+            return json.dumps({"field": 3, "symbols": [{"id": "a0", "dim": 2}],
+                               "states": [],
+                               "constraints": [{"id": "c0", "vars": ["a0"],
+                                                "generators": [[entry, 1]]}]})
+        huge, small = tmp_path / "huge.json", tmp_path / "small.json"
+        huge.write_text(doc(10 ** 29), encoding="utf-8")
+        small.write_text(doc(10 ** 29 % 3), encoding="utf-8")
+        code, out, err = run("analyze", str(huge), "--json")
+        assert (code, err) == (0, "")
+        assert out == run("analyze", str(small), "--json")[1]
+
+    def test_huge_entries_in_expected_code_are_read_mod_p(self, run, ex1_path, tmp_path):
+        exp = tmp_path / "code.json"
+        exp.write_text(json.dumps({"field": 2, "generators": [[1 + 2 * 10 ** 29, 1, 0],
+                                                              [1, -10 ** 40, 1]]}),
+                       encoding="utf-8")
+        code, out, _ = run("verify", ex1_path, "--expect", str(exp))
+        assert code == 0
+        assert out == "ok: realized code matches the expected code\n"

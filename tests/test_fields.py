@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from ncl import (
     GF2,
@@ -151,6 +153,69 @@ class TestElimination:
         stacked = MatrixF(m.field, np.vstack([m.array, extra.array]))
         assert rank(stacked) == m.cols
         assert rank(m) + extra.rows == m.cols
+
+
+@st.composite
+def large_matrices(draw):
+    """Up to 40 x 60 over GF(2/3/7/257): zero, tall, wide, square or any shape.
+
+    Entries come from a low-rank product (so pivots clear many rows at
+    once), thinned to a drawn density, with a few columns forced fully
+    nonzero.
+    """
+    p = draw(st.sampled_from((2, 3, 7, 257)))
+    shape = draw(st.sampled_from(("zero", "tall", "wide", "square", "any")))
+    rows, cols = {
+        "tall": (draw(st.integers(20, 40)), draw(st.integers(1, 12))),
+        "wide": (draw(st.integers(1, 12)), draw(st.integers(30, 60))),
+        "square": (draw(st.integers(1, 40)),) * 2,
+    }.get(shape, (draw(st.integers(0, 40)), draw(st.integers(0, 60))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "zero":
+        return MatrixF(PrimeField(p), np.zeros((rows, cols), dtype=np.int64))
+    k = draw(st.integers(1, 40))
+    a = rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols)) % p
+    a = a * (rng.random((rows, cols)) < draw(st.sampled_from((0.1, 0.5, 1.0))))
+    heavy = rng.choice(cols, size=min(cols, draw(st.integers(0, 3))), replace=False)
+    a[:, heavy] = rng.integers(1, p, (rows, heavy.size))
+    return MatrixF(PrimeField(p), a)
+
+
+def reference_rref(m: MatrixF) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF and pivots from sympy's DomainMatrix over GF(p)."""
+    p = m.field.p
+    k = GF(p)
+    dm = DomainMatrix([[k(int(x)) for x in row] for row in m.array], m.shape, k)
+    red, piv = dm.rref()
+    out = np.array([[int(x) % p for x in row] for row in red.to_list()], dtype=np.int64)
+    return out.reshape(m.shape), tuple(piv)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(large_matrices())
+    def test_rref_rank_kernel_inverse(self, m):
+        want, want_piv = reference_rref(m)
+        red, rk, piv = rref(m)
+        assert red.array.tolist() == want.tolist()
+        assert (rk, piv) == (len(want_piv), want_piv)
+        assert rank(m) == rk
+
+        k = kernel(m)
+        assert k.dim == m.cols - rk
+        assert not (m.array @ k.basis.array.T % m.field.p).any()
+
+        if m.rows != m.cols:
+            with pytest.raises(DimensionMismatchError):
+                inverse(m)
+        elif rk < m.rows:
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            inv = inverse(m).array
+            eye = np.eye(m.rows, dtype=np.int64)
+            assert (m.array @ inv % m.field.p).tolist() == eye.tolist()
+            assert (inv @ m.array % m.field.p).tolist() == eye.tolist()
 
 
 class TestSubspace:

@@ -1,0 +1,202 @@
+"""The rank-test predicates agree with their definitions.
+
+Trim, proper, state-trim and branch-trim are decided by ranks; here each
+verdict is recomputed from the projection and cross-section subspaces
+themselves, and the reduction drivers are replayed with scans written
+directly in terms of those subspaces.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from ncl import (
+    GF2,
+    GF3,
+    PrimeField,
+    ProperVerdict,
+    TrimVerdict,
+    analyze,
+    behavior,
+    is_branch_trim,
+    is_proper,
+    is_state_trim,
+    is_trim,
+    merge_state,
+    minimize_cycle_free,
+    reduce_to_fixpoint,
+    reduce_unobservable,
+    trim_state,
+    unobservable_behavior,
+)
+from helpers import random_blocked_code, random_realization, random_tail_biting_product
+
+FIELDS = [GF2, GF3, PrimeField(5)]
+
+
+def state_pairs(r):
+    """(constraint, state) incidences in the order next_reduction scans them."""
+    topo = r.topology
+    order = {s.id: i for i, s in enumerate(topo.states)}
+    for c in topo.constraints:
+        for sid in sorted((v for v in c.vars if topo.is_state(v)), key=order.__getitem__):
+            yield c.id, sid
+
+
+def reference_trim(r, cid, sid):
+    proj = r.code(cid).project([sid]).space
+    d = r.topology.var_dim(sid)
+    if proj.dim == d:
+        return TrimVerdict(True, cid, sid)
+    for i in range(d):
+        unit = tuple(int(i == j) for j in range(d))
+        if not proj.contains(unit):
+            return TrimVerdict(False, cid, sid, unit)
+    raise AssertionError("proper subspace contains every standard vector")
+
+
+def reference_proper(r, cid):
+    code = r.code(cid)
+    for v in r.topology.constraint(cid).vars:
+        if not r.topology.is_state(v):
+            continue
+        cs = code.cross_section([v])
+        if cs.dim > 0:
+            word = [0] * code.structure.total
+            at = code.structure.offset(v)
+            word[at:at + cs.structure.total] = cs.space.basis.row(0).tolist()
+            return ProperVerdict(False, cid, v, tuple(word))
+    return ProperVerdict(True, cid)
+
+
+def reference_state_trim(r):
+    b = behavior(r).code
+    return all(b.project([s.id]).dim == s.dim for s in r.topology.states)
+
+
+def reference_branch_trim(r):
+    b = behavior(r).code
+    return all(b.project(list(c.vars)).dim == r.code(c.id).dim
+               for c in r.topology.constraints)
+
+
+def trimmable(r, cid, sid):
+    return r.code(cid).project([sid]).dim < r.topology.var_dim(sid)
+
+
+def mergeable(r, cid, sid):
+    return r.code(cid).cross_section([sid]).dim > 0
+
+
+def reference_fixpoint(r):
+    steps = []
+    while True:
+        move = None
+        for cid, sid in state_pairs(r):
+            if trimmable(r, cid, sid):
+                move = trim_state(r, sid, cid)
+            elif mergeable(r, cid, sid):
+                move = merge_state(r, sid, cid)
+            if move is not None:
+                break
+        if move is None:
+            if unobservable_behavior(r).dim == 0:
+                return r, steps
+            move = reduce_unobservable(r)
+        r, step = move
+        steps.append(step)
+
+
+def reference_minimize(r):
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for cid in r.topology.constraint_ids():
+            for sid in r.topology.constraint(cid).vars:
+                if not r.topology.is_state(sid):
+                    continue
+                for test, move in ((trimmable, trim_state), (mergeable, merge_state)):
+                    if test(r, cid, sid):
+                        r, step = move(r, sid, cid)
+                        steps.append(step)
+                        changed = True
+    return r, steps
+
+
+def instances(field, count, **kwargs):
+    rng = random.Random(f"rank-verdicts:{field.p}")
+    return [random_realization(rng, field, max_dim=3, **kwargs) for _ in range(count)]
+
+
+def trellises(field, count):
+    rng = random.Random(f"rank-verdicts-trellis:{field.p}")
+    return [random_tail_biting_product(rng, field, max_n=6) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_projection_and_cross_section_dims(field):
+    rng = random.Random(f"blocked-dims:{field.p}")
+    for _ in range(30):
+        blocks = tuple((f"b{i}", rng.randint(0, 3)) for i in range(rng.randint(1, 4)))
+        code = random_blocked_code(rng, field, blocks)
+        ids = code.structure.ids()
+        for k in range(len(ids) + 1):
+            for chosen in itertools.permutations(ids, k):
+                assert code.projection_dim(chosen) == code.project(chosen).dim
+                assert code.cross_section_dim(chosen) == code.cross_section(chosen).dim
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_local_verdicts_match_definitions(field):
+    seen = Counter()
+    for r in instances(field, 60):
+        for cid, sid in state_pairs(r):
+            verdict = is_trim(r, cid, sid)
+            assert verdict == reference_trim(r, cid, sid)
+            if not verdict.ok and r.topology.var_dim(sid) >= 2:
+                seen["trim failure at dim >= 2"] += 1
+        for c in r.topology.constraints:
+            verdict = is_proper(r, c.id)
+            assert verdict == reference_proper(r, c.id)
+            if not verdict.ok and r.topology.var_dim(verdict.state_id) >= 2:
+                seen["proper failure at dim >= 2"] += 1
+        state_trim, branch_trim = reference_state_trim(r), reference_branch_trim(r)
+        assert is_state_trim(r) == state_trim
+        assert is_branch_trim(r) == branch_trim
+        report = analyze(r)
+        for cr in report.constraints:
+            assert cr.proper == reference_proper(r, cr.id)
+            assert cr.trim == tuple(reference_trim(r, cr.id, v)
+                                    for v in r.topology.constraint(cr.id).vars
+                                    if r.topology.is_state(v))
+        assert (report.state_trim, report.branch_trim) == (state_trim, branch_trim)
+        assert report.reduced == (state_trim and branch_trim)
+        seen[f"state trim {state_trim}"] += 1
+        seen[f"branch trim {branch_trim}"] += 1
+    # every outcome occurs, so no assertion above holds vacuously
+    assert set(seen) == {"trim failure at dim >= 2", "proper failure at dim >= 2",
+                         "state trim True", "state trim False",
+                         "branch trim True", "branch trim False"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_reduce_to_fixpoint_matches_reference_scan(field):
+    kinds = Counter()
+    for r in instances(field, 40, total_cap=10) + trellises(field, 20):
+        got = reduce_to_fixpoint(r)
+        assert got == reference_fixpoint(r)
+        kinds.update(step.kind for step in got[1])
+    assert set(kinds) == {"trim", "merge", "unobservability-trim"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_minimize_cycle_free_matches_reference_scan(field):
+    kinds = Counter()
+    for r in instances(field, 40, total_cap=10, allow_cycles=False):
+        got = minimize_cycle_free(r)
+        assert got == reference_minimize(r)
+        kinds.update(step.kind for step in got[1])
+    assert set(kinds) == {"trim", "merge"}
