@@ -9,6 +9,7 @@ machine-readable JSON object; errors go to stderr either way.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,7 @@ def _render_report(report: AnalysisReport) -> list[str]:
         lines.append("minimal: n/a (graph has cycles)")
     else:
         lines.append(f"minimal: {_bool(report.minimal)}")
+    lines.append(f"trim-proper: {_bool(report.trim_proper)}")
     lines.append(f"locally reducible: {_bool(report.locally_reducible)}")
     for c in report.constraints:
         parts = []
@@ -114,7 +116,7 @@ def _cmd_behavior(args: argparse.Namespace) -> int:
     many = len(args.file) > 1
     for path in args.file:
         r = _load(path)
-        b = realization.behavior(r).code
+        b = realization.behavior(r)
         rc = realization.realized_code(r)
         if args.json:
             payload = {
@@ -300,7 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             counter = verdict.counterexample
             what = "realized code matches the expected code"
         else:
-            got = set(realization.behavior(r).code.enumerate(budget.max_points))
+            got = set(realization.behavior(r).enumerate(budget.max_points))
             want = set(oracle.brute_behavior(r, budget))
             ok = got == want
             counter = min(got ^ want) if not ok else None
@@ -334,6 +336,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once; every main call reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncl",

@@ -307,7 +307,7 @@ def trajectory_components(r: Realization, *,
     trellises, where disconnection is equivalent to uncontrollability.
     """
     r.ensure_valid()
-    b = behavior(r).code
+    b = behavior(r)
     topo = r.topology
 
     node_index: dict[tuple[str, tuple[int, ...]], int] = {}

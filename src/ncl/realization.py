@@ -341,18 +341,6 @@ class Realization:
 
 
 @dataclass(frozen=True)
-class Behavior:
-    """The full solution set of a realization, as a code on symbols+states."""
-
-    realization: Realization
-    code: BlockedCode
-
-    @property
-    def dim(self) -> int:
-        return self.code.dim
-
-
-@dataclass(frozen=True)
 class TrimVerdict:
     """Does one constraint project onto one of its state spaces surjectively?"""
 
@@ -383,9 +371,10 @@ def validate(r: Realization) -> list[ValidationIssue]:
     return list(r._issues)
 
 
-def behavior(r: Realization) -> Behavior:
-    """The kernel of the stacked parity systems of all constraint codes."""
-    return Behavior(r, r._behavior_code)
+def behavior(r: Realization) -> BlockedCode:
+    """The full solution set, as a code on symbols+states: the kernel of the
+    stacked parity systems of all constraint codes."""
+    return r._behavior_code
 
 
 def realized_code(r: Realization) -> BlockedCode:
@@ -534,6 +523,7 @@ class AnalysisReport:
     reduced: bool
     cycle_free: bool
     minimal: bool | None
+    trim_proper: bool
     locally_reducible: bool
     constraints: tuple[ConstraintReport, ...]
 
@@ -587,6 +577,7 @@ class AnalysisReport:
             "reduced": self.reduced,
             "cycle_free": self.cycle_free,
             "minimal": self.minimal,
+            "trim_proper": self.trim_proper,
             "locally_reducible": self.locally_reducible,
         }
 
@@ -602,9 +593,7 @@ def analyze(r: Realization) -> AnalysisReport:
     for c in topo.constraints:
         trims = tuple(is_trim(r, c.id, v) for v in c.vars if topo.is_state(v))
         reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, is_proper(r, c.id)))
-    # A trim failure admits a state restriction; a proper failure admits a
-    # state merge. Either way some state dimension can be cut in place.
-    all_local = all(cr.fully_trim and cr.proper.ok for cr in reports)
+    trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
     cycle_free = topo.is_cycle_free()
     state_trim = is_state_trim(r)
     branch_trim = is_branch_trim(r)
@@ -625,7 +614,11 @@ def analyze(r: Realization) -> AnalysisReport:
         branch_trim=branch_trim,
         reduced=state_trim and branch_trim,
         cycle_free=cycle_free,
-        minimal=all_local if cycle_free else None,
-        locally_reducible=not all_local,
+        minimal=trim_proper if cycle_free else None,
+        trim_proper=trim_proper,
+        # A trim or proper failure admits a trim or a merge, and an
+        # unobservable or uncontrollable realization is locally reducible
+        # too (Forney and Gluesing-Luerssen, arXiv:1202.0534).
+        locally_reducible=not trim_proper or not observable or not controllable,
         constraints=tuple(reports),
     )

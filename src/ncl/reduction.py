@@ -12,6 +12,13 @@ code, and reports the coordinate map it applied. Three moves exist:
 
 The dual merge runs the unobservability trim on the dual realization and
 maps the result back, lowering the controllability defect instead.
+
+reduce_to_fixpoint and minimize_cycle_free share one driver. It sweeps
+the (constraint, state) incidences, constraints in order and each one's
+states in the order its vars list them, and at each takes a trim and
+then a merge where one applies. When a whole sweep changes nothing, an
+unobservable realization loses one unobservable direction and the sweep
+starts again. next_reduction names the first move of that sweep.
 """
 
 from __future__ import annotations
@@ -233,58 +240,74 @@ def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]
     return result, step
 
 
-def next_reduction(r: Realization) -> tuple[str, str, str] | None:
-    """First applicable trim/merge as (kind, state_id, constraint_id), or None.
+def _incidences(topo: Topology, order: Sequence[str]) -> list[tuple[str, str]]:
+    """(constraint, state) pairs in the driver's sweep order (module docstring)."""
+    return [(cid, sid) for cid in order for sid in topo.constraint(cid).vars
+            if topo.is_state(sid)]
 
-    Scan order: constraints in topology order; within one, its states in
-    topology order; trim checked before merge at each pair.
+
+def _local_reduction(r: Realization, constraint_id: str, state_id: str) -> str | None:
+    """TRIM or MERGE if that move applies at one incidence (trim first), else None."""
+    if not is_trim(r, constraint_id, state_id).ok:
+        return TRIM
+    if r.code(constraint_id).cross_section_dim([state_id]) > 0:
+        return MERGE
+    return None
+
+
+def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
+                       ) -> tuple[Realization, list[ReductionStep]]:
+    """The one reduction driver described in the module docstring.
+
+    A trim leaves the constraint trim at that state and a merge leaves it
+    trim and proper there, so a visit takes at most a trim, then a merge.
     """
+    pairs = _incidences(r.topology, order)
+    steps: list[ReductionStep] = []
+    while True:
+        changed = False
+        for cid, sid in pairs:
+            while (kind := _local_reduction(r, cid, sid)) is not None:
+                r, step = (trim_state if kind == TRIM else merge_state)(r, sid, cid)
+                steps.append(step)
+                changed = True
+        if not changed:
+            if is_observable(r):
+                return r, steps
+            r, step = reduce_unobservable(r)
+            steps.append(step)
+
+
+def next_reduction(r: Realization) -> tuple[str, str, str] | None:
+    """The first move of reduce_to_fixpoint's sweep as (kind, state_id,
+    constraint_id), or None when no trim or merge applies anywhere."""
     r.ensure_valid()
-    topo = r.topology
-    state_index = {s.id: i for i, s in enumerate(topo.states)}
-    for c in topo.constraints:
-        incident = sorted((v for v in c.vars if topo.is_state(v)),
-                          key=state_index.__getitem__)
-        for sid in incident:
-            if not is_trim(r, c.id, sid).ok:
-                return (TRIM, sid, c.id)
-            if r.code(c.id).cross_section_dim([sid]) > 0:
-                return (MERGE, sid, c.id)
+    for cid, sid in _incidences(r.topology, r.topology.constraint_ids()):
+        kind = _local_reduction(r, cid, sid)
+        if kind is not None:
+            return kind, sid, cid
     return None
 
 
 def reduce_to_fixpoint(r: Realization) -> tuple[Realization, list[ReductionStep]]:
-    """Apply trim/merge/unobservability reductions until none applies.
+    """Sweep trims and merges in topology order, with an unobservability
+    trim whenever a sweep changes nothing, until no reduction applies.
 
     The result is trim and proper at every constraint and observable.
-    Terminates: every step strictly shrinks the total state dimension or
-    the unobservable dimension.
+    Terminates: every step strictly shrinks the total state dimension.
     """
     r.ensure_valid()
-    steps: list[ReductionStep] = []
-    current = r
-    while True:
-        found = next_reduction(current)
-        if found is not None:
-            kind, sid, cid = found
-            op = trim_state if kind == TRIM else merge_state
-            current, step = op(current, sid, cid)
-            steps.append(step)
-            continue
-        if not is_observable(current):
-            current, step = reduce_unobservable(current)
-            steps.append(step)
-            continue
-        return current, steps
+    return _sweep_to_fixpoint(r, r.topology.constraint_ids())
 
 
 def minimize_cycle_free(r: Realization, *, constraint_order: Sequence[str] | None = None
                         ) -> tuple[Realization, list[ReductionStep]]:
     """Reduce a cycle-free realization until every constraint is trim and proper.
 
-    On a tree this fixpoint is the minimal realization on that topology;
-    its state dims match cut_dims of the realized code. constraint_order
-    overrides the scan order (the fixpoint itself is order-independent).
+    The sweep of reduce_to_fixpoint, in constraint_order if given. On a
+    tree, trim and proper everywhere means minimal, hence observable, so
+    only trims and merges are taken, and the state dims match cut_dims of
+    the realized code whatever the order.
     """
     r.ensure_valid()
     if not r.topology.is_cycle_free():
@@ -293,26 +316,7 @@ def minimize_cycle_free(r: Realization, *, constraint_order: Sequence[str] | Non
         else r.topology.constraint_ids()
     if sorted(order) != sorted(r.topology.constraint_ids()):
         raise ValueError("constraint_order must permute the constraint ids")
-
-    steps: list[ReductionStep] = []
-    current = r
-    changed = True
-    while changed:
-        changed = False
-        for cid in order:
-            c = current.topology.constraint(cid)
-            for sid in c.vars:
-                if not current.topology.is_state(sid):
-                    continue
-                if not is_trim(current, cid, sid).ok:
-                    current, step = trim_state(current, sid, cid)
-                    steps.append(step)
-                    changed = True
-                if current.code(cid).cross_section_dim([sid]) > 0:
-                    current, step = merge_state(current, sid, cid)
-                    steps.append(step)
-                    changed = True
-    return current, steps
+    return _sweep_to_fixpoint(r, order)
 
 
 @dataclass(frozen=True)

@@ -380,7 +380,7 @@ def test_criterion_11_oracle_matches_kernel_everywhere():
         if points > budget.max_points:
             continue
         boundary_seen = boundary_seen or points == budget.max_points
-        got = set(behavior(r).code.enumerate(budget.max_points))
+        got = set(behavior(r).enumerate(budget.max_points))
         want = set(brute_behavior(r, budget))
         assert got == want
         checked += 1

@@ -72,6 +72,16 @@ class TestBuild:
         assert rep.observable and rep.controllable
         assert rep.realized_dim == 2
 
+    def test_repeated_calls_do_not_share_appended_rows(self, run, tmp_path):
+        # main reuses one parser, so --gens must start empty on every call
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        for path, gens in ((first, "110,011"), (second, "111")):
+            code, _, _ = run("build", "generator", "--field", "2", "--n", "3",
+                             "--gens", gens, "-o", str(path))
+            assert code == 0
+        rep = analyze(parse_realization(second.read_text(encoding="utf-8")))
+        assert rep.realized_dim == 1
+
     def test_degenerate_span_spelled_deg(self, run, tmp_path):
         path = tmp_path / "tb.json"
         code, _, _ = run("build", "trellis", "--field", "2", "--n", "5",
@@ -138,7 +148,8 @@ class TestAnalyze:
             "reduced: true",
             "cycle-free: false",
             "minimal: n/a (graph has cycles)",
-            "locally reducible: false",
+            "trim-proper: true",
+            "locally reducible: true",
             "constraint c0 (dim 2): trim s0: ok; trim s1: ok; proper: ok",
             "constraint c1 (dim 2): trim s1: ok; trim s2: ok; proper: ok",
             "constraint c2 (dim 2): trim s2: ok; trim s0: ok; proper: ok",

@@ -50,7 +50,7 @@ class TestParseEmit:
     def test_round_trip_preserves_behavior(self):
         r = example3()
         back = parse_realization(emit_realization(r))
-        assert behavior(back).code == behavior(r).code
+        assert behavior(back) == behavior(r)
 
     def test_negate_at_defaults_to_right(self):
         doc = json.loads(example1_document())

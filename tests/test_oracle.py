@@ -32,7 +32,7 @@ class TestBruteBehavior:
 
     def test_agrees_with_kernel_path(self):
         r = example1()
-        assert set(brute_behavior(r)) == set(behavior(r).code.enumerate())
+        assert set(brute_behavior(r)) == set(behavior(r).enumerate())
 
     def test_realized_words(self):
         assert brute_realized_words(example1()) == EX1_WORDS

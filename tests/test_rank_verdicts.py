@@ -26,6 +26,7 @@ from ncl import (
     is_trim,
     merge_state,
     minimize_cycle_free,
+    next_reduction,
     reduce_to_fixpoint,
     reduce_unobservable,
     trim_state,
@@ -37,12 +38,12 @@ FIELDS = [GF2, GF3, PrimeField(5)]
 
 
 def state_pairs(r):
-    """(constraint, state) incidences in the order next_reduction scans them."""
+    """(constraint, state) incidences in the order the reduction driver sweeps them."""
     topo = r.topology
-    order = {s.id: i for i, s in enumerate(topo.states)}
     for c in topo.constraints:
-        for sid in sorted((v for v in c.vars if topo.is_state(v)), key=order.__getitem__):
-            yield c.id, sid
+        for sid in c.vars:
+            if topo.is_state(sid):
+                yield c.id, sid
 
 
 def reference_trim(r, cid, sid):
@@ -72,12 +73,12 @@ def reference_proper(r, cid):
 
 
 def reference_state_trim(r):
-    b = behavior(r).code
+    b = behavior(r)
     return all(b.project([s.id]).dim == s.dim for s in r.topology.states)
 
 
 def reference_branch_trim(r):
-    b = behavior(r).code
+    b = behavior(r)
     return all(b.project(list(c.vars)).dim == r.code(c.id).dim
                for c in r.topology.constraints)
 
@@ -88,25 +89,6 @@ def trimmable(r, cid, sid):
 
 def mergeable(r, cid, sid):
     return r.code(cid).cross_section([sid]).dim > 0
-
-
-def reference_fixpoint(r):
-    steps = []
-    while True:
-        move = None
-        for cid, sid in state_pairs(r):
-            if trimmable(r, cid, sid):
-                move = trim_state(r, sid, cid)
-            elif mergeable(r, cid, sid):
-                move = merge_state(r, sid, cid)
-            if move is not None:
-                break
-        if move is None:
-            if unobservable_behavior(r).dim == 0:
-                return r, steps
-            move = reduce_unobservable(r)
-        r, step = move
-        steps.append(step)
 
 
 def reference_minimize(r):
@@ -124,6 +106,18 @@ def reference_minimize(r):
                         steps.append(step)
                         changed = True
     return r, steps
+
+
+def reference_fixpoint(r):
+    """Sweep to a trim/merge fixpoint, cut one unobservable direction, repeat."""
+    steps = []
+    while True:
+        r, swept = reference_minimize(r)
+        steps += swept
+        if unobservable_behavior(r).dim == 0:
+            return r, steps
+        r, step = reduce_unobservable(r)
+        steps.append(step)
 
 
 def instances(field, count, **kwargs):
@@ -190,6 +184,31 @@ def test_reduce_to_fixpoint_matches_reference_scan(field):
         assert got == reference_fixpoint(r)
         kinds.update(step.kind for step in got[1])
     assert set(kinds) == {"trim", "merge", "unobservability-trim"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_next_reduction_names_first_fixpoint_step(field):
+    seen = Counter()
+    for r in instances(field, 40, total_cap=10) + trellises(field, 20):
+        _, steps = reduce_to_fixpoint(r)
+        first = steps[0].kind if steps else None
+        want = None
+        if first in ("trim", "merge"):
+            want = (first, steps[0].state_id, steps[0].constraint_id)
+        assert next_reduction(r) == want
+        seen[first] += 1
+    assert set(seen) == {"trim", "merge", "unobservability-trim", None}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_fixpoint_takes_no_step_iff_trim_proper_and_observable(field):
+    seen = Counter()
+    for r in instances(field, 40, total_cap=10) + trellises(field, 20):
+        report = analyze(r)
+        irreducible = report.trim_proper and report.observable
+        assert (reduce_to_fixpoint(r)[1] == []) == irreducible
+        seen[(report.trim_proper, report.observable)] += 1
+    assert set(seen) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")

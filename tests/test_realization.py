@@ -192,7 +192,7 @@ class TestBehavior:
         assert set(realized_code(r).enumerate()) == EX1_WORDS
 
     def test_behavior_block_order_symbols_first(self):
-        b = behavior(example1()).code
+        b = behavior(example1())
         assert b.structure.ids() == ("a0", "a1", "a2", "s0", "s1", "s2")
 
     def test_zero_code_constraint_pins_variables(self):
@@ -314,7 +314,8 @@ class TestAnalyze:
         assert not rep.observable and rep.controllable
         assert rep.reduced
         assert not rep.cycle_free and rep.minimal is None
-        assert not rep.locally_reducible
+        # unobservable, so locally reducible although trim and proper
+        assert rep.trim_proper and rep.locally_reducible
 
     def test_conventional_report(self):
         rep = analyze(conventional_improper())
