@@ -1,5 +1,10 @@
 """Command-line surface.
 
+Each command computes its result once, as the dict that --json emits;
+the text output is a formatting of that same dict. analyze, behavior,
+components and verify share one loop over their files, and every
+command that writes a file reports it through one helper.
+
 Exit codes: 0 success, 1 a verification found a mismatch, 2 invalid
 input (bad document, invalid realization, cyclic input to minimize,
 enumeration budget exceeded). With --json every result and error is a
@@ -13,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from . import constructions, docio, oracle, realization, reduction
@@ -21,7 +27,7 @@ from .constructions import Span, SpannedGenerator
 from .errors import DocumentError, EnumerationLimitError, InvalidRealizationError, NclError
 from .fields import PrimeField
 from .oracle import DEFAULT_MAX_POINTS, EnumerationBudget
-from .realization import AnalysisReport, Realization
+from .realization import Realization
 
 
 def _read(path: str) -> str:
@@ -35,15 +41,18 @@ def _load(path: str) -> Realization:
 
 
 def _budget_points(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("NCL_BUDGET")
-    if env is not None:
+    points = args.budget
+    if points is None:
+        env = os.environ.get("NCL_BUDGET")
+        if env is None:
+            return DEFAULT_MAX_POINTS
         try:
-            return int(env)
+            points = int(env)
         except ValueError:
             raise ValueError(f"NCL_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_POINTS
+    if points <= 0:
+        raise ValueError("budget must be positive")
+    return points
 
 
 def _emit_json(payload: dict) -> None:
@@ -54,131 +63,137 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _render_report(report: AnalysisReport) -> list[str]:
-    lines = [f"field: GF({report.field_order})"]
-    for name, dims, total in (
-        ("symbols", report.symbol_dims, report.total_symbol_dim),
-        ("states", report.state_dims, report.total_state_dim),
-        ("constraints", report.constraint_dims, report.total_constraint_dim),
-    ):
-        shown = " ".join(f"{i}:{d}" for i, d in dims) or "(none)"
-        lines.append(f"{name}: {shown} (total {total})")
-    lines.append(f"behavior dim: {report.behavior_dim}")
-    lines.append(f"realized dim: {report.realized_dim}")
-    lines.append(f"unobservable dim: {report.unobservable_dim}")
-    lines.append(f"controllability defect: {report.defect}")
-    lines.append(f"observable: {_bool(report.observable)}")
-    lines.append(f"controllable: {_bool(report.controllable)}")
-    lines.append(f"state-trim: {_bool(report.state_trim)}")
-    lines.append(f"branch-trim: {_bool(report.branch_trim)}")
-    lines.append(f"reduced: {_bool(report.reduced)}")
-    lines.append(f"cycle-free: {_bool(report.cycle_free)}")
-    if report.minimal is None:
-        lines.append("minimal: n/a (graph has cycles)")
-    else:
-        lines.append(f"minimal: {_bool(report.minimal)}")
-    lines.append(f"trim-proper: {_bool(report.trim_proper)}")
-    lines.append(f"locally reducible: {_bool(report.locally_reducible)}")
-    for c in report.constraints:
+def _each_file(args: argparse.Namespace, result: Callable[[Realization], dict],
+               lines: Callable[[dict, PrimeField], list[str]]) -> int:
+    """Print one result per file: `result(r)` as JSON, or `lines` of it as text.
+
+    The run stops at the first error. The exit code is 1 if any result
+    has "ok": false, which only verify reports.
+    """
+    many = len(args.file) > 1
+    worst = 0
+    for path in args.file:
+        r = _load(path)
+        payload = result(r)
+        if args.json:
+            _emit_json({"file": path, **payload} if many else payload)
+        else:
+            text = lines(payload, r.field)
+            if many and args.command == "verify":
+                text = [f"{path}: {line}" for line in text]
+            elif many:
+                text = [f"== {path}", *text]
+            print("\n".join(text))
+        if payload.get("ok") is False:
+            worst = 1
+    return worst
+
+
+# (text label, AnalysisReport.to_dict key) for the one-value report lines
+_REPORT_LINES = (
+    ("behavior dim", "behavior_dim"), ("realized dim", "realized_dim"),
+    ("unobservable dim", "unobservable_dim"),
+    ("controllability defect", "controllability_defect"),
+    ("observable", "observable"), ("controllable", "controllable"),
+    ("state-trim", "state_trim"), ("branch-trim", "branch_trim"),
+    ("reduced", "reduced"), ("cycle-free", "cycle_free"), ("minimal", "minimal"),
+    ("trim-proper", "trim_proper"), ("locally reducible", "locally_reducible"),
+)
+
+
+def _analyze_lines(d: dict, field: PrimeField) -> list[str]:
+    lines = [f"field: GF({d['field']})"]
+    for kind in ("symbol", "state", "constraint"):
+        shown = " ".join(f"{v['id']}:{v['dim']}" for v in d[f"{kind}s"]) or "(none)"
+        lines.append(f"{kind}s: {shown} (total {d[f'total_{kind}_dim']})")
+    for label, key in _REPORT_LINES:
+        value = d[key]
+        if value is None:  # only minimal, on a graph with cycles
+            value = "n/a (graph has cycles)"
+        elif isinstance(value, bool):
+            value = _bool(value)
+        lines.append(f"{label}: {value}")
+    for c in d["constraints"]:
         parts = []
-        for t in c.trim:
-            if t.ok:
-                parts.append(f"trim {t.state_id}: ok")
+        for t in c["trim"]:
+            if t["ok"]:
+                parts.append(f"trim {t['state']}: ok")
             else:
-                missing = "".join(str(x) for x in t.missing)
-                parts.append(f"trim {t.state_id}: FAIL (value {missing} unreachable)")
-        if c.proper.ok:
+                missing = "".join(str(x) for x in t["missing_value"])
+                parts.append(f"trim {t['state']}: FAIL (value {missing} unreachable)")
+        proper = c["proper"]
+        if proper["ok"]:
             parts.append("proper: ok")
         else:
-            word = ",".join(str(x) for x in c.proper.codeword)
-            parts.append(f"proper: FAIL (codeword {word} lives on {c.proper.state_id})")
-        lines.append(f"constraint {c.id} (dim {c.dim}): " + "; ".join(parts))
+            word = ",".join(str(x) for x in proper["codeword"])
+            parts.append(f"proper: FAIL (codeword {word} lives on {proper['state']})")
+        lines.append(f"constraint {c['id']} (dim {c['dim']}): " + "; ".join(parts))
     return lines
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    many = len(args.file) > 1
-    for path in args.file:
-        report = realization.analyze(_load(path))
-        if args.json:
-            payload = report.to_dict()
-            if many:
-                payload = {"file": path, **payload}
-            _emit_json(payload)
-        else:
-            if many:
-                print(f"== {path}")
-            print("\n".join(_render_report(report)))
-    return 0
+    return _each_file(args, lambda r: realization.analyze(r).to_dict(), _analyze_lines)
+
+
+def _behavior_result(r: Realization) -> dict:
+    b = realization.behavior(r)
+    rc = realization.realized_code(r)
+    return {
+        "block_order": list(b.structure.ids()),
+        "behavior_dim": b.dim,
+        "behavior_generators": b.space.basis.tolist(),
+        "realized_block_order": list(rc.structure.ids()),
+        "realized_dim": rc.dim,
+        "realized_generators": rc.space.basis.tolist(),
+    }
+
+
+def _behavior_lines(d: dict, field: PrimeField) -> list[str]:
+    lines = []
+    for code, order in (("behavior", "block_order"), ("realized", "realized_block_order")):
+        lines.append(f"{code} dim: {d[f'{code}_dim']}")
+        lines.append(f"{code} blocks: " + " ".join(d[order]))
+        lines.extend("  " + format_word(field, row) for row in d[f"{code}_generators"])
+    return lines
 
 
 def _cmd_behavior(args: argparse.Namespace) -> int:
-    many = len(args.file) > 1
-    for path in args.file:
-        r = _load(path)
-        b = realization.behavior(r)
-        rc = realization.realized_code(r)
-        if args.json:
-            payload = {
-                "block_order": list(b.structure.ids()),
-                "behavior_dim": b.dim,
-                "behavior_generators": b.space.basis.tolist(),
-                "realized_block_order": list(rc.structure.ids()),
-                "realized_dim": rc.dim,
-                "realized_generators": rc.space.basis.tolist(),
-            }
-            if many:
-                payload = {"file": path, **payload}
-            _emit_json(payload)
-        else:
-            if many:
-                print(f"== {path}")
-            print(f"behavior dim: {b.dim}")
-            print("behavior blocks: " + " ".join(b.structure.ids()))
-            for row in b.space.basis.array:
-                print("  " + format_word(r.field, row))
-            print(f"realized dim: {rc.dim}")
-            print("realized blocks: " + " ".join(rc.structure.ids()))
-            for row in rc.space.basis.array:
-                print("  " + format_word(r.field, row))
-    return 0
+    return _each_file(args, _behavior_result, _behavior_lines)
 
 
-def _write_doc(args: argparse.Namespace, r: Realization,
-               steps: list[reduction.ReductionStep] | None) -> int:
-    text = docio.emit_realization(r)
+def _write(args: argparse.Namespace, text: str, extra: dict | None = None,
+           lines: Sequence[str] = ()) -> int:
+    """Write text to args.out, then print the lines and `wrote X`, or under
+    --json the object {"written": X, **extra}."""
     Path(args.out).write_text(text, encoding="utf-8")
     if args.json:
-        payload: dict = {"written": args.out}
-        if steps is not None:
-            payload["steps"] = [
-                {"kind": s.kind, "state": s.state_id, "constraint": s.constraint_id,
-                 "old_dim": s.old_dim, "new_dim": s.new_dim,
-                 "basis_change": s.basis_change.tolist()}
-                for s in steps
-            ]
-        _emit_json(payload)
+        _emit_json({"written": args.out, **(extra or {})})
     else:
-        if steps is not None and getattr(args, "steps", False):
-            for s in steps:
-                where = f" at {s.constraint_id}" if s.constraint_id else ""
-                print(f"{s.kind} {s.state_id}: {s.old_dim} -> {s.new_dim}{where}")
-        print(f"wrote {args.out}")
+        print("\n".join([*lines, f"wrote {args.out}"]))
     return 0
+
+
+def _write_steps(args: argparse.Namespace, r: Realization,
+                 steps: list[reduction.ReductionStep]) -> int:
+    payload = [{"kind": s.kind, "state": s.state_id, "constraint": s.constraint_id,
+                "old_dim": s.old_dim, "new_dim": s.new_dim,
+                "basis_change": s.basis_change.tolist()} for s in steps]
+    lines = [f"{s.kind} {s.state_id}: {s.old_dim} -> {s.new_dim}"
+             + (f" at {s.constraint_id}" if s.constraint_id else "")
+             for s in steps] if args.steps else []
+    return _write(args, docio.emit_realization(r), {"steps": payload}, lines)
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    return _write_doc(args, realization.dualize(_load(args.infile)), None)
+    return _write(args, docio.emit_realization(realization.dualize(_load(args.infile))))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    reduced, steps = reduction.reduce_to_fixpoint(_load(args.infile))
-    return _write_doc(args, reduced, steps)
+    return _write_steps(args, *reduction.reduce_to_fixpoint(_load(args.infile)))
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    minimal, steps = reduction.minimize_cycle_free(_load(args.infile))
-    return _write_doc(args, minimal, steps)
+    return _write_steps(args, *reduction.minimize_cycle_free(_load(args.infile)))
 
 
 def _parse_build_rows(occurrences: list[str], p: int) -> list[list[int]]:
@@ -237,102 +252,84 @@ def _cmd_build(args: argparse.Namespace) -> int:
         r = constructions.product_trellis(field, args.n, gens, args.kind)
     text = docio.emit_realization(r)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        if args.json:
-            _emit_json({"written": args.out})
-        else:
-            print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        return _write(args, text)
+    sys.stdout.write(text)
     return 0
+
+
+def _components_result(r: Realization, points: int) -> dict:
+    rep = constructions.trajectory_components(r, max_points=points)
+    return {
+        "components": rep.count,
+        "tail_biting": rep.tail_biting,
+        "reduced": rep.reduced,
+        "defect": rep.defect,
+        "uncontrollable": rep.uncontrollable,
+        "warning": rep.warning,
+        "partition": [
+            {"state": sid, "value": list(value), "component": comp}
+            for sid, value, comp in rep.partition
+        ],
+    }
+
+
+def _components_lines(d: dict, field: PrimeField) -> list[str]:
+    if d["uncontrollable"] is None:
+        uncontrollable = f"n/a ({d['warning']})"
+    else:
+        uncontrollable = _bool(d["uncontrollable"])
+    lines = [f"components: {d['components']}",
+             f"tail-biting: {_bool(d['tail_biting'])}",
+             f"reduced: {_bool(d['reduced'])}",
+             f"defect: {d['defect']}",
+             f"uncontrollable: {uncontrollable}"]
+    by_comp: dict[int, list[str]] = {}
+    for e in d["partition"]:
+        shown = format_word(field, e["value"]) if e["value"] else "()"
+        by_comp.setdefault(e["component"], []).append(f"{e['state']}={shown}")
+    lines.extend(f"component {comp}: " + " ".join(by_comp[comp]) for comp in sorted(by_comp))
+    return lines
 
 
 def _cmd_components(args: argparse.Namespace) -> int:
     points = _budget_points(args)
-    many = len(args.file) > 1
-    for path in args.file:
-        r = _load(path)
-        rep = constructions.trajectory_components(r, max_points=points)
-        if args.json:
-            payload = {
-                "components": rep.count,
-                "tail_biting": rep.tail_biting,
-                "reduced": rep.reduced,
-                "defect": rep.defect,
-                "uncontrollable": rep.uncontrollable,
-                "warning": rep.warning,
-                "partition": [
-                    {"state": sid, "value": list(value), "component": comp}
-                    for sid, value, comp in rep.partition
-                ],
-            }
-            if many:
-                payload = {"file": path, **payload}
-            _emit_json(payload)
-        else:
-            if many:
-                print(f"== {path}")
-            print(f"components: {rep.count}")
-            print(f"tail-biting: {_bool(rep.tail_biting)}")
-            print(f"reduced: {_bool(rep.reduced)}")
-            print(f"defect: {rep.defect}")
-            if rep.uncontrollable is None:
-                print(f"uncontrollable: n/a ({rep.warning})")
-            else:
-                print(f"uncontrollable: {_bool(rep.uncontrollable)}")
-            by_comp: dict[int, list[str]] = {}
-            for sid, value, comp in rep.partition:
-                shown = format_word(r.field, value) if value else "()"
-                by_comp.setdefault(comp, []).append(f"{sid}={shown}")
-            for comp in sorted(by_comp):
-                print(f"component {comp}: " + " ".join(by_comp[comp]))
-    return 0
+    return _each_file(args, lambda r: _components_result(r, points), _components_lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     budget = EnumerationBudget(_budget_points(args))
     expected = docio.parse_code_document(_read(args.expect)) if args.expect else None
-    worst = 0
-    many = len(args.file) > 1
-    for path in args.file:
-        r = _load(path)
+
+    def result(r: Realization) -> dict:
         if expected is not None:
             verdict = oracle.check_realizes(r, expected, budget)
-            ok = verdict.ok
-            counter = verdict.counterexample
-            what = "realized code matches the expected code"
+            ok, counter = verdict.ok, verdict.counterexample
         else:
             got = set(realization.behavior(r).enumerate(budget.max_points))
             want = set(oracle.brute_behavior(r, budget))
             ok = got == want
             counter = min(got ^ want) if not ok else None
-            what = "behavior matches brute force"
-        if args.json:
-            payload: dict = {"ok": ok}
-            if counter is not None:
-                payload["counterexample"] = list(counter)
-            if many:
-                payload = {"file": path, **payload}
-            _emit_json(payload)
-        else:
-            prefix = f"{path}: " if many else ""
-            if ok:
-                print(f"{prefix}ok: {what}")
-            else:
-                shown = format_word(r.field, counter)
-                print(f"{prefix}MISMATCH: word {shown} separates the two")
-        if not ok:
-            worst = 1
-    return worst
+        payload: dict = {"ok": ok}
+        if counter is not None:
+            payload["counterexample"] = list(counter)
+        return payload
+
+    def lines(d: dict, field: PrimeField) -> list[str]:
+        if not d["ok"]:
+            shown = format_word(field, d["counterexample"])
+            return [f"MISMATCH: word {shown} separates the two"]
+        if expected is not None:
+            return ["ok: realized code matches the expected code"]
+        return ["ok: behavior matches brute force"]
+
+    return _each_file(args, result, lines)
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     text = docio.export_dot(_load(args.file))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        return _write(args, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -401,36 +398,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(as_json: bool, tag: str, message: str) -> None:
-    if as_json:
-        sys.stderr.write(json.dumps({"error": {"type": tag, "message": message}}) + "\n")
-    else:
-        sys.stderr.write(f"error: {message}\n")
+# exception type -> error tag, first match wins; None tags with the class name
+_ERROR_TAGS = (
+    (DocumentError, "document"),
+    (InvalidRealizationError, "invalid-realization"),
+    (EnumerationLimitError, "budget"),
+    (NclError, None),
+    (ValueError, "value"),
+    (OSError, "io"),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    as_json = getattr(args, "json", False)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as e:
-        _fail(as_json, "document", str(e))
-        return 2
-    except InvalidRealizationError as e:
-        _fail(as_json, "invalid-realization", str(e))
-        return 2
-    except EnumerationLimitError as e:
-        _fail(as_json, "budget", str(e))
-        return 2
-    except NclError as e:
-        _fail(as_json, type(e).__name__, str(e))
-        return 2
-    except ValueError as e:
-        _fail(as_json, "value", str(e))
-        return 2
-    except OSError as e:
-        _fail(as_json, "io", str(e))
+    except tuple(cls for cls, _ in _ERROR_TAGS) as e:
+        tag = next(tag for cls, tag in _ERROR_TAGS if isinstance(e, cls)) or type(e).__name__
+        if args.json:
+            sys.stderr.write(json.dumps({"error": {"type": tag, "message": str(e)}}) + "\n")
+        else:
+            sys.stderr.write(f"error: {e}\n")
         return 2
 
 

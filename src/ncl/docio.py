@@ -130,6 +130,8 @@ def parse_realization(text: str) -> Realization:
                 raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
             if v not in dim_of:
                 raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
+            if v in raw_vars[:j]:
+                raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
         rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators", p)
         width = sum(dim_of[v] for v in raw_vars)
         for j, row in enumerate(rows):

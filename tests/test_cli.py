@@ -1,12 +1,20 @@
 """End-to-end CLI behavior: output text, JSON payloads, exit codes."""
 
+import io
 import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from ncl import analyze, parse_realization
+from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, dualize,
+                 emit_realization, generator_realization, parse_realization,
+                 product_trellis)
 from ncl.cli import main
-from fixtures import example1_document
+from fixtures import DATA, example1_document
 
 EXPECTED_CODE = '{"field": 2, "generators": [[1, 1, 0], [1, 0, 1]]}\n'
 WRONG_CODE = '{"field": 2, "generators": [[1, 1, 1]]}\n'
@@ -346,6 +354,20 @@ class TestBudgetEnv:
         assert code == 2
         assert "NCL_BUDGET must be an integer" in err
 
+    def test_components_rejects_non_positive_budget(self, run, tmp_path):
+        # rejected before any file is read, like verify's budget
+        code, _, err = run("components", str(tmp_path / "nope.json"), "--budget", "-5",
+                           "--json")
+        assert code == 2
+        assert json.loads(err) == {"error": {"type": "value",
+                                             "message": "budget must be positive"}}
+
+    @pytest.mark.parametrize("command", ["components", "verify"])
+    def test_env_budget_must_be_positive(self, run, ex1_path, monkeypatch, command):
+        monkeypatch.setenv("NCL_BUDGET", "0")
+        code, out, err = run(command, ex1_path)
+        assert (code, out, err) == (2, "", "error: budget must be positive\n")
+
 
 class TestExportDot:
     def test_stdout(self, run, ex1_path):
@@ -360,6 +382,13 @@ class TestExportDot:
         assert code == 0
         assert out == f"wrote {path}\n"
         assert '"c2" -- "c0"' in path.read_text(encoding="utf-8")
+
+    def test_to_file_json_written_payload(self, run, ex1_path, tmp_path):
+        path = tmp_path / "g.dot"
+        code, out, _ = run("export-dot", ex1_path, "-o", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"written": str(path)}
+        assert path.read_text(encoding="utf-8").startswith("graph realization {")
 
 
 class TestErrorMapping:
@@ -429,3 +458,138 @@ class TestErrorMapping:
         code, out, _ = run("verify", ex1_path, "--expect", str(exp))
         assert code == 0
         assert out == "ok: realized code matches the expected code\n"
+
+
+# The CLI contract: every command in text and --json, on one file and on
+# several, and the error paths, as exact stdout, stderr, exit code and
+# written files. tests/data/cli_transcripts.json holds the expected rows; a
+# row changes only when an output is meant to change. Rewrite it with
+# `PYTHONPATH=src:tests python tests/test_cli.py --record`.
+
+TRANSCRIPTS = DATA / "cli_transcripts.json"
+INVALID_DOC = ('{"field": 2,'
+               ' "symbols": [{"id": "a0", "dim": 1}, {"id": "a1", "dim": 1}],'
+               ' "states": [],'
+               ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]},'
+               ' {"id": "c1", "vars": ["a1"], "generators": [[1]]}]}')
+# example1, the conv_path trellis, example1's dual, a GF(3) tail-biting
+# trellis with a degenerate span, and a GF(11) generator realization;
+# conv_dual.json is not trim, so its analyze rows carry trim witnesses
+DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")
+
+
+@cache
+def transcript_files() -> dict[str, str]:
+    ex1 = parse_realization(example1_document())
+    conv = product_trellis(GF2, 3, [SpannedGenerator((1, 1, 0), Span(0, 2)),
+                                    SpannedGenerator((0, 1, 1), Span(1, 2))],
+                           "conventional")
+    tb3 = product_trellis(GF3, 4, [SpannedGenerator((1, 2, 1, 0), Span(0, 2)),
+                                   SpannedGenerator((0, 1, 2, 0), Span(degenerate=True))])
+    gf11 = generator_realization(PrimeField(11), 2, [[1, 10], [0, 3]])
+    return {
+        "ex1.json": example1_document(),
+        "conv.json": emit_realization(conv),
+        "dual.json": emit_realization(dualize(ex1)),
+        "conv_dual.json": emit_realization(dualize(conv)),
+        "tb3.json": emit_realization(tb3),
+        "gf11.json": emit_realization(gf11),
+        "empty.json": "{}\n",
+        "invalid.json": INVALID_DOC,
+        "code.json": EXPECTED_CODE,
+        "wrong.json": WRONG_CODE,
+        "code11.json": '{"field": 11, "generators": [[1, 10], [0, 4]]}\n',
+        "wrong11.json": '{"field": 11, "generators": [[1, 9]]}\n',
+    }
+
+
+def transcript_argvs() -> list[list[str]]:
+    rows = []
+    for cmd in ("analyze", "behavior", "components", "verify"):
+        for doc in DOCS:
+            rows += [[cmd, doc], [cmd, doc, "--json"]]
+        rows += [[cmd, *DOCS], [cmd, *DOCS, "--json"],
+                 [cmd, "ex1.json", "empty.json", "conv.json"],
+                 [cmd, "ex1.json", "invalid.json", "--json"]]
+    for cmd in ("dual", "reduce", "minimize"):
+        for doc in DOCS:
+            rows += [[cmd, doc, "out.json"], [cmd, doc, "out.json", "--json"]]
+            if cmd != "dual":
+                rows.append([cmd, doc, "out.json", "--steps"])
+    for doc in DOCS:
+        rows += [["export-dot", doc], ["export-dot", doc, "--json"],
+                 ["export-dot", doc, "-o", "g.dot"],
+                 ["export-dot", doc, "-o", "g.dot", "--json"]]
+    ex1_build = ["build", "trellis", "--field", "2", "--n", "3",
+                 "--gens", "110,011,101", "--spans", "0:1,1:2,2:0"]
+    rows += [
+        ex1_build, ex1_build + ["--json"], ex1_build + ["-o", "b.json"],
+        ex1_build + ["-o", "b.json", "--json"],
+        ["build", "trellis", "--field", "3", "--n", "4", "--gens", "1210,0120",
+         "--spans", "0:2,deg", "-o", "b.json"],
+        ["build", "trellis", "--field", "2", "--n", "3", "--gens", "110,011",
+         "--spans", "0:2,1:2", "--kind", "conventional"],
+        ["build", "generator", "--field", "11", "--n", "2",
+         "--gens", "1,10", "--gens", "0,3"],
+        ["build", "parity-check", "--field", "2", "--n", "4", "--checks", "1110,0111"],
+        ["build", "trellis", "--field", "2", "--n", "3", "--gens", "110"],
+        ["build", "trellis", "--field", "2", "--n", "3", "--gens", "110", "--json"],
+        ["build", "generator", "--field", "4", "--n", "2", "--gens", "11", "--json"],
+    ]
+    for argv in (["verify", "ex1.json", "--expect", "code.json"],
+                 ["verify", "ex1.json", "--expect", "wrong.json"],
+                 ["verify", "gf11.json", "--expect", "code11.json"],
+                 ["verify", "gf11.json", "--expect", "wrong11.json"],
+                 ["verify", "ex1.json", "dual.json", "--expect", "code.json"],
+                 ["verify", "ex1.json", "--expect", "nope.json"],
+                 ["verify", "ex1.json", "--budget", "63"],
+                 ["verify", "ex1.json", "--budget", "0"],
+                 ["components", "ex1.json", "--budget", "-5"],
+                 ["components", "ex1.json", "dual.json", "--budget", "0"]):
+        rows += [argv, argv + ["--json"]]
+    for bad in ("empty.json", "invalid.json", "nope.json"):
+        for cmd in (["analyze", bad], ["verify", bad], ["dual", bad, "out.json"],
+                    ["minimize", bad, "out.json"], ["export-dot", bad]):
+            rows += [cmd, cmd + ["--json"]]
+    rows += [["analyze", "conv_dual.json"], ["analyze", "conv_dual.json", "--json"]]
+    return rows
+
+
+def run_transcript(argv: list[str], where: Path) -> dict:
+    """Run main in a directory holding transcript_files(); report what it did."""
+    for name, text in transcript_files().items():
+        (where / name).write_text(text, encoding="utf-8")
+    before = set(os.listdir(where))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    written = sorted(set(os.listdir(where)) - before)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+            "files": {name: (where / name).read_text(encoding="utf-8") for name in written}}
+
+
+@cache
+def expected_transcripts() -> dict:
+    return json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", transcript_argvs(), ids=" ".join)
+def test_transcript(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("NCL_BUDGET", raising=False)
+    assert run_transcript(argv, tmp_path) == expected_transcripts()[" ".join(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import tempfile
+
+    os.environ.pop("NCL_BUDGET", None)
+    table = {}
+    for argv in transcript_argvs():
+        with tempfile.TemporaryDirectory() as where:
+            table[" ".join(argv)] = run_transcript(argv, Path(where))
+    TRANSCRIPTS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

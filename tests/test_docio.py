@@ -103,6 +103,11 @@ class TestParseErrors:
                    ' "constraints": [{"id": "c0", "vars": ["a0", "zz"],'
                    ' "generators": []}]}', "$.constraints[0].vars[1]", "undeclared")
 
+    def test_var_listed_twice(self):
+        self.check('{"field": 2, "symbols": [{"id": "a1", "dim": 0}], "states": [],'
+                   ' "constraints": [{"id": "c0", "vars": ["a1", "a1"],'
+                   ' "generators": []}]}', "$.constraints[0].vars[1]", "listed twice")
+
     def test_row_width(self):
         self.check('{"field": 2, "symbols": [{"id": "a0", "dim": 2}], "states": [],'
                    ' "constraints": [{"id": "c0", "vars": ["a0"],'
