@@ -119,7 +119,7 @@ def _analyze_lines(d: dict, field: PrimeField) -> list[str]:
             if t["ok"]:
                 parts.append(f"trim {t['state']}: ok")
             else:
-                missing = "".join(str(x) for x in t["missing_value"])
+                missing = format_word(field, t["missing_value"])
                 parts.append(f"trim {t['state']}: FAIL (value {missing} unreachable)")
         proper = c["proper"]
         if proper["ok"]:
@@ -329,7 +329,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     text = docio.export_dot(_load(args.file))
     if args.out:
         return _write(args, text)
-    sys.stdout.write(text)
+    if args.json:
+        _emit_json({"dot": text})
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -288,24 +288,55 @@ class Realization:
         if any(i.tag in ("duplicate-id", "unknown-id", "missing-code") for i in found):
             return tuple(found)
         for c in self.topology.constraints:
-            code = self._codes[c.id]
-            if code.field != self.field:
-                found.append(ValidationIssue(
-                    "field-mismatch",
-                    f"constraint {c.id!r} code is over {code.field!r}, "
-                    f"realization over {self.field!r}", (c.id,)))
-                continue
-            expected = tuple((v, self.topology.var_dim(v)) for v in c.vars)
-            if code.structure.blocks != expected:
-                found.append(ValidationIssue(
-                    "dim-mismatch",
-                    f"constraint {c.id!r} code blocks {code.structure.blocks!r} "
-                    f"do not match declared {expected!r}", (c.id,)))
+            found.extend(self._code_issues(c.id))
         return tuple(found)
+
+    def _code_issues(self, cid: str) -> list[ValidationIssue]:
+        """Field and block-dim findings for one constraint's code."""
+        code = self._codes[cid]
+        if code.field != self.field:
+            return [ValidationIssue(
+                "field-mismatch",
+                f"constraint {cid!r} code is over {code.field!r}, "
+                f"realization over {self.field!r}", (cid,))]
+        expected = tuple((v, self.topology.var_dim(v))
+                         for v in self.topology.constraint(cid).vars)
+        if code.structure.blocks != expected:
+            return [ValidationIssue(
+                "dim-mismatch",
+                f"constraint {cid!r} code blocks {code.structure.blocks!r} "
+                f"do not match declared {expected!r}", (cid,))]
+        return []
 
     def ensure_valid(self) -> None:
         if self._issues:
             raise InvalidRealizationError(self._issues)
+
+    def _with_state(self, state_id: str, new_dim: int,
+                    replaced: Mapping[str, BlockedCode]) -> "Realization":
+        """This valid realization with one state's dim changed and the codes
+        of both its endpoints replaced.
+
+        Validated from what changed: the topology's findings read ids,
+        vars and endpoints, never dims, and every other constraint keeps
+        its code and its vars' dims, so only the replaced codes can add a
+        finding.
+        """
+        self.ensure_valid()
+        topo = self.topology
+        old = topo.state(state_id)
+        if set(replaced) != {old.left, old.right}:
+            raise ValueError(
+                f"state {state_id!r}: replace the codes of exactly its endpoints")
+        states = tuple(
+            StateVar(s.id, new_dim, s.left, s.right, s.negate_at) if s.id == state_id else s
+            for s in topo.states)
+        child = Realization(self.field, Topology(topo.symbols, states, topo.constraints),
+                            {**self._codes, **replaced})
+        # _issues is a cached_property: assigning it fills the cache
+        child._issues = tuple(issue for c in topo.constraints if c.id in replaced
+                              for issue in child._code_issues(c.id))
+        return child
 
     @cached_property
     def _behavior_code(self) -> BlockedCode:

@@ -19,6 +19,12 @@ states in the order its vars list them, and at each takes a trim and
 then a merge where one applies. When a whole sweep changes nothing, an
 unobservable realization loses one unobservable direction and the sweep
 starts again. next_reduction names the first move of that sweep.
+
+An incidence is tested again only after its constraint's code changed.
+Whether a trim or a merge applies there depends on that code alone (the
+state's dim is one of its blocks), and every step replaces the codes at
+both ends of the state it shrinks, so a skipped test is one whose answer
+is known to be "none": the sweep takes the same steps in the same order.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .errors import UnknownBlockError
 from .fields import MatrixF, complete_to_basis, inverse, kernel, rank
 from .realization import (
     Realization,
-    StateVar,
     Topology,
     dualize,
     is_observable,
@@ -88,30 +93,16 @@ def _restrict_rows(code: BlockedCode, block_id: str, functionals: np.ndarray) ->
     return (keep @ g) % field.p
 
 
-def _map_block_rows(rows: np.ndarray, code_structure: BlockStructure, block_id: str,
-                    x: np.ndarray, p: int) -> np.ndarray:
-    """Rewrite each row's block through v -> v @ x, splicing the new width in."""
-    at = code_structure.offset(block_id)
-    before = rows[:, :at]
-    after = rows[:, at + code_structure.dim(block_id):]
-    mapped = (rows[:, at:at + code_structure.dim(block_id)] @ x) % p
-    return np.hstack([before, mapped, after])
-
-
-def _with_state(r: Realization, state_id: str, new_dim: int,
-                replaced_rows: dict[str, np.ndarray]) -> Realization:
-    """Rebuild r with one state's dim changed and its endpoint codes swapped."""
-    topo = r.topology
-    old = topo.state(state_id)
-    new_states = tuple(
-        StateVar(s.id, new_dim, s.left, s.right, s.negate_at) if s.id == state_id else s
-        for s in topo.states)
-    new_topo = Topology(topo.symbols, new_states, topo.constraints)
-    codes = r.codes
-    for cid, rows in replaced_rows.items():
-        structure = new_topo.constraint_structure(cid)
-        codes[cid] = BlockedCode.from_rows(r.field, structure, MatrixF(r.field, rows))
-    return Realization(r.field, new_topo, codes)
+def _map_block(code: BlockedCode, rows: np.ndarray, block_id: str,
+               x: np.ndarray) -> BlockedCode:
+    """The code spanned by rows (words on code's blocks) once each row's
+    block is rewritten through v -> v @ x, splicing the new width in."""
+    field, structure = code.field, code.structure
+    at = structure.offset(block_id)
+    d = structure.dim(block_id)
+    mapped = np.hstack([rows[:, :at], (rows[:, at:at + d] @ x) % field.p, rows[:, at + d:]])
+    blocks = tuple((b, x.shape[1] if b == block_id else n) for b, n in structure.blocks)
+    return BlockedCode.from_rows(field, BlockStructure(blocks), MatrixF(field, mapped))
 
 
 def trim_state(r: Realization, state_id: str, constraint_id: str
@@ -131,19 +122,18 @@ def trim_state(r: Realization, state_id: str, constraint_id: str
     functionals = proj.orthogonal().basis.array.T
 
     other = state.left if state.right == constraint_id else state.right
-    replaced: dict[str, np.ndarray] = {}
     trimmed_code = r.code(constraint_id)
-    replaced[constraint_id] = _map_block_rows(
-        trimmed_code.space.basis.array, trimmed_code.structure, state_id,
-        selector, r.field.p)
     other_code = r.code(other)
-    restricted = _restrict_rows(other_code, state_id, functionals)
-    replaced[other] = _map_block_rows(
-        restricted, other_code.structure, state_id, selector, r.field.p)
+    replaced = {
+        constraint_id: _map_block(trimmed_code, trimmed_code.space.basis.array,
+                                  state_id, selector),
+        other: _map_block(other_code, _restrict_rows(other_code, state_id, functionals),
+                          state_id, selector),
+    }
 
     step = ReductionStep(TRIM, state_id, d, new_dim,
                          MatrixF(r.field, selector.T), constraint_id)
-    return _with_state(r, state_id, new_dim, replaced), step
+    return r._with_state(state_id, new_dim, replaced), step
 
 
 def merge_state(r: Realization, state_id: str, constraint_id: str
@@ -165,15 +155,14 @@ def merge_state(r: Realization, state_id: str, constraint_id: str
     qi = inverse(q).array
     x = qi[:, :new_dim]
 
-    replaced: dict[str, np.ndarray] = {}
+    replaced = {}
     for cid in (state.left, state.right):
         code = r.code(cid)
-        replaced[cid] = _map_block_rows(
-            code.space.basis.array, code.structure, state_id, x, r.field.p)
+        replaced[cid] = _map_block(code, code.space.basis.array, state_id, x)
 
     step = ReductionStep(MERGE, state_id, d, new_dim,
                          MatrixF(r.field, x.T), constraint_id)
-    return _with_state(r, state_id, new_dim, replaced), step
+    return r._with_state(state_id, new_dim, replaced), step
 
 
 def _unobservable_direction(r: Realization) -> tuple[str, MatrixF]:
@@ -212,15 +201,14 @@ def reduce_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     functionals = gi[:, :1]
     x = gi[:, 1:]
 
-    replaced: dict[str, np.ndarray] = {}
+    replaced = {}
     for cid in (state.left, state.right):
         code = r.code(cid)
-        restricted = _restrict_rows(code, state_id, functionals)
-        replaced[cid] = _map_block_rows(
-            restricted, code.structure, state_id, x, r.field.p)
+        replaced[cid] = _map_block(code, _restrict_rows(code, state_id, functionals),
+                                   state_id, x)
 
     step = ReductionStep(UNOBS_TRIM, state_id, d, d - 1, MatrixF(r.field, x.T))
-    return _with_state(r, state_id, d - 1, replaced), step
+    return r._with_state(state_id, d - 1, replaced), step
 
 
 def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
@@ -261,16 +249,22 @@ def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
 
     A trim leaves the constraint trim at that state and a merge leaves it
     trim and proper there, so a visit takes at most a trim, then a merge.
+    clean maps an incidence to the code object last found irreducible
+    there; codes are immutable and a step swaps in new objects.
     """
     pairs = _incidences(r.topology, order)
     steps: list[ReductionStep] = []
+    clean: dict[tuple[str, str], BlockedCode] = {}
     while True:
         changed = False
         for cid, sid in pairs:
+            if clean.get((cid, sid)) is r.code(cid):
+                continue
             while (kind := _local_reduction(r, cid, sid)) is not None:
                 r, step = (trim_state if kind == TRIM else merge_state)(r, sid, cid)
                 steps.append(step)
                 changed = True
+            clean[cid, sid] = r.code(cid)
         if not changed:
             if is_observable(r):
                 return r, steps

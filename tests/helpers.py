@@ -142,3 +142,43 @@ def random_tail_biting_product(rng: random.Random, field: PrimeField, *,
     gens = [random_spanned_generator(rng, field, n, allow_degenerate=allow_degenerate)
             for _ in range(m)]
     return product_trellis(field, n, gens, "tail-biting")
+
+
+def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
+                   chain: int = 6) -> Realization:
+    """A tail-biting trellis shaped like the benchmark's trellis-reduce documents.
+
+    chain generators tile the circle with values that cancel where they
+    meet, so their sum is zero: one unobservable direction that only the
+    unobservability trim removes, after which trims follow around the
+    cycle. n // 4 short generators (spans 1, 2, 3 in turn) avoid the
+    chain's cut points; some of them have a zero at one span end, which
+    leaves a merge to make.
+    """
+    p = field.p
+    cuts = [n // (2 * chain) + (i * n) // chain for i in range(chain)]
+    gens = []
+    first = a = rng.randrange(1, p)
+    for i in range(chain):
+        start, end = cuts[i], cuts[(i + 1) % chain]
+        b = rng.randrange(1, p) if i < chain - 1 else (-first) % p
+        vec = [0] * n
+        vec[start], vec[end] = a, b
+        gens.append(SpannedGenerator(tuple(vec), Span(start, end)))
+        a = (-b) % p
+    short = n // 4
+    for j in range(short):
+        length = 1 + j % 3
+        while True:
+            start = rng.randrange(n)
+            covered = [(start + u) % n for u in range(length + 1)]
+            if not set(cuts).intersection(covered):
+                break
+        vec = [0] * n
+        for k in covered:
+            vec[k] = rng.randrange(1, p)
+        if j < 3 * short // 8 and length >= 2:
+            vec[covered[rng.choice((0, -1))]] = 0
+        gens.append(SpannedGenerator(tuple(vec), Span(start, (start + length) % n)))
+    rng.shuffle(gens)
+    return product_trellis(field, n, gens, "tail-biting")

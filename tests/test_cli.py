@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, dualize,
-                 emit_realization, generator_realization, parse_realization,
+                 emit_realization, export_dot, generator_realization, parse_realization,
                  product_trellis)
 from ncl.cli import main
 from fixtures import DATA, example1_document
@@ -376,6 +376,11 @@ class TestExportDot:
         assert out.startswith("graph realization {")
         assert out.rstrip().endswith("}")
 
+    def test_stdout_json(self, run, ex1_path):
+        code, out, _ = run("export-dot", ex1_path, "--json")
+        assert code == 0
+        assert json.loads(out) == {"dot": export_dot(parse_realization(example1_document()))}
+
     def test_to_file(self, run, ex1_path, tmp_path):
         path = tmp_path / "g.dot"
         code, out, _ = run("export-dot", ex1_path, "-o", str(path))
@@ -487,6 +492,10 @@ def transcript_files() -> dict[str, str]:
     tb3 = product_trellis(GF3, 4, [SpannedGenerator((1, 2, 1, 0), Span(0, 2)),
                                    SpannedGenerator((0, 1, 2, 0), Span(degenerate=True))])
     gf11 = generator_realization(PrimeField(11), 2, [[1, 10], [0, 3]])
+    # its dual misses the dim-2 value (1, 0) at s2: a trim witness over p > 10
+    gf11_conv = product_trellis(PrimeField(11), 3,
+                                [SpannedGenerator((1, 10, 0), Span(0, 2)),
+                                 SpannedGenerator((0, 1, 10), Span(1, 2))], "conventional")
     return {
         "ex1.json": example1_document(),
         "conv.json": emit_realization(conv),
@@ -494,6 +503,7 @@ def transcript_files() -> dict[str, str]:
         "conv_dual.json": emit_realization(dualize(conv)),
         "tb3.json": emit_realization(tb3),
         "gf11.json": emit_realization(gf11),
+        "gf11_conv_dual.json": emit_realization(dualize(gf11_conv)),
         "empty.json": "{}\n",
         "invalid.json": INVALID_DOC,
         "code.json": EXPECTED_CODE,
@@ -552,6 +562,7 @@ def transcript_argvs() -> list[list[str]]:
                     ["minimize", bad, "out.json"], ["export-dot", bad]):
             rows += [cmd, cmd + ["--json"]]
     rows += [["analyze", "conv_dual.json"], ["analyze", "conv_dual.json", "--json"]]
+    rows += [["analyze", "gf11_conv_dual.json"], ["analyze", "gf11_conv_dual.json", "--json"]]
     return rows
 
 

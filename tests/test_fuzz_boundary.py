@@ -91,9 +91,6 @@ COMMANDS = ("analyze", "behavior", "components", "verify", "dual", "reduce",
 def argv_for(command: str, doc: str, out: str) -> list[str]:
     if command in ("dual", "reduce"):
         return [command, doc, out]
-    if command == "export-dot":
-        # to a file: its stdout is DOT text, not JSON, even under --json
-        return [command, doc, "-o", out]
     if command in ("components", "verify"):
         # a small enumeration budget keeps brute force to milliseconds
         return [command, doc, "--budget", "4096"]

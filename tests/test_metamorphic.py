@@ -1,0 +1,51 @@
+"""Metamorphic checks on trellises too big for the brute-force oracle.
+
+GF(3) tail-biting trellises with n = 64 to 128 have 3^n-sized codes, so
+nothing here enumerates. Instead each check relates two computations
+that must agree: a reduction preserves the realized code, dualizing
+twice gives back the constraint codes, the dual realizes the dual code,
+and a realization is observable exactly when its dual is controllable
+(Forney and Gluesing-Luerssen, arXiv:1202.0534).
+"""
+
+import random
+
+import pytest
+
+from ncl import GF3, dualize, is_controllable, is_observable, realized_code, reduce_to_fixpoint
+from helpers import ladder_trellis
+
+SIZES = (64, 96, 128)
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
+def pair(request):
+    """A ladder trellis and its reduce_to_fixpoint result."""
+    r = ladder_trellis(random.Random(f"metamorphic:{request.param}"), GF3, request.param)
+    reduced, steps = reduce_to_fixpoint(r)
+    assert {step.kind for step in steps} == {"trim", "merge", "unobservability-trim"}
+    return r, reduced
+
+
+def test_reduction_preserves_the_realized_code(pair):
+    r, reduced = pair
+    assert realized_code(reduced) == realized_code(r)
+    assert reduced.topology.total_state_dim() < r.topology.total_state_dim()
+
+
+def test_dualizing_twice_gives_back_the_codes(pair):
+    for r in pair:
+        assert dualize(dualize(r)).codes == r.codes
+
+
+def test_dual_realizes_the_dual_code(pair):
+    for r in pair:
+        assert realized_code(dualize(r)) == realized_code(r).dual()
+
+
+def test_observable_iff_dual_controllable(pair):
+    r, reduced = pair
+    # the input carries the chain's unobservable direction; the result does not
+    assert [is_observable(r), is_observable(reduced)] == [False, True]
+    for x in pair:
+        assert is_observable(x) == is_controllable(dualize(x))

@@ -3,7 +3,9 @@
 Trim, proper, state-trim and branch-trim are decided by ranks; here each
 verdict is recomputed from the projection and cross-section subspaces
 themselves, and the reduction drivers are replayed with scans written
-directly in terms of those subspaces.
+directly in terms of those subspaces. At ladder scale the driver's work
+is pinned too: it re-tests an incidence only after its code changed, and
+the realizations its moves derive validate as fresh ones would.
 """
 
 import itertools
@@ -12,15 +14,18 @@ from collections import Counter
 
 import pytest
 
+import ncl.reduction
 from ncl import (
     GF2,
     GF3,
     PrimeField,
     ProperVerdict,
+    Realization,
     TrimVerdict,
     analyze,
     behavior,
     is_branch_trim,
+    is_observable,
     is_proper,
     is_state_trim,
     is_trim,
@@ -31,8 +36,15 @@ from ncl import (
     reduce_unobservable,
     trim_state,
     unobservable_behavior,
+    validate,
 )
-from helpers import random_blocked_code, random_realization, random_tail_biting_product
+from fixtures import example1
+from helpers import (
+    ladder_trellis,
+    random_blocked_code,
+    random_realization,
+    random_tail_biting_product,
+)
 
 FIELDS = [GF2, GF3, PrimeField(5)]
 
@@ -219,3 +231,80 @@ def test_minimize_cycle_free_matches_reference_scan(field):
         assert got == reference_minimize(r)
         kinds.update(step.kind for step in got[1])
     assert set(kinds) == {"trim", "merge"}
+
+
+def ladder_trellises():
+    """Two GF(3) tail-biting trellises, n = 48, each needing an
+    unobservability trim and then trims around the cycle."""
+    return [ladder_trellis(random.Random(f"rank-verdicts-ladder:{i}"), GF3, 48)
+            for i in range(2)]
+
+
+def test_fixpoint_retests_an_incidence_only_after_its_code_changed(monkeypatch):
+    calls = Counter()
+    local_reduction = ncl.reduction._local_reduction
+
+    def counting(r, cid, sid):
+        calls["tests"] += 1
+        return local_reduction(r, cid, sid)
+
+    # reference_fixpoint tests by projection and cross-section, not through it
+    monkeypatch.setattr(ncl.reduction, "_local_reduction", counting)
+    for r in ladder_trellises():
+        calls.clear()
+        got = reduce_to_fixpoint(r)
+        assert got == reference_fixpoint(r)
+        _, steps = got
+        kinds = [step.kind for step in steps]
+        assert "trim" in kinds[kinds.index("unobservability-trim"):]
+        # a constraint has one code version more than the steps at its states
+        topo = r.topology
+        versions = Counter({c.id: 1 for c in topo.constraints})
+        for step in steps:
+            state = topo.state(step.state_id)
+            versions.update((state.left, state.right))
+        bound = len(steps) + sum(versions[cid] for cid, _ in state_pairs(r))
+        assert calls["tests"] <= bound
+
+
+def intermediate_realizations(r):
+    """Every realization trim_state, merge_state and reduce_unobservable
+    derive on the way from r to its fixpoint, with the move's kind."""
+    while True:
+        move = next_reduction(r)
+        if move is not None:
+            kind, sid, cid = move
+            r, _ = (trim_state if kind == "trim" else merge_state)(r, sid, cid)
+        elif not is_observable(r):
+            kind = "unobservability-trim"
+            r, _ = reduce_unobservable(r)
+        else:
+            return
+        yield kind, r
+
+
+def test_derived_realizations_validate_as_fresh_ones():
+    kinds = Counter()
+    for r in ladder_trellises() + [example1()]:
+        for kind, derived in intermediate_realizations(r):
+            # the move set the findings; nothing was validated from scratch
+            assert "_issues" in vars(derived)
+            fresh = Realization(derived.field, derived.topology, derived.codes)
+            assert validate(derived) == validate(fresh) == []
+            kinds[kind] += 1
+    assert set(kinds) == {"trim", "merge", "unobservability-trim"}
+
+
+def test_derived_realization_reports_a_replaced_code_with_wrong_dims():
+    r = example1()
+    trimmed, step = reduce_unobservable(r)
+    state = r.topology.state(step.state_id)
+    # the left code shrinks with the state, the right one keeps the old dim
+    derived = r._with_state(state.id, step.new_dim, {
+        state.left: trimmed.code(state.left), state.right: r.code(state.right)})
+    fresh = Realization(derived.field, derived.topology, derived.codes)
+    issues = validate(derived)
+    assert issues == validate(fresh)
+    assert [(i.tag, i.ids) for i in issues] == [("dim-mismatch", (state.right,))]
+    with pytest.raises(ValueError):
+        r._with_state(state.id, step.new_dim, {state.left: trimmed.code(state.left)})
