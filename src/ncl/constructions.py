@@ -14,7 +14,7 @@ verdict is withheld.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,6 +94,57 @@ def _symbol_vars(n: int) -> tuple[SymbolVar, ...]:
     return tuple(SymbolVar(f"a{k}", 1) for k in range(n))
 
 
+# node prefix -> (what a row is called, the error for an all-zero row)
+_ROWS = {
+    "gen": ("generator", "zero generator not allowed: its equality node would be isolated"),
+    "chk": ("check", "zero check row not allowed: its node would be isolated"),
+}
+
+
+def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node: str,
+               node_code: Callable[[int], np.ndarray],
+               position_code: Callable[[np.ndarray], np.ndarray]) -> Realization:
+    """The graph both builders share, one node per row and one per position.
+
+    Each nonzero entry m[i][k] becomes a dim-1 state "g{i}@p{k}" from
+    row node "{node}{i}" to position node "pos{k}", whose vars are the
+    symbol a_k and then its states. node_code(w) gives the local
+    generators of a row node with w states, position_code(entries) those
+    of a position node from its column's nonzero entries in row order.
+    """
+    noun, zero = _ROWS[node]
+    rows = [tuple(int(v) % field.p for v in row) for row in matrix]
+    if not rows:
+        raise ValueError(f"at least one {noun} required")
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"all {noun}s must have length n")
+    if any(not any(row) for row in rows):
+        raise ValueError(zero)
+
+    supports = [tuple(k for k, v in enumerate(row) if v) for row in rows]
+    columns = [tuple(i for i, row in enumerate(rows) if row[k]) for k in range(n)]
+
+    states = tuple(StateVar(f"g{i}@p{k}", 1, f"{node}{i}", f"pos{k}")
+                   for i, supp in enumerate(supports) for k in supp)
+    constraints = []
+    codes: dict[str, BlockedCode] = {}
+
+    def add(cid: str, vars_: tuple[str, ...], local: np.ndarray) -> None:
+        constraints.append(Constraint(cid, vars_))
+        structure = BlockStructure(tuple((v, 1) for v in vars_))
+        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
+
+    for i, supp in enumerate(supports):
+        add(f"{node}{i}", tuple(f"g{i}@p{k}" for k in supp), node_code(len(supp)))
+    for k in range(n):
+        entries = np.array([rows[i][k] for i in columns[k]], dtype=np.int64)
+        add(f"pos{k}", (f"a{k}",) + tuple(f"g{i}@p{k}" for i in columns[k]),
+            position_code(entries))
+
+    topo = Topology(_symbol_vars(n), states, tuple(constraints))
+    return Realization(field, topo, codes)
+
+
 def generator_realization(field: PrimeField, n: int,
                           generators: Sequence[Sequence[int]]) -> Realization:
     """Equality node per generator, combiner node per position.
@@ -103,41 +154,12 @@ def generator_realization(field: PrimeField, n: int,
     node pins its symbol to the weighted sum of incoming replicas. The
     realized code is the row span of the generators.
     """
-    rows = [tuple(int(v) % field.p for v in g) for g in generators]
-    if not rows:
-        raise ValueError("at least one generator required")
-    if any(len(g) != n for g in rows):
-        raise ValueError("all generators must have length n")
-    if any(not any(g) for g in rows):
-        raise ValueError("zero generator not allowed: its equality node would be isolated")
+    def weighted_sum(entries: np.ndarray) -> np.ndarray:
+        # one word per replica: the replica at 1, the symbol at its weight
+        return np.hstack([entries.reshape(-1, 1), np.eye(len(entries), dtype=np.int64)])
 
-    supports = [tuple(k for k, v in enumerate(g) if v) for g in rows]
-    columns = [tuple(i for i, g in enumerate(rows) if g[k]) for k in range(n)]
-
-    states = tuple(StateVar(f"g{i}@p{k}", 1, f"gen{i}", f"pos{k}")
-                   for i, supp in enumerate(supports) for k in supp)
-    constraints = []
-    codes: dict[str, BlockedCode] = {}
-    for i, supp in enumerate(supports):
-        cid = f"gen{i}"
-        vars_ = tuple(f"g{i}@p{k}" for k in supp)
-        constraints.append(Constraint(cid, vars_))
-        structure = BlockStructure(tuple((v, 1) for v in vars_))
-        ones = MatrixF(field, np.ones((1, len(supp)), dtype=np.int64))
-        codes[cid] = BlockedCode.from_rows(field, structure, ones)
-    for k in range(n):
-        cid = f"pos{k}"
-        vars_ = (f"a{k}",) + tuple(f"g{i}@p{k}" for i in columns[k])
-        constraints.append(Constraint(cid, vars_))
-        structure = BlockStructure(tuple((v, 1) for v in vars_))
-        local = np.zeros((len(columns[k]), 1 + len(columns[k])), dtype=np.int64)
-        for pos, i in enumerate(columns[k]):
-            local[pos, 0] = rows[i][k]
-            local[pos, 1 + pos] = 1
-        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
-
-    topo = Topology(_symbol_vars(n), states, tuple(constraints))
-    return Realization(field, topo, codes)
+    return _bipartite(field, n, generators, "gen",
+                      lambda w: np.ones((1, w), dtype=np.int64), weighted_sum)
 
 
 def parity_check_realization(field: PrimeField, n: int,
@@ -150,45 +172,13 @@ def parity_check_realization(field: PrimeField, n: int,
     of the generator-style realization of the checks, with "gen" nodes
     renamed "chk".
     """
-    rows = [tuple(int(v) % field.p for v in h) for h in checks]
-    if not rows:
-        raise ValueError("at least one check required")
-    if any(len(h) != n for h in rows):
-        raise ValueError("all checks must have length n")
-    if any(not any(h) for h in rows):
-        raise ValueError("zero check row not allowed: its node would be isolated")
+    def zero_sum(w: int) -> np.ndarray:
+        # e_0 - e_j for each j > 0 spans the words that sum to zero
+        return np.hstack([np.ones((w - 1, 1), dtype=np.int64),
+                          -np.eye(w - 1, dtype=np.int64)])
 
-    supports = [tuple(k for k, v in enumerate(h) if v) for h in rows]
-    columns = [tuple(i for i, h in enumerate(rows) if h[k]) for k in range(n)]
-
-    states = tuple(StateVar(f"g{i}@p{k}", 1, f"chk{i}", f"pos{k}")
-                   for i, supp in enumerate(supports) for k in supp)
-    constraints = []
-    codes: dict[str, BlockedCode] = {}
-    for i, supp in enumerate(supports):
-        cid = f"chk{i}"
-        vars_ = tuple(f"g{i}@p{k}" for k in supp)
-        constraints.append(Constraint(cid, vars_))
-        structure = BlockStructure(tuple((v, 1) for v in vars_))
-        w = len(supp)
-        local = np.zeros((max(w - 1, 0), w), dtype=np.int64)
-        for j in range(1, w):
-            local[j - 1, 0] = 1
-            local[j - 1, j] = field.p - 1
-        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
-    for k in range(n):
-        cid = f"pos{k}"
-        vars_ = (f"a{k}",) + tuple(f"g{i}@p{k}" for i in columns[k])
-        constraints.append(Constraint(cid, vars_))
-        structure = BlockStructure(tuple((v, 1) for v in vars_))
-        local = np.zeros((1, 1 + len(columns[k])), dtype=np.int64)
-        local[0, 0] = 1
-        for pos, i in enumerate(columns[k]):
-            local[0, 1 + pos] = rows[i][k]
-        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
-
-    topo = Topology(_symbol_vars(n), states, tuple(constraints))
-    return Realization(field, topo, codes)
+    return _bipartite(field, n, checks, "chk", zero_sum,
+                      lambda entries: np.concatenate([[1], entries]).reshape(1, -1))
 
 
 def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
@@ -220,16 +210,10 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
                 "conventional trellis forbids wrap-around and degenerate spans")
 
     n_edges = n if kind == TAIL_BITING else n + 1
-    if kind == TAIL_BITING:
-        crossers = [[] for _ in range(n_edges)]
-        for t, g in enumerate(gens):
-            for j in g.span.crossed(n):
-                crossers[j].append(t)
-    else:
-        crossers = [[] for _ in range(n_edges)]
-        for t, g in enumerate(gens):
-            for u in range(g.span.end - g.span.start):
-                crossers[g.span.start + 1 + u].append(t)
+    crossers: list[list[int]] = [[] for _ in range(n_edges)]
+    for t, g in enumerate(gens):
+        for j in g.span.crossed(n):
+            crossers[j].append(t)
 
     def left_of(j: int) -> str:
         if kind == TAIL_BITING:
@@ -253,12 +237,9 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
         constraints.append(Constraint(cid, vars_))
         d_in, d_out = len(crossers[j_in]), len(crossers[j_out])
         local = np.zeros((len(gens), d_in + 1 + d_out), dtype=np.int64)
-        for t, g in enumerate(gens):
-            if t in crossers[j_in]:
-                local[t, crossers[j_in].index(t)] = 1
-            local[t, d_in] = g.vector[i] % field.p
-            if t in crossers[j_out]:
-                local[t, d_in + 1 + crossers[j_out].index(t)] = 1
+        local[crossers[j_in], np.arange(d_in)] = 1
+        local[:, d_in] = [g.vector[i] % field.p for g in gens]
+        local[crossers[j_out], d_in + 1 + np.arange(d_out)] = 1
         structure = BlockStructure(((f"s{j_in}", d_in), (f"a{i}", 1), (f"s{j_out}", d_out)))
         codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
     if kind == CONVENTIONAL:

@@ -39,15 +39,6 @@ class PrimeField:
             raise ValueError(f"field order must be a prime in [2, {MAX_FIELD}], got {p}")
         self.p = p
 
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
     def residues(self, values: Iterable[int]) -> np.ndarray:
         """A flat sequence of ints as a read-only residue vector."""
         v = np.asarray(list(values), dtype=np.int64) % self.p
@@ -96,14 +87,6 @@ class MatrixF:
         a = np.array(data, dtype=np.int64).reshape(len(data), width)
         return cls(field, a)
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "MatrixF":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "MatrixF":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     @property
     def array(self) -> np.ndarray:
         return self._a
@@ -125,16 +108,6 @@ class MatrixF:
 
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
-
-    def transpose(self) -> "MatrixF":
-        return MatrixF(self.field, self._a.T)
-
-    def mul(self, other: "MatrixF") -> "MatrixF":
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"cannot multiply {self.shape} by {other.shape}")
-        return MatrixF(self.field, (self._a @ other._a) % self.field.p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixF):
@@ -274,14 +247,6 @@ class Subspace:
             raise DimensionMismatchError(f"rows have width {m.cols}, ambient {ambient}")
         red, rk, _ = rref(m)
         return cls(field, ambient, MatrixF(field, red.array[:rk]))
-
-    @classmethod
-    def zero(cls, field: PrimeField, ambient: int) -> "Subspace":
-        return cls(field, ambient, MatrixF.zeros(field, 0, ambient))
-
-    @classmethod
-    def full(cls, field: PrimeField, ambient: int) -> "Subspace":
-        return cls(field, ambient, MatrixF.identity(field, ambient))
 
     @property
     def dim(self) -> int:

@@ -1,17 +1,22 @@
 """Local reductions of realizations and the cycle-free minimizer.
 
 Each reduction shrinks one state space in place, preserves the realized
-code, and reports the coordinate map it applied. Three moves exist:
+code, and reports the coordinate map it applied. All of them take one
+step: given a state s and matrices F and X, each of the two codes at the
+ends of s keeps the words whose value v at s has v F = 0, and rewrites
+that value as v X. The moves differ only in how they choose F and X:
 
-- trim: a constraint's projection onto a state misses part of it, so the
-  state space is restricted to that projection.
-- merge: a constraint has nonzero codewords supported on a single state,
-  so the state space is replaced by the quotient modulo those values.
-- unobservability trim: a nonzero all-zero-symbol trajectory singles out
-  a direction of some state space, which is then cut away.
-
-The dual merge runs the unobservability trim on the dual realization and
-maps the result back, lowering the controllability defect instead.
+- trim: a constraint's projection P onto the state misses part of it.
+  F spans P's orthogonal and X selects P's pivot coordinates.
+- merge: a constraint has nonzero codewords supported on the state
+  alone. F has no columns and X is the quotient map modulo their
+  values there.
+- unobservability trim: a nonzero all-zero-symbol trajectory has value
+  g at the state. With G a basis whose first row is g, F is the first
+  column of G^-1 and X the other columns.
+- dual merge: the unobservability trim of the dual realization, seen on
+  the primal; it lowers the controllability defect. F has no columns
+  and X is G[1:].T, with G chosen on the dual.
 
 reduce_to_fixpoint and minimize_cycle_free share one driver. It sweeps
 the (constraint, state) incidences, constraints in order and each one's
@@ -82,87 +87,68 @@ class ReductionStep:
             raise ValueError("basis change must have full row rank")
 
 
-def _restrict_rows(code: BlockedCode, block_id: str, functionals: np.ndarray) -> np.ndarray:
-    """Generator rows of {w in code : w_block @ functionals = 0}."""
-    field = code.field
-    g = code.space.basis.array
-    cols = code.structure.positions([block_id])
-    prod = (g[:, cols] @ functionals) % field.p
-    # left null space of prod picks the surviving row combinations
-    keep = kernel(MatrixF(field, prod.T)).basis.array
-    return (keep @ g) % field.p
-
-
-def _map_block(code: BlockedCode, rows: np.ndarray, block_id: str,
-               x: np.ndarray) -> BlockedCode:
-    """The code spanned by rows (words on code's blocks) once each row's
-    block is rewritten through v -> v @ x, splicing the new width in."""
-    field, structure = code.field, code.structure
-    at = structure.offset(block_id)
-    d = structure.dim(block_id)
-    mapped = np.hstack([rows[:, :at], (rows[:, at:at + d] @ x) % field.p, rows[:, at + d:]])
-    blocks = tuple((b, x.shape[1] if b == block_id else n) for b, n in structure.blocks)
-    return BlockedCode.from_rows(field, BlockStructure(blocks), MatrixF(field, mapped))
-
-
-def trim_state(r: Realization, state_id: str, constraint_id: str
-               ) -> tuple[Realization, ReductionStep]:
-    """Restrict one state space to the given constraint's projection onto it."""
-    r.ensure_valid()
-    verdict = is_trim(r, constraint_id, state_id)
-    if verdict.ok:
-        raise NotReducibleError(
-            f"constraint {constraint_id!r} is already trim at state {state_id!r}")
+def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarray,
+            constraint_id: str | None = None) -> tuple[Realization, ReductionStep]:
+    """The one step of every move (module docstring): at both ends of the
+    state, keep the words whose value v there has v @ f = 0 and rewrite v
+    as v @ x, an (old_dim, new_dim) matrix whose transpose is the step's
+    basis change."""
+    field, p = r.field, r.field.p
     state = r.topology.state(state_id)
-    d = state.dim
-    proj = r.code(constraint_id).project([state_id]).space
-    new_dim = proj.dim
-    # RREF basis: coordinates of a value inside proj are its pivot entries
-    selector = np.eye(d, dtype=np.int64)[:, list(proj.pivots)]
-    functionals = proj.orthogonal().basis.array.T
-
-    other = state.left if state.right == constraint_id else state.right
-    trimmed_code = r.code(constraint_id)
-    other_code = r.code(other)
-    replaced = {
-        constraint_id: _map_block(trimmed_code, trimmed_code.space.basis.array,
-                                  state_id, selector),
-        other: _map_block(other_code, _restrict_rows(other_code, state_id, functionals),
-                          state_id, selector),
-    }
-
-    step = ReductionStep(TRIM, state_id, d, new_dim,
-                         MatrixF(r.field, selector.T), constraint_id)
+    d, new_dim = x.shape
+    replaced = {}
+    for cid in (state.left, state.right):
+        code = r.code(cid)
+        g = code.space.basis.array
+        at = code.structure.offset(state_id)
+        prod = (g[:, at:at + d] @ f) % p
+        # prod's left null space picks the surviving rows: all of them if prod is 0
+        if prod.any():
+            g = (kernel(MatrixF(field, prod.T)).basis.array @ g) % p
+        mapped = np.hstack([g[:, :at], (g[:, at:at + d] @ x) % p, g[:, at + d:]])
+        blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
+        replaced[cid] = BlockedCode.from_rows(field, BlockStructure(blocks),
+                                              MatrixF(field, mapped))
+    step = ReductionStep(kind, state_id, d, new_dim, MatrixF(field, x.T), constraint_id)
     return r._with_state(state_id, new_dim, replaced), step
 
 
-def merge_state(r: Realization, state_id: str, constraint_id: str
-                ) -> tuple[Realization, ReductionStep]:
-    """Quotient one state space by the given constraint's cross-section on it."""
+def _incident_dim(r: Realization, state_id: str, constraint_id: str) -> int:
+    """The dim of a state of the valid realization r that touches the constraint."""
     r.ensure_valid()
     state = r.topology.state(state_id)
     if state_id not in r.topology.constraint(constraint_id).vars:
         raise UnknownBlockError(
             f"state {state_id!r} is not involved in constraint {constraint_id!r}")
+    return state.dim
+
+
+def trim_state(r: Realization, state_id: str, constraint_id: str
+               ) -> tuple[Realization, ReductionStep]:
+    """Restrict one state space to the given constraint's projection onto it."""
+    d = _incident_dim(r, state_id, constraint_id)
+    proj = r.code(constraint_id).project([state_id]).space
+    if proj.dim == d:
+        raise NotReducibleError(
+            f"constraint {constraint_id!r} is already trim at state {state_id!r}")
+    # RREF basis: coordinates of a value inside proj are its pivot entries
+    selector = np.eye(d, dtype=np.int64)[:, list(proj.pivots)]
+    return _shrink(r, TRIM, state_id, proj.orthogonal().basis.array.T, selector,
+                   constraint_id)
+
+
+def merge_state(r: Realization, state_id: str, constraint_id: str
+                ) -> tuple[Realization, ReductionStep]:
+    """Quotient one state space by the given constraint's cross-section on it."""
+    d = _incident_dim(r, state_id, constraint_id)
     section = r.code(constraint_id).cross_section([state_id]).space
     if section.dim == 0:
         raise NotReducibleError(
             f"constraint {constraint_id!r} is already proper at state {state_id!r}")
-    d = state.dim
-    new_dim = d - section.dim
     complement = complete_to_basis(section.basis)
     q = MatrixF(r.field, np.vstack([complement.array, section.basis.array]))
-    qi = inverse(q).array
-    x = qi[:, :new_dim]
-
-    replaced = {}
-    for cid in (state.left, state.right):
-        code = r.code(cid)
-        replaced[cid] = _map_block(code, code.space.basis.array, state_id, x)
-
-    step = ReductionStep(MERGE, state_id, d, new_dim,
-                         MatrixF(r.field, x.T), constraint_id)
-    return r._with_state(state_id, new_dim, replaced), step
+    x = inverse(q).array[:, :d - section.dim]
+    return _shrink(r, MERGE, state_id, np.zeros((d, 0), dtype=np.int64), x, constraint_id)
 
 
 def _unobservable_direction(r: Realization) -> tuple[str, MatrixF]:
@@ -195,37 +181,22 @@ def reduce_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     """
     r.ensure_valid()
     state_id, g = _unobservable_direction(r)
-    state = r.topology.state(state_id)
-    d = state.dim
     gi = inverse(g).array
-    functionals = gi[:, :1]
-    x = gi[:, 1:]
-
-    replaced = {}
-    for cid in (state.left, state.right):
-        code = r.code(cid)
-        replaced[cid] = _map_block(code, _restrict_rows(code, state_id, functionals),
-                                   state_id, x)
-
-    step = ReductionStep(UNOBS_TRIM, state_id, d, d - 1, MatrixF(r.field, x.T))
-    return r._with_state(state_id, d - 1, replaced), step
+    return _shrink(r, UNOBS_TRIM, state_id, gi[:, :1], gi[:, 1:])
 
 
 def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
-    """Run the unobservability trim on the dual and map back; lowers the defect.
+    """Merge the state that the dual's unobservability trim would cut;
+    lowers the defect.
 
-    The returned step records the quotient map applied to the primal
-    state coordinates.
+    That trim keeps the dual words with w @ G^-1[:, 0] = 0 and maps w to
+    w @ G^-1[:, 1:]. The orthogonal of its result maps v to v @ G[1:].T
+    and restricts nothing, so the dual is built only to choose G.
     """
     r.ensure_valid()
-    rd = dualize(r)
-    state_id, g = _unobservable_direction(rd)
-    reduced_dual, _ = reduce_unobservable(rd)
-    result = dualize(reduced_dual)
-    d = g.rows
-    step = ReductionStep(DUAL_MERGE, state_id, d, d - 1,
-                         MatrixF(r.field, g.array[1:]))
-    return result, step
+    state_id, g = _unobservable_direction(dualize(r))
+    return _shrink(r, DUAL_MERGE, state_id, np.zeros((g.rows, 0), dtype=np.int64),
+                   g.array[1:].T)
 
 
 def _incidences(topo: Topology, order: Sequence[str]) -> list[tuple[str, str]]:

@@ -1,4 +1,5 @@
-"""Seeded random instance generators shared across the test modules."""
+"""Seeded random instance generators and small reference operations
+shared across the test modules."""
 
 from __future__ import annotations
 
@@ -10,16 +11,73 @@ from ncl import (
     BlockedCode,
     BlockStructure,
     Constraint,
+    DimensionMismatchError,
+    FieldMismatchError,
     MatrixF,
     PrimeField,
     Realization,
+    ReductionStep,
     Span,
     SpannedGenerator,
     StateVar,
+    Subspace,
     SymbolVar,
     Topology,
+    dualize,
     product_trellis,
+    reduce_unobservable,
 )
+from ncl.reduction import _unobservable_direction
+
+
+def neg(field: PrimeField, a: int) -> int:
+    return -a % field.p
+
+
+def inv(field: PrimeField, a: int) -> int:
+    a %= field.p
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return pow(a, field.p - 2, field.p)
+
+
+def identity(field: PrimeField, n: int) -> MatrixF:
+    return MatrixF(field, np.eye(n, dtype=np.int64))
+
+
+def zeros(field: PrimeField, rows: int, cols: int) -> MatrixF:
+    return MatrixF(field, np.zeros((rows, cols), dtype=np.int64))
+
+
+def transpose(m: MatrixF) -> MatrixF:
+    return MatrixF(m.field, m.array.T)
+
+
+def mul(a: MatrixF, b: MatrixF) -> MatrixF:
+    if a.field != b.field:
+        raise FieldMismatchError(f"{a.field} vs {b.field}")
+    if a.cols != b.rows:
+        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    return MatrixF(a.field, (a.array @ b.array) % a.field.p)
+
+
+def zero_space(field: PrimeField, ambient: int) -> Subspace:
+    return Subspace(field, ambient, zeros(field, 0, ambient))
+
+
+def full_space(field: PrimeField, ambient: int) -> Subspace:
+    return Subspace(field, ambient, identity(field, ambient))
+
+
+def reference_dual_merge(r: Realization) -> tuple[Realization, ReductionStep]:
+    """The dual merge as the composition that defines it: the
+    unobservability trim of the dual realization, dualized back."""
+    rd = dualize(r)
+    state_id, g = _unobservable_direction(rd)
+    trimmed, _ = reduce_unobservable(rd)
+    step = ReductionStep("dual-merge", state_id, g.rows, g.rows - 1,
+                         MatrixF(r.field, g.array[1:]))
+    return dualize(trimmed), step
 
 
 def random_matrix(rng: random.Random, field: PrimeField, rows: int, cols: int) -> MatrixF:

@@ -14,12 +14,11 @@ from ncl import (
     DimensionMismatchError,
     EnumerationLimitError,
     PrimeField,
-    Subspace,
     UnknownBlockError,
     format_word,
     parse_word,
 )
-from helpers import random_blocked_code
+from helpers import full_space, random_blocked_code, zero_space
 
 
 class TestBlockStructure:
@@ -52,12 +51,12 @@ def _code(field, blocks, rows):
 class TestBlockedCode:
     def test_structure_space_must_agree(self):
         with pytest.raises(DimensionMismatchError):
-            BlockedCode(BlockStructure((("a", 2),)), Subspace.zero(GF2, 3))
+            BlockedCode(BlockStructure((("a", 2),)), zero_space(GF2, 3))
 
     def test_project(self):
         c = _code(GF2, (("x", 2), ("y", 1)), [[1, 0, 1], [0, 1, 1]])
-        assert c.project(["y"]).space == Subspace.full(GF2, 1)
-        assert c.project(["x"]).space == Subspace.full(GF2, 2)
+        assert c.project(["y"]).space == full_space(GF2, 1)
+        assert c.project(["x"]).space == full_space(GF2, 2)
         # order of kept blocks is the order asked for
         assert c.project(["y", "x"]).structure.ids() == ("y", "x")
 

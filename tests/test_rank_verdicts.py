@@ -18,12 +18,15 @@ import ncl.reduction
 from ncl import (
     GF2,
     GF3,
+    NotReducibleError,
     PrimeField,
     ProperVerdict,
     Realization,
     TrimVerdict,
     analyze,
     behavior,
+    dual_merge_unobservable,
+    dualize,
     is_branch_trim,
     is_observable,
     is_proper,
@@ -44,6 +47,7 @@ from helpers import (
     random_blocked_code,
     random_realization,
     random_tail_biting_product,
+    reference_dual_merge,
 )
 
 FIELDS = [GF2, GF3, PrimeField(5)]
@@ -308,3 +312,50 @@ def test_derived_realization_reports_a_replaced_code_with_wrong_dims():
     assert [(i.tag, i.ids) for i in issues] == [("dim-mismatch", (state.right,))]
     with pytest.raises(ValueError):
         r._with_state(state.id, step.new_dim, {state.left: trimmed.code(state.left)})
+
+
+def assert_dual_merges_match_reference(cases, monkeypatch):
+    """dual_merge_unobservable equals the dual trim dualized back, builds
+    one dual per call, and keeps every code off the merged state; returns
+    how many cases it applied to."""
+    calls = Counter()
+    dualize_once = ncl.reduction.dualize
+
+    def counting(r):
+        calls["dualize"] += 1
+        return dualize_once(r)
+
+    monkeypatch.setattr(ncl.reduction, "dualize", counting)
+    applied = 0
+    for r in cases:
+        calls.clear()
+        try:
+            want = reference_dual_merge(r)
+        except NotReducibleError:
+            with pytest.raises(NotReducibleError):
+                dual_merge_unobservable(r)
+            continue
+        out, step = dual_merge_unobservable(r)
+        assert (out, step) == want
+        assert calls["dualize"] == 1
+        state = r.topology.state(step.state_id)
+        for c in r.topology.constraints:
+            if c.id not in (state.left, state.right):
+                assert out.code(c.id) is r.code(c.id)
+        applied += 1
+    return applied
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_dual_merge_is_the_dual_trim_dualized_back(field, monkeypatch):
+    rng = random.Random(f"rank-verdicts-dual:{field.p}")
+    families = [instances(field, 40), trellises(field, 20),
+                [dualize(random_tail_biting_product(rng, field)) for _ in range(30)]]
+    for cases in families:
+        assert assert_dual_merges_match_reference(cases, monkeypatch) > 0
+
+
+def test_dual_merge_on_a_ladder_trellis(monkeypatch):
+    ladder = ladder_trellises()[0]
+    # the ladder is controllable and its dual is not
+    assert assert_dual_merges_match_reference([ladder, dualize(ladder)], monkeypatch) == 1

@@ -34,7 +34,7 @@ from ncl import (
     validate,
 )
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
-from helpers import random_tree_realization
+from helpers import identity, random_tree_realization
 
 
 def state_dims(r):
@@ -44,7 +44,7 @@ def state_dims(r):
 class TestReductionStep:
     def test_requires_strict_shrink(self):
         with pytest.raises(ValueError):
-            ReductionStep("trim", "s0", 1, 1, MatrixF.identity(GF2, 1))
+            ReductionStep("trim", "s0", 1, 1, identity(GF2, 1))
 
     def test_requires_matching_shape(self):
         with pytest.raises(ValueError):
@@ -81,6 +81,10 @@ class TestTrim:
         assert (step.old_dim, step.new_dim) == (2, 1)
         assert is_trim(out, "c0", "s0").ok
         assert brute_realized_words(out) == before
+
+    def test_trim_requires_incidence(self):
+        with pytest.raises(UnknownBlockError):
+            trim_state(conventional_improper(), "s2", "c0")
 
     def test_trim_refuses_when_trim(self):
         r = example1()
