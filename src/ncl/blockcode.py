@@ -4,6 +4,10 @@ A BlockedCode is a subspace together with a partition of its ambient
 coordinates into named blocks (symbol and state variables, in this
 package). Projection keeps a subset of blocks; cross-section keeps the
 words that vanish off that subset, then drops the zeroed coordinates.
+
+Codes are immutable, so each one computes its dual, whose basis is its
+check matrix, at most once and keeps it. A realization derived from
+another shares the codes it keeps, and with them their check matrices.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class BlockStructure:
 class BlockedCode:
     """A linear code whose ambient coordinates are grouped into blocks."""
 
-    __slots__ = ("structure", "space")
+    __slots__ = ("structure", "space", "_dual")
 
     def __init__(self, structure: BlockStructure, space: Subspace) -> None:
         if space.ambient != structure.total:
@@ -92,6 +96,7 @@ class BlockedCode:
                 f"space ambient {space.ambient} != structure total {structure.total}")
         self.structure = structure
         self.space = space
+        self._dual: BlockedCode | None = None
 
     @classmethod
     def from_rows(cls, field: PrimeField, structure: BlockStructure, rows) -> "BlockedCode":
@@ -138,7 +143,11 @@ class BlockedCode:
         return BlockedCode(sub, Subspace.spanned_by(self.field, sub.total, MatrixF(self.field, rows)))
 
     def dual(self) -> "BlockedCode":
-        return BlockedCode(self.structure, self.space.orthogonal())
+        """The orthogonal code on the same blocks, built on the first call
+        and kept: its basis is this code's check matrix."""
+        if self._dual is None:
+            self._dual = BlockedCode(self.structure, self.space.orthogonal())
+        return self._dual
 
     def enumerate(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
         """All codewords, most significant coefficient first."""

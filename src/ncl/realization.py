@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import MatrixF, PrimeField, kernel
+from .fields import MatrixF, PrimeField, kernel, rank, ranks
 
 LEFT = "left"
 RIGHT = "right"
@@ -344,20 +344,15 @@ class Realization:
         topo = self.topology
         frame = BlockStructure(tuple(
             (v.id, v.dim) for v in (*topo.symbols, *topo.states)))
-        total = frame.total
-        stacked: list[np.ndarray] = [np.zeros((0, total), dtype=np.int64)]
+        # one block of rows per constraint: its cached check matrix, written
+        # into the columns of its vars in one indexed assignment
+        rows = [np.zeros((0, frame.total), dtype=np.int64)]
         for c in topo.constraints:
-            local = self._codes[c.id]
-            checks = local.space.orthogonal().basis.array
-            emb = np.zeros((checks.shape[0], total), dtype=np.int64)
-            at = 0
-            for v in c.vars:
-                d = topo.var_dim(v)
-                emb[:, frame.offset(v):frame.offset(v) + d] = checks[:, at:at + d]
-                at += d
-            stacked.append(emb)
-        system = MatrixF(self.field, np.vstack(stacked))
-        return BlockedCode(frame, kernel(system))
+            h = self._codes[c.id].dual().space.basis.array
+            emb = np.zeros((h.shape[0], frame.total), dtype=np.int64)
+            emb[:, frame.positions(c.vars)] = h
+            rows.append(emb)
+        return BlockedCode(frame, kernel(MatrixF(self.field, np.vstack(rows))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Realization):
@@ -462,14 +457,16 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     """Proper check for one constraint, with an offending codeword if any.
 
     A rank test per state: the cross-section on the state is zero when
-    the basis columns off the state have full rank. Only on a failure is
-    the cross-section built, to give its first canonical generator.
+    the code's check matrix has full column rank there. Only on a failure
+    is the cross-section built, to give its first canonical generator.
     """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
     code = r.code(constraint_id)
+    checks = code.dual()
     for v in c.vars:
-        if not r.topology.is_state(v) or code.cross_section_dim([v]) == 0:
+        if (not r.topology.is_state(v)
+                or rank(MatrixF(r.field, _block(checks, v))) == r.topology.var_dim(v)):
             continue
         cs = code.cross_section([v])
         word = np.zeros(code.structure.total, dtype=np.int64)
@@ -479,17 +476,43 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     return ProperVerdict(True, constraint_id)
 
 
-def is_state_trim(r: Realization) -> bool:
-    """The behavior projects onto every state space: one rank test per state."""
+def _block(code: BlockedCode, var_id: str) -> np.ndarray:
+    """The columns of the code's basis on one of its blocks."""
+    at = code.structure.offset(var_id)
+    return code.space.basis.array[:, at:at + code.structure.dim(var_id)]
+
+
+def _ranks(blocks: list[np.ndarray], p: int) -> np.ndarray:
+    """The rank of each matrix, from one stacked rank call over them all."""
+    stack = np.zeros((len(blocks), max((a.shape[0] for a in blocks), default=0),
+                      max((a.shape[1] for a in blocks), default=0)), dtype=np.int64)
+    for i, a in enumerate(blocks):
+        stack[i, :a.shape[0], :a.shape[1]] = a
+    return ranks(stack, p)
+
+
+def _state_trim(r: Realization) -> bool:
     b = r._behavior_code
-    return all(b.projection_dim([s.id]) == s.dim for s in r.topology.states)
+    states = r.topology.states
+    return bool((_ranks([_block(b, s.id) for s in states], r.field.p)
+                 == [s.dim for s in states]).all())
+
+
+def _branch_trim(r: Realization) -> bool:
+    b = r._behavior_code
+    cons = r.topology.constraints
+    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
+    return bool((_ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
+
+
+def is_state_trim(r: Realization) -> bool:
+    """The behavior projects onto every state space: one stacked rank call."""
+    return _state_trim(r)
 
 
 def is_branch_trim(r: Realization) -> bool:
-    """The behavior projects onto every constraint code: one rank test each."""
-    b = r._behavior_code
-    return all(b.projection_dim(c.vars) == r.code(c.id).dim
-               for c in r.topology.constraints)
+    """The behavior projects onto every constraint code: one stacked rank call."""
+    return _branch_trim(r)
 
 
 def is_reduced(r: Realization) -> bool:
@@ -614,20 +637,39 @@ class AnalysisReport:
 
 
 def analyze(r: Realization) -> AnalysisReport:
-    """Compute the full report: dimensions, predicates, and witnesses."""
+    """Compute the full report: dimensions, predicates, and witnesses.
+
+    Every local verdict is a block-column rank: trim at state s when the
+    code's generator matrix has full column rank on s, proper when its
+    check matrix does. All of them are one stacked rank call, and the
+    state-trim and branch-trim tests of the behavior one call each.
+    is_trim and is_proper run only where a rank falls short, to build the
+    witness.
+    """
     r.ensure_valid()
     topo = r.topology
     b = r._behavior_code
-    unobs = b.cross_section_dim(topo.state_ids())
+    realized = b.projection_dim(topo.symbol_ids())
+    unobs = b.dim - realized
     defect = controllability_defect(r)
+    incidences = [(c, v) for c in topo.constraints for v in c.vars if topo.is_state(v)]
+    blocks = []
+    for c, v in incidences:
+        code = r.code(c.id)
+        blocks += (_block(code, v), _block(code.dual(), v))
+    full = _ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
+    trim_ok = {(c.id, v): ok for (c, v), ok in zip(incidences, full[0::2])}
+    improper = {c.id for (c, _), ok in zip(incidences, full[1::2]) if not ok}
     reports = []
     for c in topo.constraints:
-        trims = tuple(is_trim(r, c.id, v) for v in c.vars if topo.is_state(v))
-        reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, is_proper(r, c.id)))
+        trims = tuple(TrimVerdict(True, c.id, v) if trim_ok[c.id, v] else is_trim(r, c.id, v)
+                      for v in c.vars if topo.is_state(v))
+        proper = is_proper(r, c.id) if c.id in improper else ProperVerdict(True, c.id)
+        reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, proper))
     trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
     cycle_free = topo.is_cycle_free()
-    state_trim = is_state_trim(r)
-    branch_trim = is_branch_trim(r)
+    state_trim = _state_trim(r)
+    branch_trim = _branch_trim(r)
     observable = unobs == 0
     controllable = defect == 0
     return AnalysisReport(
@@ -636,7 +678,7 @@ def analyze(r: Realization) -> AnalysisReport:
         state_dims=tuple((s.id, s.dim) for s in topo.states),
         constraint_dims=tuple((c.id, r.code(c.id).dim) for c in topo.constraints),
         behavior_dim=b.dim,
-        realized_dim=b.projection_dim(topo.symbol_ids()),
+        realized_dim=realized,
         unobservable_dim=unobs,
         defect=defect,
         observable=observable,

@@ -82,6 +82,19 @@ class TestBlockedCode:
         assert c.dual().dim == 3
         assert c.dual().dual() == c
 
+    def test_dual_is_computed_once(self):
+        c = _code(GF3, (("a", 2), ("b", 2)), [[1, 0, 0, 2]])
+        assert c.dual() is c.dual()
+        assert c.dual() == BlockedCode(c.structure, c.space.orthogonal())
+
+    def test_equality_ignores_the_cached_dual(self):
+        rows = [[1, 0, 0, 2], [0, 1, 1, 1]]
+        fresh = _code(GF3, (("a", 2), ("b", 2)), rows)
+        cached = _code(GF3, (("a", 2), ("b", 2)), rows)
+        cached.dual()
+        assert fresh == cached and cached == fresh
+        assert cached != cached.dual()
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(0, 10 ** 9))
     def test_projection_cross_section_duality(self, p, seed):

@@ -21,6 +21,7 @@ from ncl import (
     rank,
     rref,
 )
+from ncl.fields import _rref_array, ranks
 from helpers import full_space, identity, inv, mul, neg, transpose, zero_space, zeros
 
 FIELDS = [GF2, GF3, PrimeField(5)]
@@ -217,6 +218,55 @@ class TestAgainstSympy:
             eye = np.eye(m.rows, dtype=np.int64)
             assert (m.array @ inv % m.field.p).tolist() == eye.tolist()
             assert (inv @ m.array % m.field.p).tolist() == eye.tolist()
+
+
+def sympy_rank(a: np.ndarray, p: int) -> int:
+    k = GF(p)
+    return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).rank()
+
+
+def padded(mats: list[np.ndarray]) -> np.ndarray:
+    stack = np.zeros((len(mats), max((a.shape[0] for a in mats), default=0),
+                      max((a.shape[1] for a in mats), default=0)), dtype=np.int64)
+    for i, a in enumerate(mats):
+        stack[i, :a.shape[0], :a.shape[1]] = a
+    return stack
+
+
+class TestStackedRanks:
+    @pytest.mark.parametrize("p", [2, 3, 7, 257, 8191])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_shapes_match_rref_and_sympy(self, p, seed):
+        rng = np.random.default_rng(1000 * p + seed)
+        mats = []
+        for _ in range(int(rng.integers(1, 12))):
+            rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 8))
+            a = rng.integers(0, p, (rows, cols))
+            if rows > 1 and rng.random() < 0.5:
+                # a dependent row, so ranks below min(rows, cols) occur
+                a[-1] = (a[0] * int(rng.integers(0, p)) + a[1]) % p
+            mats.append(a)
+        got = ranks(padded(mats), p)
+        assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
+        assert got.tolist() == [sympy_rank(a, p) for a in mats]
+
+    def test_empty_stack(self):
+        assert ranks(np.zeros((0, 3, 4), dtype=np.int64), 3).tolist() == []
+
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 4, 0), (2, 0, 0)])
+    def test_no_rows_or_no_columns(self, shape):
+        assert ranks(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
+
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_one_matrix_full_before_the_others(self, p):
+        # early has its three pivots in columns 0-2; late needs columns 3 and 4
+        early = np.array([[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]])
+        late = np.array([[0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
+        mats = [early, late, np.zeros((3, 5), dtype=np.int64)]
+        got = ranks(padded(mats), p)
+        assert got.tolist() == [3, 2, 0]
+        assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
+        assert got.tolist() == [sympy_rank(a, p) for a in mats]
 
 
 class TestSubspace:

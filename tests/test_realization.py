@@ -19,10 +19,12 @@ from ncl import (
     SymbolVar,
     Topology,
     UnknownBlockError,
+    Subspace,
     analyze,
     behavior,
     controllability_defect,
     dualize,
+    emit_realization,
     is_branch_trim,
     is_controllable,
     is_observable,
@@ -30,7 +32,9 @@ from ncl import (
     is_reduced,
     is_state_trim,
     is_trim,
+    parse_realization,
     realized_code,
+    trim_state,
     unobservable_behavior,
     validate,
 )
@@ -209,6 +213,37 @@ class TestBehavior:
         assert unobservable_behavior(r).dim == 1
         assert not is_observable(r)
         assert is_controllable(r)
+
+
+class TestCheckMatrixCache:
+    def test_derived_behavior_computes_only_the_replaced_checks(self, monkeypatch):
+        r = dualize(conventional_improper())
+        behavior(r)
+        child, step = trim_state(r, "s2", "c2")
+        calls = []
+        original = Subspace.orthogonal
+
+        def counted(space):
+            calls.append(space)
+            return original(space)
+
+        monkeypatch.setattr(Subspace, "orthogonal", counted)
+        behavior(child)
+        state = child.topology.state("s2")
+        replaced = [child.code(state.left).space, child.code(state.right).space]
+        assert step.kind == "trim" and len(calls) == 2
+        assert all(any(space is new for new in replaced) for space in calls)
+        monkeypatch.undo()
+        assert behavior(child) == behavior(parse_realization(emit_realization(child)))
+
+    def test_documents_ignore_the_cache(self):
+        for make in (example1, example3, conventional_improper):
+            text = emit_realization(make())
+            r = parse_realization(text)
+            analyze(r)
+            dualize(r)
+            assert emit_realization(r) == text
+            assert r == parse_realization(text)
 
 
 class TestLocalPredicates:
