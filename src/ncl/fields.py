@@ -7,12 +7,12 @@ is exact.
 
 Elimination has two entry points. `_rref_array` is the Gauss-Jordan loop
 on one matrix behind rref, rank, kernel, inverse and complete_to_basis.
-`ranks` gives only the rank of each matrix in a zero-padded stack, in
-one loop over the columns for the whole stack; it serves the many small
-rank tests behind analyze's verdicts, which would otherwise be one
-Python-level elimination each. A single matrix stays on the 2-D loop:
-`ranks` gives no RREF or pivots, and a stack of one costs more (about
-0.08 against 0.05 ms on a 6x10 GF(3) matrix).
+`ranks` gives only the rank of each matrix in a list, zero-padded into
+one stack and eliminated in one loop over its columns; it serves the
+many small rank tests behind analyze's verdicts, which would otherwise
+be one Python-level elimination each. A single matrix stays on the 2-D
+loop: `ranks` gives no RREF or pivots, and a stack of one costs more
+(about 0.08 against 0.05 ms on a 6x10 GF(3) matrix).
 """
 
 from __future__ import annotations
@@ -167,21 +167,26 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """The rank of each matrix in a (batch, rows, cols) stack of residues mod p.
+def ranks(mats: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """The rank of each 2-D matrix of residues mod p in `mats`.
 
-    Smaller matrices ride in the stack zero-padded, which leaves their
-    ranks unchanged. One loop over the columns serves the whole batch: a
-    row not yet used as a pivot is zero left of the current column, and
-    each pivot updates only the (matrix, row) pairs with a nonzero in its
-    column (an XOR when p = 2). Over odd p an updated row is scaled by
-    the pivot's lead rather than the pivot row by its inverse; both are
-    row operations, so the ranks are the same. Every intermediate is
-    below p**2 <= 2**26 in magnitude, so the work is done in int32 (in
-    uint8 when p = 2), a half or an eighth of the memory of int64.
+    The matrices are zero-padded into one (batch, rows, cols) stack,
+    which leaves their ranks unchanged. One loop over the columns serves
+    the whole batch: a row not yet used as a pivot is zero left of the
+    current column, and each pivot updates only the (matrix, row) pairs
+    with a nonzero in its column (an XOR when p = 2). Over odd p an
+    updated row is scaled by the pivot's lead rather than the pivot row
+    by its inverse; both are row operations, so the ranks are the same.
+    Every intermediate is below p**2 <= 2**26 in magnitude, so the work
+    is done in int32 (in uint8 when p = 2), a half or an eighth of the
+    memory of int64.
     """
-    m = np.array(stack, dtype=np.uint8 if p == 2 else np.int32)
-    batch, nrows, ncols = m.shape
+    batch = len(mats)
+    nrows = max((a.shape[0] for a in mats), default=0)
+    ncols = max((a.shape[1] for a in mats), default=0)
+    m = np.zeros((batch, nrows, ncols), dtype=np.uint8 if p == 2 else np.int32)
+    for i, a in enumerate(mats):
+        m[i, :a.shape[0], :a.shape[1]] = a
     free = np.ones((batch, nrows), dtype=bool)
     pivot_row = np.zeros(batch, dtype=np.intp)
     for c in range(ncols):

@@ -482,37 +482,20 @@ def _block(code: BlockedCode, var_id: str) -> np.ndarray:
     return code.space.basis.array[:, at:at + code.structure.dim(var_id)]
 
 
-def _ranks(blocks: list[np.ndarray], p: int) -> np.ndarray:
-    """The rank of each matrix, from one stacked rank call over them all."""
-    stack = np.zeros((len(blocks), max((a.shape[0] for a in blocks), default=0),
-                      max((a.shape[1] for a in blocks), default=0)), dtype=np.int64)
-    for i, a in enumerate(blocks):
-        stack[i, :a.shape[0], :a.shape[1]] = a
-    return ranks(stack, p)
-
-
-def _state_trim(r: Realization) -> bool:
-    b = r._behavior_code
-    states = r.topology.states
-    return bool((_ranks([_block(b, s.id) for s in states], r.field.p)
-                 == [s.dim for s in states]).all())
-
-
-def _branch_trim(r: Realization) -> bool:
-    b = r._behavior_code
-    cons = r.topology.constraints
-    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
-    return bool((_ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
-
-
 def is_state_trim(r: Realization) -> bool:
     """The behavior projects onto every state space: one stacked rank call."""
-    return _state_trim(r)
+    b = r._behavior_code
+    states = r.topology.states
+    return bool((ranks([_block(b, s.id) for s in states], r.field.p)
+                 == [s.dim for s in states]).all())
 
 
 def is_branch_trim(r: Realization) -> bool:
     """The behavior projects onto every constraint code: one stacked rank call."""
-    return _branch_trim(r)
+    b = r._behavior_code
+    cons = r.topology.constraints
+    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
+    return bool((ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
 
 
 def is_reduced(r: Realization) -> bool:
@@ -657,7 +640,7 @@ def analyze(r: Realization) -> AnalysisReport:
     for c, v in incidences:
         code = r.code(c.id)
         blocks += (_block(code, v), _block(code.dual(), v))
-    full = _ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
+    full = ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
     trim_ok = {(c.id, v): ok for (c, v), ok in zip(incidences, full[0::2])}
     improper = {c.id for (c, _), ok in zip(incidences, full[1::2]) if not ok}
     reports = []
@@ -668,8 +651,8 @@ def analyze(r: Realization) -> AnalysisReport:
         reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, proper))
     trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
     cycle_free = topo.is_cycle_free()
-    state_trim = _state_trim(r)
-    branch_trim = _branch_trim(r)
+    state_trim = is_state_trim(r)
+    branch_trim = is_branch_trim(r)
     observable = unobs == 0
     controllable = defect == 0
     return AnalysisReport(

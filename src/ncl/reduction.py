@@ -53,6 +53,7 @@ from .realization import (
     Topology,
     dualize,
     is_observable,
+    is_trim,
     unobservable_behavior,
 )
 
@@ -206,10 +207,9 @@ def _incidences(topo: Topology, order: Sequence[str]) -> list[tuple[str, str]]:
 
 def _local_reduction(r: Realization, constraint_id: str, state_id: str) -> str | None:
     """TRIM or MERGE if that move applies at one incidence (trim first), else None."""
-    code = r.code(constraint_id)
-    if code.projection_dim([state_id]) < r.topology.var_dim(state_id):
+    if not is_trim(r, constraint_id, state_id).ok:
         return TRIM
-    if code.cross_section_dim([state_id]) > 0:
+    if r.code(constraint_id).cross_section_dim([state_id]) > 0:
         return MERGE
     return None
 

@@ -225,14 +225,6 @@ def sympy_rank(a: np.ndarray, p: int) -> int:
     return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).rank()
 
 
-def padded(mats: list[np.ndarray]) -> np.ndarray:
-    stack = np.zeros((len(mats), max((a.shape[0] for a in mats), default=0),
-                      max((a.shape[1] for a in mats), default=0)), dtype=np.int64)
-    for i, a in enumerate(mats):
-        stack[i, :a.shape[0], :a.shape[1]] = a
-    return stack
-
-
 class TestStackedRanks:
     @pytest.mark.parametrize("p", [2, 3, 7, 257, 8191])
     @pytest.mark.parametrize("seed", range(6))
@@ -246,16 +238,17 @@ class TestStackedRanks:
                 # a dependent row, so ranks below min(rows, cols) occur
                 a[-1] = (a[0] * int(rng.integers(0, p)) + a[1]) % p
             mats.append(a)
-        got = ranks(padded(mats), p)
+        got = ranks(mats, p)
         assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
         assert got.tolist() == [sympy_rank(a, p) for a in mats]
 
     def test_empty_stack(self):
-        assert ranks(np.zeros((0, 3, 4), dtype=np.int64), 3).tolist() == []
+        assert ranks([], 3).tolist() == []
 
-    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 4, 0), (2, 0, 0)])
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
     def test_no_rows_or_no_columns(self, shape):
-        assert ranks(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
+        mats = [np.zeros(shape, dtype=np.int64), np.array([[1, 2], [2, 4]])]
+        assert ranks(mats, 5).tolist() == [0, 1]
 
     @pytest.mark.parametrize("p", [2, 7])
     def test_one_matrix_full_before_the_others(self, p):
@@ -263,7 +256,7 @@ class TestStackedRanks:
         early = np.array([[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]])
         late = np.array([[0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
         mats = [early, late, np.zeros((3, 5), dtype=np.int64)]
-        got = ranks(padded(mats), p)
+        got = ranks(mats, p)
         assert got.tolist() == [3, 2, 0]
         assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
         assert got.tolist() == [sympy_rank(a, p) for a in mats]
