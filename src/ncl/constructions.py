@@ -314,7 +314,8 @@ def trajectory_components(r: Realization, *,
         state_vars = [v for v in c.vars if topo.is_state(v)]
         if len(state_vars) < 2:
             continue
-        branch = b.project(list(c.vars))
+        # symbol coordinates add words but no edges: enumerate the state values only
+        branch = b.project(state_vars)
         offsets = [(v, branch.structure.offset(v), topo.var_dim(v)) for v in state_vars]
         for word in branch.enumerate(max_points):
             touched = [node_index[(v, word[at:at + d])] for v, at, d in offsets]

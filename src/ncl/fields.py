@@ -117,7 +117,7 @@ class MatrixF:
         return self._a[i]
 
     def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixF):
@@ -228,16 +228,22 @@ def kernel(m: MatrixF) -> "Subspace":
     return _rref_kernel(m.field, a, piv)
 
 
-def _rref_kernel(field: PrimeField, a: np.ndarray, piv: Sequence[int]) -> "Subspace":
-    """The right null space of a matrix in RREF with the given pivot columns."""
+def _null_rows(a: np.ndarray, piv: Sequence[int]) -> np.ndarray:
+    """Null rows of a matrix in RREF with the given pivot columns, not yet
+    canonical or reduced mod p: row f is e_f minus column f on the pivots.
+    Their transpose is the quotient map modulo the row space."""
     n = a.shape[1]
     pivset = set(piv)
     free = [f for f in range(n) if f not in pivset]
-    # one vector per free column f: e_f minus column f of the rref on the pivots
     rows = np.zeros((len(free), n), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     rows[:, list(piv)] = -a[:len(piv), free].T
-    return Subspace.spanned_by(field, n, MatrixF(field, rows))
+    return rows
+
+
+def _rref_kernel(field: PrimeField, a: np.ndarray, piv: Sequence[int]) -> "Subspace":
+    """The right null space of a matrix in RREF with the given pivot columns."""
+    return Subspace.spanned_by(field, a.shape[1], MatrixF(field, _null_rows(a, piv)))
 
 
 def inverse(m: MatrixF) -> MatrixF:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcode import BlockedCode
+from .blockcode import DEFAULT_ENUM_CAP, BlockedCode
 from .errors import BudgetExceededError
 from .realization import Realization
 
-DEFAULT_MAX_POINTS = 1 << 22
+DEFAULT_MAX_POINTS = DEFAULT_ENUM_CAP
 _CHUNK = 1 << 13
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import MatrixF, PrimeField, kernel, rank, ranks
+from .fields import MatrixF, PrimeField, kernel, ranks
 
 LEFT = "left"
 RIGHT = "right"
@@ -150,9 +150,12 @@ class Topology:
     def total_state_dim(self) -> int:
         return sum(s.dim for s in self.states)
 
-    def constraint_structure(self, cid: str) -> BlockStructure:
-        c = self.constraint(cid)
-        return BlockStructure(tuple((v, self.var_dim(v)) for v in c.vars))
+    def incidences(self, order: Sequence[str] | None = None) -> list[tuple[str, str]]:
+        """(constraint, state) pairs: constraints in the given order (topology
+        order when None), each constraint's states in the order of its vars."""
+        cids = self.constraint_ids() if order is None else order
+        return [(cid, v) for cid in cids for v in self.constraint(cid).vars
+                if self.is_state(v)]
 
     def _components(self) -> list[set[str]]:
         """Connected components of the constraint graph (states = edges)."""
@@ -433,7 +436,8 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 
     A rank test: trim means the code's basis columns at the state have
     full rank. Only on a failure is the projection built, to name the
-    first standard basis vector of the state space that it misses.
+    first standard basis vector of the state space that it misses: e_i
+    lies in an RREF row space exactly when i is a pivot whose row is e_i.
     """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
@@ -445,28 +449,25 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
     proj = code.project([state_id]).space
-    for i in range(d):
-        probe = np.zeros(d, dtype=np.int64)
-        probe[i] = 1
-        if not proj.contains(probe):
-            return TrimVerdict(False, constraint_id, state_id, tuple(int(x) for x in probe))
-    raise AssertionError("proper subspace with no missing standard vector")
+    units = {j for j, row in zip(proj.pivots, proj.basis.array) if np.count_nonzero(row) == 1}
+    i = min(set(range(d)) - units)
+    return TrimVerdict(False, constraint_id, state_id, tuple(int(k == i) for k in range(d)))
 
 
 def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     """Proper check for one constraint, with an offending codeword if any.
 
-    A rank test per state: the cross-section on the state is zero when
-    the code's check matrix has full column rank there. Only on a failure
-    is the cross-section built, to give its first canonical generator.
+    The trim question of the dual, per state: the cross-section on the
+    state is zero when the dual projects onto it, i.e. when the code's
+    check matrix has full column rank there. Only on a failure is the
+    cross-section built, to give its first canonical generator.
     """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
     code = r.code(constraint_id)
-    checks = code.dual()
     for v in c.vars:
         if (not r.topology.is_state(v)
-                or rank(MatrixF(r.field, _block(checks, v))) == r.topology.var_dim(v)):
+                or code.dual().projection_dim([v]) == r.topology.var_dim(v)):
             continue
         cs = code.cross_section([v])
         word = np.zeros(code.structure.total, dtype=np.int64)
@@ -635,14 +636,14 @@ def analyze(r: Realization) -> AnalysisReport:
     realized = b.projection_dim(topo.symbol_ids())
     unobs = b.dim - realized
     defect = controllability_defect(r)
-    incidences = [(c, v) for c in topo.constraints for v in c.vars if topo.is_state(v)]
+    incidences = topo.incidences()
     blocks = []
-    for c, v in incidences:
-        code = r.code(c.id)
+    for cid, v in incidences:
+        code = r.code(cid)
         blocks += (_block(code, v), _block(code.dual(), v))
     full = ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
-    trim_ok = {(c.id, v): ok for (c, v), ok in zip(incidences, full[0::2])}
-    improper = {c.id for (c, _), ok in zip(incidences, full[1::2]) if not ok}
+    trim_ok = dict(zip(incidences, full[0::2]))
+    improper = {cid for (cid, _), ok in zip(incidences, full[1::2]) if not ok}
     reports = []
     for c in topo.constraints:
         trims = tuple(TrimVerdict(True, c.id, v) if trim_ok[c.id, v] else is_trim(r, c.id, v)

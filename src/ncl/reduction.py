@@ -4,19 +4,21 @@ Each reduction shrinks one state space in place, preserves the realized
 code, and reports the coordinate map it applied. All of them take one
 step: given a state s and matrices F and X, each of the two codes at the
 ends of s keeps the words whose value v at s has v F = 0, and rewrites
-that value as v X. The moves differ only in how they choose F and X:
+that value as v X. F and X are read off a subspace L of the state space
+held in RREF, with pivot columns pi and free columns phi: row f of N(L)
+(fields._null_rows) is e_f minus column f of L on the pivots, and N(L)^T
+is the quotient map modulo L. To restrict to L is F = N(L)^T and
+X = I[:, pi]; to quotient by L is F with no columns and X = N(L)^T.
 
-- trim: a constraint's projection P onto the state misses part of it.
-  F spans P's orthogonal and X selects P's pivot coordinates.
-- merge: a constraint has nonzero codewords supported on the state
-  alone. F has no columns and X is the quotient map modulo their
-  values there.
-- unobservability trim: a nonzero all-zero-symbol trajectory has value
-  g at the state. With G a basis whose first row is g, F is the first
-  column of G^-1 and X the other columns.
+- trim: restrict to a constraint's projection onto the state.
+- merge: quotient by a constraint's cross-section on the state.
+- unobservability trim: L is the line spanned by the value at the state
+  of a nonzero all-zero-symbol trajectory, with pivot j. F = e_j keeps
+  the values with v_j = 0, and X = N(L)^T.
 - dual merge: the unobservability trim of the dual realization, seen on
-  the primal; it lowers the controllability defect. F has no columns
-  and X is G[1:].T, with G chosen on the dual.
+  the primal; it lowers the controllability defect. It is the quotient
+  by the coordinate line e_j, j the pivot of the line chosen on the
+  dual: F has no columns and X = I[:, phi].
 
 reduce_to_fixpoint and minimize_cycle_free share one driver. It sweeps
 the (constraint, state) incidences, constraints in order and each one's
@@ -34,7 +36,6 @@ is known to be "none": the sweep takes the same steps in the same order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +48,7 @@ from .errors import (
     NotReducibleError,
 )
 from .errors import UnknownBlockError
-from .fields import MatrixF, complete_to_basis, inverse, kernel, rank
+from .fields import MatrixF, Subspace, _null_rows, kernel, rank
 from .realization import (
     Realization,
     Topology,
@@ -123,6 +124,11 @@ def _incident_dim(r: Realization, state_id: str, constraint_id: str) -> int:
     return state.dim
 
 
+def _quotient_map(space: Subspace) -> np.ndarray:
+    """N(L)^T for the subspace L (module docstring): the quotient map modulo L."""
+    return _null_rows(space.basis.array, space.pivots).T
+
+
 def trim_state(r: Realization, state_id: str, constraint_id: str
                ) -> tuple[Realization, ReductionStep]:
     """Restrict one state space to the given constraint's projection onto it."""
@@ -131,10 +137,8 @@ def trim_state(r: Realization, state_id: str, constraint_id: str
     if proj.dim == d:
         raise NotReducibleError(
             f"constraint {constraint_id!r} is already trim at state {state_id!r}")
-    # RREF basis: coordinates of a value inside proj are its pivot entries
     selector = np.eye(d, dtype=np.int64)[:, list(proj.pivots)]
-    return _shrink(r, TRIM, state_id, proj.orthogonal().basis.array.T, selector,
-                   constraint_id)
+    return _shrink(r, TRIM, state_id, _quotient_map(proj), selector, constraint_id)
 
 
 def merge_state(r: Realization, state_id: str, constraint_id: str
@@ -145,17 +149,15 @@ def merge_state(r: Realization, state_id: str, constraint_id: str
     if section.dim == 0:
         raise NotReducibleError(
             f"constraint {constraint_id!r} is already proper at state {state_id!r}")
-    complement = complete_to_basis(section.basis)
-    q = MatrixF(r.field, np.vstack([complement.array, section.basis.array]))
-    x = inverse(q).array[:, :d - section.dim]
-    return _shrink(r, MERGE, state_id, np.zeros((d, 0), dtype=np.int64), x, constraint_id)
+    return _shrink(r, MERGE, state_id, np.zeros((d, 0), dtype=np.int64),
+                   _quotient_map(section), constraint_id)
 
 
-def _unobservable_direction(r: Realization) -> tuple[str, MatrixF]:
-    """Pick the state and basis used by the unobservability trim.
+def _unobservable_direction(r: Realization) -> tuple[str, Subspace]:
+    """Pick the state and the line of it that the unobservability trim cuts.
 
-    Returns (state_id, G) where G is a basis of that state space whose
-    first row is the chosen trajectory's value there. Deterministic:
+    Returns (state_id, L) with L the line spanned by the chosen
+    trajectory's value there; its RREF row has one pivot j. Deterministic:
     first canonical generator of the unobservable behavior, then the
     first state (topology order) where it is nonzero.
     """
@@ -167,42 +169,40 @@ def _unobservable_direction(r: Realization) -> tuple[str, MatrixF]:
         at = unobs.structure.offset(state.id)
         block = trajectory[at:at + state.dim]
         if block.any():
-            seed = MatrixF(r.field, block.reshape(1, -1))
-            g = np.vstack([seed.array, complete_to_basis(seed).array])
-            return state.id, MatrixF(r.field, g)
+            return state.id, Subspace.spanned_by(r.field, state.dim,
+                                                 MatrixF(r.field, block.reshape(1, -1)))
     raise AssertionError("nonzero unobservable trajectory with all-zero state blocks")
 
 
 def reduce_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     """Cut the direction of one state space spanned by an unobservable trajectory.
 
-    The state's dim, dim B, and the unobservable dimension each drop by
-    exactly one; the realized code is unchanged.
+    With L that line and j its pivot, the step keeps the values with
+    v_j = 0 and reads them modulo L: F = e_j, X = N(L)^T. The state's
+    dim, dim B, and the unobservable dimension each drop by exactly one;
+    the realized code is unchanged.
     """
     r.ensure_valid()
-    state_id, g = _unobservable_direction(r)
-    gi = inverse(g).array
-    return _shrink(r, UNOBS_TRIM, state_id, gi[:, :1], gi[:, 1:])
+    state_id, line = _unobservable_direction(r)
+    e_j = np.eye(line.ambient, dtype=np.int64)[:, list(line.pivots)]
+    return _shrink(r, UNOBS_TRIM, state_id, e_j, _quotient_map(line))
 
 
 def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     """Merge the state that the dual's unobservability trim would cut;
     lowers the defect.
 
-    That trim keeps the dual words with w @ G^-1[:, 0] = 0 and maps w to
-    w @ G^-1[:, 1:]. The orthogonal of its result maps v to v @ G[1:].T
-    and restricts nothing, so the dual is built only to choose G.
+    That trim keeps the dual words whose value w has w_j = 0 and maps w
+    to w N(L)^T, with L the dual's chosen line and j its pivot. The
+    orthogonal of its result keeps every primal word and drops the
+    coordinate j of its value, X = I[:, phi], so the dual is built only
+    to choose L.
     """
     r.ensure_valid()
-    state_id, g = _unobservable_direction(dualize(r))
-    return _shrink(r, DUAL_MERGE, state_id, np.zeros((g.rows, 0), dtype=np.int64),
-                   g.array[1:].T)
-
-
-def _incidences(topo: Topology, order: Sequence[str]) -> list[tuple[str, str]]:
-    """(constraint, state) pairs in the driver's sweep order (module docstring)."""
-    return [(cid, sid) for cid in order for sid in topo.constraint(cid).vars
-            if topo.is_state(sid)]
+    state_id, line = _unobservable_direction(dualize(r))
+    d = line.ambient
+    keep = np.delete(np.eye(d, dtype=np.int64), list(line.pivots), axis=1)
+    return _shrink(r, DUAL_MERGE, state_id, np.zeros((d, 0), dtype=np.int64), keep)
 
 
 def _local_reduction(r: Realization, constraint_id: str, state_id: str) -> str | None:
@@ -223,7 +223,7 @@ def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
     clean maps an incidence to the code object last found irreducible
     there; codes are immutable and a step swaps in new objects.
     """
-    pairs = _incidences(r.topology, order)
+    pairs = r.topology.incidences(order)
     steps: list[ReductionStep] = []
     clean: dict[tuple[str, str], BlockedCode] = {}
     while True:
@@ -247,7 +247,7 @@ def next_reduction(r: Realization) -> tuple[str, str, str] | None:
     """The first move of reduce_to_fixpoint's sweep as (kind, state_id,
     constraint_id), or None when no trim or merge applies anywhere."""
     r.ensure_valid()
-    for cid, sid in _incidences(r.topology, r.topology.constraint_ids()):
+    for cid, sid in r.topology.incidences():
         kind = _local_reduction(r, cid, sid)
         if kind is not None:
             return kind, sid, cid
@@ -306,22 +306,10 @@ class EdgeCut:
 
 def _side_symbols(topo: Topology, cut_state: str, root: str) -> list[str]:
     """Symbol ids reachable from root without crossing the cut edge."""
-    reach = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for s in topo.states:
-            if s.id == cut_state:
-                continue
-            for a, b in ((s.left, s.right), (s.right, s.left)):
-                if a == v and b not in reach:
-                    reach.add(b)
-                    queue.append(b)
-    out = []
-    for c in topo.constraints:
-        if c.id not in reach:
-            continue
-        out.extend(v for v in c.vars if topo.is_symbol(v))
+    cut = Topology(topo.symbols, tuple(s for s in topo.states if s.id != cut_state),
+                   topo.constraints)
+    reach = next(comp for comp in cut._components() if root in comp)
+    out = [v for c in topo.constraints if c.id in reach for v in c.vars if topo.is_symbol(v)]
     order = {sid: i for i, sid in enumerate(topo.symbol_ids())}
     out.sort(key=order.__getitem__)
     return out
@@ -344,9 +332,9 @@ def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     for s in topology.states:
         past = _side_symbols(topology, s.id, s.left)
         future = _side_symbols(topology, s.id, s.right)
-        proj = code.project(past).dim
-        sect = code.cross_section(past).dim
-        f_dim = code.project(future).dim - code.cross_section(future).dim
+        proj = code.projection_dim(past)
+        sect = code.cross_section_dim(past)
+        f_dim = code.projection_dim(future) - code.cross_section_dim(future)
         if proj - sect != f_dim:
             raise AssertionError(
                 f"cut at {s.id!r}: past gives {proj - sect}, future gives {f_dim}")

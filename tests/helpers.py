@@ -23,6 +23,7 @@ from ncl import (
     Subspace,
     SymbolVar,
     Topology,
+    complete_to_basis,
     dualize,
     product_trellis,
     reduce_unobservable,
@@ -73,10 +74,11 @@ def reference_dual_merge(r: Realization) -> tuple[Realization, ReductionStep]:
     """The dual merge as the composition that defines it: the
     unobservability trim of the dual realization, dualized back."""
     rd = dualize(r)
-    state_id, g = _unobservable_direction(rd)
+    state_id, line = _unobservable_direction(rd)
     trimmed, _ = reduce_unobservable(rd)
-    step = ReductionStep("dual-merge", state_id, g.rows, g.rows - 1,
-                         MatrixF(r.field, g.array[1:]))
+    # G[1:] of the basis G = [g; complete_to_basis(g)] that the trim cuts g from
+    rest = complete_to_basis(line.basis)
+    step = ReductionStep("dual-merge", state_id, line.ambient, line.ambient - 1, rest)
     return dualize(trimmed), step
 
 

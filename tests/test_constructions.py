@@ -257,6 +257,18 @@ class TestTrajectoryComponents:
         r = example3_dual_product()
         assert trajectory_components(r).defect == controllability_defect(r)
 
+    def test_budget_counts_state_values_not_symbol_coordinates(self):
+        # every state value and every branch's pair of state values fits a
+        # budget of 4, but c1's branches with their symbol coordinate are 8
+        gens = [SpannedGenerator((1, 1, 0), Span(0, 1)),
+                SpannedGenerator((0, 1, 1), Span(1, 2)),
+                SpannedGenerator((1, 0, 1), Span(2, 0)),
+                SpannedGenerator((0, 1, 0), Span(1, 1))]
+        r = product_trellis(GF2, 3, gens, "tail-biting")
+        rep = trajectory_components(r, max_points=4)
+        assert rep == trajectory_components(r, max_points=8)
+        assert rep.count == 1
+
 
 class TestRandomSupportMatrices:
     def test_generator_and_check_sides_agree_with_brute_force(self):

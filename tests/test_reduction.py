@@ -1,7 +1,9 @@
 """Local reductions, the fixpoint driver, the tree minimizer, cut dims."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ncl import (
@@ -13,13 +15,17 @@ from ncl import (
     MatrixF,
     NotCycleFreeError,
     NotReducibleError,
+    PrimeField,
     ReductionStep,
+    Subspace,
     UnknownBlockError,
     brute_realized_words,
+    complete_to_basis,
     controllability_defect,
     cut_dims,
     dual_merge_unobservable,
     dualize,
+    inverse,
     is_observable,
     is_proper,
     is_trim,
@@ -33,8 +39,9 @@ from ncl import (
     unobservable_behavior,
     validate,
 )
+from ncl.reduction import DUAL_MERGE, MERGE, UNOBS_TRIM, _quotient_map, _shrink
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
-from helpers import identity, random_tree_realization
+from helpers import identity, random_realization, random_tree_realization
 
 
 def state_dims(r):
@@ -263,3 +270,103 @@ class TestCutDims:
             cuts = {c.state_id: c.minimal_dim
                     for c in cut_dims(realized_code(r), r.topology)}
             assert state_dims(minimal) == cuts
+
+
+def complete_and_invert(field, rows):
+    """The old construction of the unobservability moves: G = [rows; complete_to_basis(rows)]
+    and its inverse."""
+    g = np.vstack([rows, complete_to_basis(MatrixF(field, rows)).array])
+    return g, inverse(MatrixF(field, g)).array
+
+
+def old_merge_maps(r, sid, cid):
+    """(F, X) of merge_state as [complement; section]^-1 restricted to the complement."""
+    section = r.code(cid).cross_section([sid]).space
+    d, k = section.ambient, section.dim
+    complement = complete_to_basis(section.basis).array
+    q = inverse(MatrixF(r.field, np.vstack([complement, section.basis.array]))).array
+    return np.zeros((d, 0), dtype=np.int64), q[:, :d - k]
+
+
+def old_direction(r):
+    """The state and value g of the first canonical unobservable trajectory."""
+    unobs = unobservable_behavior(r)
+    trajectory = unobs.space.basis.array[0]
+    for s in r.topology.states:
+        at = unobs.structure.offset(s.id)
+        if trajectory[at:at + s.dim].any():
+            return s.id, trajectory[at:at + s.dim].reshape(1, -1)
+
+
+class TestMapsMatchCompleteAndInvert:
+    """Every move reads its maps off an RREF basis; the old construction
+    completed a basis and inverted it. Both give the same steps."""
+
+    FIELDS = (GF2, GF3, PrimeField(5), PrimeField(7))
+
+    def test_moves_on_random_realizations(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for i in range(160):
+            field = self.FIELDS[i % 4]
+            r = random_realization(rng, field, max_dim=3, total_cap=14)
+            for cid, sid in r.topology.incidences():
+                section_dim = r.code(cid).cross_section_dim([sid])
+                if section_dim == 0:
+                    continue
+                f, x = old_merge_maps(r, sid, cid)
+                got = merge_state(r, sid, cid)
+                assert got == _shrink(r, MERGE, sid, f, x, cid)
+                assert got[1].basis_change == MatrixF(field, x.T)
+                seen["merge", min(section_dim, 2)] += 1
+            if not is_observable(r):
+                sid, g = old_direction(r)
+                _, gi = complete_and_invert(field, g)
+                got = reduce_unobservable(r)
+                assert got == _shrink(r, UNOBS_TRIM, sid, gi[:, :1], gi[:, 1:])
+                assert got[1].basis_change == MatrixF(field, gi[:, 1:].T)
+                seen["unobs"] += 1
+            if controllability_defect(r) > 0:
+                sid, g = old_direction(dualize(r))
+                gg, _ = complete_and_invert(field, g)
+                d = gg.shape[0]
+                got = dual_merge_unobservable(r)
+                assert got == _shrink(r, DUAL_MERGE, sid, np.zeros((d, 0), dtype=np.int64),
+                                      gg[1:].T)
+                assert got[1].basis_change == MatrixF(field, gg[1:])
+                seen["dual"] += 1
+        assert seen["merge", 1] and seen["merge", 2] and seen["unobs"] and seen["dual"], seen
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_line_maps_for_any_leading_entry(self, p):
+        # the moves above only meet values whose first nonzero entry is 1,
+        # because they come from a canonical generator; the maps hold for any
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            d = rng.randint(1, 5)
+            g = np.zeros((1, d), dtype=np.int64)
+            j = rng.randrange(d)
+            g[0, j] = rng.randrange(2, p)
+            g[0, j + 1:] = [rng.randrange(p) for _ in range(d - j - 1)]
+            gg, gi = complete_and_invert(field, g)
+            line = Subspace.spanned_by(field, d, MatrixF(field, g))
+            assert line.pivots == (j,)
+            assert MatrixF(field, _quotient_map(line)) == MatrixF(field, gi[:, 1:])
+            assert MatrixF(field, gi[:, :1] * g[0, j]) == MatrixF(field, np.eye(d)[:, [j]])
+            kept = np.delete(np.eye(d, dtype=np.int64), list(line.pivots), axis=1)
+            assert MatrixF(field, kept) == MatrixF(field, gg[1:].T)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_quotient_map_of_any_subspace(self, p):
+        field = PrimeField(p)
+        rng = random.Random(10 + p)
+        for _ in range(40):
+            d = rng.randint(1, 6)
+            rows = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randint(1, d))]
+            space = Subspace.spanned_by(field, d, rows)
+            if space.dim == 0:
+                continue
+            q = inverse(MatrixF(field, np.vstack([complete_to_basis(space.basis).array,
+                                                  space.basis.array]))).array
+            assert MatrixF(field, _quotient_map(space)) == MatrixF(field, q[:, :d - space.dim])
