@@ -161,9 +161,7 @@ class BlockedCode:
         for lo in range(0, count, chunk):
             idx = np.arange(lo, min(lo + chunk, count), dtype=np.int64)
             coeffs = (idx[:, None] // powers) % p
-            words = (coeffs @ basis) % p
-            for w in words:
-                yield tuple(int(x) for x in w)
+            yield from map(tuple, ((coeffs @ basis) % p).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedCode):

@@ -7,7 +7,8 @@ command that writes a file reports it through one helper.
 
 Exit codes: 0 success, 1 a verification found a mismatch, 2 invalid
 input (bad document, invalid realization, cyclic input to minimize,
-enumeration budget exceeded). With --json every result and error is a
+enumeration budget exceeded, an expected code over another field or of
+another length). With --json every result and error is a
 machine-readable JSON object; errors go to stderr either way.
 """
 

@@ -8,13 +8,14 @@ trajectory_components builds the graph whose nodes are reachable state
 values and whose edges are the branches of the behavior, and counts its
 connected components. For a reduced tail-biting trellis, more than one
 component is equivalent to uncontrollability; for anything else the
-verdict is withheld.
+verdict is withheld. One union-find (realization._component_labels)
+finds these components and every constraint-graph component too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .realization import (
     StateVar,
     SymbolVar,
     Topology,
+    _component_labels,
     behavior,
     controllability_defect,
     is_reduced,
@@ -297,38 +299,21 @@ def trajectory_components(r: Realization, *,
         for value in proj.enumerate(max_points):
             node_index.setdefault((s.id, value), len(node_index))
 
-    parent = list(range(len(node_index)))
+    def branch_edges() -> Iterator[tuple[int, int]]:
+        for c in topo.constraints:
+            state_vars = [v for v in c.vars if topo.is_state(v)]
+            if len(state_vars) < 2:
+                continue
+            # symbol coordinates add words but no edges: enumerate the state values only
+            branch = b.project(state_vars)
+            offsets = [(v, branch.structure.offset(v), topo.var_dim(v)) for v in state_vars]
+            for word in branch.enumerate(max_points):
+                touched = [node_index[(v, word[at:at + d])] for v, at, d in offsets]
+                yield from zip(touched, touched[1:])
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for c in topo.constraints:
-        state_vars = [v for v in c.vars if topo.is_state(v)]
-        if len(state_vars) < 2:
-            continue
-        # symbol coordinates add words but no edges: enumerate the state values only
-        branch = b.project(state_vars)
-        offsets = [(v, branch.structure.offset(v), topo.var_dim(v)) for v in state_vars]
-        for word in branch.enumerate(max_points):
-            touched = [node_index[(v, word[at:at + d])] for v, at, d in offsets]
-            for a, bb in zip(touched, touched[1:]):
-                union(a, bb)
-
-    roots: dict[int, int] = {}
-    partition = []
-    for (sid, value), idx in node_index.items():
-        root = find(idx)
-        comp = roots.setdefault(root, len(roots))
-        partition.append((sid, value, comp))
-    count = max(len(roots), 1)
+    labels = _component_labels(len(node_index), branch_edges())
+    partition = tuple((sid, value, comp) for (sid, value), comp in zip(node_index, labels))
+    count = max(labels, default=0) + 1
 
     tb = is_tail_biting_trellis(topo)
     red = is_reduced(r)
@@ -340,4 +325,4 @@ def trajectory_components(r: Realization, *,
         verdict = None
         warning = ("connectivity verdict withheld: disconnection is equivalent to "
                    "uncontrollability only for reduced tail-biting trellises")
-    return ComponentReport(count, tuple(partition), tb, red, defect, verdict, warning)
+    return ComponentReport(count, partition, tb, red, defect, verdict, warning)

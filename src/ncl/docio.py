@@ -71,6 +71,21 @@ def _matrix(field: PrimeField, rows: list[list[int]], width: int, path: str) -> 
         raise DocumentError(path, f"cannot hold a {len(rows)} x {width} matrix: {e}") from None
 
 
+def _document_head(text: str) -> tuple[dict, PrimeField]:
+    """The JSON object a document holds and the prime field it names."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError("$", f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DocumentError("$", "expected a JSON object")
+    p = _require(doc, "field", int, "$")
+    try:
+        return doc, PrimeField(p)
+    except ValueError as e:
+        raise DocumentError("$.field", str(e)) from None
+
+
 def parse_realization(text: str) -> Realization:
     """Read a realization document; structural soundness is checked later.
 
@@ -78,18 +93,7 @@ def parse_realization(text: str) -> Realization:
     Whether the parsed realization satisfies the graph invariants is the
     validate step's job; ids are preserved for its messages.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError("$", f"not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "expected a JSON object")
-
-    p = _require(doc, "field", int, "$")
-    try:
-        field = PrimeField(p)
-    except ValueError as e:
-        raise DocumentError("$.field", str(e)) from None
+    doc, field = _document_head(text)
 
     symbols = []
     for i, entry in enumerate(_require(doc, "symbols", list, "$")):
@@ -132,7 +136,8 @@ def parse_realization(text: str) -> Realization:
                 raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
             if v in raw_vars[:j]:
                 raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
-        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators", p)
+        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators",
+                        field.p)
         width = sum(dim_of[v] for v in raw_vars)
         for j, row in enumerate(rows):
             if len(row) != width:
@@ -178,18 +183,8 @@ def emit_realization(r: Realization) -> str:
 
 def parse_code_document(text: str) -> BlockedCode:
     """Read an expected-code document: field, generators, optional width."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError("$", f"not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "expected a JSON object")
-    p = _require(doc, "field", int, "$")
-    try:
-        field = PrimeField(p)
-    except ValueError as e:
-        raise DocumentError("$.field", str(e)) from None
-    rows = _int_rows(_require(doc, "generators", list, "$"), "$.generators", p)
+    doc, field = _document_head(text)
+    rows = _int_rows(_require(doc, "generators", list, "$"), "$.generators", field.p)
     width = doc.get("width")
     if width is None:
         if not rows:

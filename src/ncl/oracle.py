@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcode import DEFAULT_ENUM_CAP, BlockedCode
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DimensionMismatchError, FieldMismatchError
 from .realization import Realization
 
 DEFAULT_MAX_POINTS = DEFAULT_ENUM_CAP
@@ -128,7 +128,20 @@ class RealizesVerdict:
 
 def check_realizes(r: Realization, expected: BlockedCode,
                    budget: EnumerationBudget | None = None) -> RealizesVerdict:
-    """Set-compare the realized words with the expected code's words."""
+    """Set-compare the realized words with the expected code's words.
+
+    An expected code over another field or of another length is a typed
+    error, raised before anything is enumerated: its words could only
+    differ from the realized ones.
+    """
+    if expected.field != r.field:
+        raise FieldMismatchError(
+            f"expected code is over {expected.field!r}, realization over {r.field!r}")
+    width = r.topology.total_symbol_dim()
+    if expected.structure.total != width:
+        raise DimensionMismatchError(
+            f"expected code has length {expected.structure.total}, "
+            f"the realized code {width}")
     budget = budget or EnumerationBudget()
     got = brute_realized_words(r, budget)
     want = set(expected.enumerate(budget.max_points))

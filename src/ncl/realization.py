@@ -9,10 +9,9 @@ every constraint; the realized code is its projection onto the symbols.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +21,24 @@ from .fields import MatrixF, PrimeField, kernel, ranks
 
 LEFT = "left"
 RIGHT = "right"
+
+
+def _component_labels(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over nodes 0..n-1: each node's component number, with
+    components numbered in the order of their first node, so the labels
+    do not depend on the direction of any union."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(b)] = find(a)
+    numbers: dict[int, int] = {}
+    return [numbers.setdefault(find(x), len(numbers)) for x in range(n)]
 
 
 @dataclass(frozen=True)
@@ -157,28 +174,17 @@ class Topology:
         return [(cid, v) for cid in cids for v in self.constraint(cid).vars
                 if self.is_state(v)]
 
-    def _components(self) -> list[set[str]]:
-        """Connected components of the constraint graph (states = edges)."""
-        adjacency: dict[str, set[str]] = {c.id: set() for c in self.constraints}
-        for s in self.states:
-            if s.left in adjacency and s.right in adjacency:
-                adjacency[s.left].add(s.right)
-                adjacency[s.right].add(s.left)
-        seen: set[str] = set()
-        comps: list[set[str]] = []
-        for start in adjacency:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in adjacency[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(comp)
+    def _components(self, cut: str | None = None) -> list[set[str]]:
+        """Connected components of the constraint graph, without the state
+        cut if one is given, in the order of their first constraint."""
+        ids = list(dict.fromkeys(self.constraint_ids()))
+        index = {cid: i for i, cid in enumerate(ids)}
+        labels = _component_labels(len(ids), (
+            (index[s.left], index[s.right]) for s in self.states
+            if s.id != cut and s.left in index and s.right in index))
+        comps: list[set[str]] = [set() for _ in range(max(labels, default=-1) + 1)]
+        for cid, label in zip(ids, labels):
+            comps[label].add(cid)
         return comps
 
     def is_connected(self) -> bool:
@@ -315,6 +321,15 @@ class Realization:
         if self._issues:
             raise InvalidRealizationError(self._issues)
 
+    def _incident_dim(self, constraint_id: str, state_id: str) -> int:
+        """The dim of a state of this valid realization that the constraint lists."""
+        self.ensure_valid()
+        state = self.topology.state(state_id)
+        if state_id not in self.topology.constraint(constraint_id).vars:
+            raise UnknownBlockError(
+                f"state {state_id!r} is not involved in constraint {constraint_id!r}")
+        return state.dim
+
     def _with_state(self, state_id: str, new_dim: int,
                     replaced: Mapping[str, BlockedCode]) -> "Realization":
         """This valid realization with one state's dim changed and the codes
@@ -439,13 +454,8 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     first standard basis vector of the state space that it misses: e_i
     lies in an RREF row space exactly when i is a pivot whose row is e_i.
     """
-    r.ensure_valid()
-    c = r.topology.constraint(constraint_id)
-    if state_id not in c.vars or not r.topology.is_state(state_id):
-        raise UnknownBlockError(
-            f"state {state_id!r} is not involved in constraint {constraint_id!r}")
+    d = r._incident_dim(constraint_id, state_id)
     code = r.code(constraint_id)
-    d = r.topology.var_dim(state_id)
     if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
     proj = code.project([state_id]).space

@@ -47,7 +47,6 @@ from .errors import (
     NotCycleFreeError,
     NotReducibleError,
 )
-from .errors import UnknownBlockError
 from .fields import MatrixF, Subspace, _null_rows, kernel, rank
 from .realization import (
     Realization,
@@ -114,16 +113,6 @@ def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarr
     return r._with_state(state_id, new_dim, replaced), step
 
 
-def _incident_dim(r: Realization, state_id: str, constraint_id: str) -> int:
-    """The dim of a state of the valid realization r that touches the constraint."""
-    r.ensure_valid()
-    state = r.topology.state(state_id)
-    if state_id not in r.topology.constraint(constraint_id).vars:
-        raise UnknownBlockError(
-            f"state {state_id!r} is not involved in constraint {constraint_id!r}")
-    return state.dim
-
-
 def _quotient_map(space: Subspace) -> np.ndarray:
     """N(L)^T for the subspace L (module docstring): the quotient map modulo L."""
     return _null_rows(space.basis.array, space.pivots).T
@@ -132,7 +121,7 @@ def _quotient_map(space: Subspace) -> np.ndarray:
 def trim_state(r: Realization, state_id: str, constraint_id: str
                ) -> tuple[Realization, ReductionStep]:
     """Restrict one state space to the given constraint's projection onto it."""
-    d = _incident_dim(r, state_id, constraint_id)
+    d = r._incident_dim(constraint_id, state_id)
     proj = r.code(constraint_id).project([state_id]).space
     if proj.dim == d:
         raise NotReducibleError(
@@ -144,7 +133,7 @@ def trim_state(r: Realization, state_id: str, constraint_id: str
 def merge_state(r: Realization, state_id: str, constraint_id: str
                 ) -> tuple[Realization, ReductionStep]:
     """Quotient one state space by the given constraint's cross-section on it."""
-    d = _incident_dim(r, state_id, constraint_id)
+    d = r._incident_dim(constraint_id, state_id)
     section = r.code(constraint_id).cross_section([state_id]).space
     if section.dim == 0:
         raise NotReducibleError(
@@ -304,12 +293,9 @@ class EdgeCut:
         return self.projection_dim - self.cross_section_dim
 
 
-def _side_symbols(topo: Topology, cut_state: str, root: str) -> list[str]:
-    """Symbol ids reachable from root without crossing the cut edge."""
-    cut = Topology(topo.symbols, tuple(s for s in topo.states if s.id != cut_state),
-                   topo.constraints)
-    reach = next(comp for comp in cut._components() if root in comp)
-    out = [v for c in topo.constraints if c.id in reach for v in c.vars if topo.is_symbol(v)]
+def _side_symbols(topo: Topology, side: set[str]) -> list[str]:
+    """Symbol ids of the constraints on one side of a cut, in symbol order."""
+    out = [v for c in topo.constraints if c.id in side for v in c.vars if topo.is_symbol(v)]
     order = {sid: i for i, sid in enumerate(topo.symbol_ids())}
     out.sort(key=order.__getitem__)
     return out
@@ -319,7 +305,8 @@ def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     """Minimal state dim at every tree edge: dim(projection) - dim(cross-section).
 
     Computed from the past side of each cut and checked against the
-    future side, which must agree.
+    future side, which must agree. A tree without one edge has two
+    components, one at each end of that edge: one call gives both sides.
     """
     if not topology.is_cycle_free():
         raise NotCycleFreeError("cut dimensions are defined on trees only")
@@ -330,8 +317,9 @@ def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
             "code blocks do not match the topology's symbols")
     cuts = []
     for s in topology.states:
-        past = _side_symbols(topology, s.id, s.left)
-        future = _side_symbols(topology, s.id, s.right)
+        comps = topology._components(s.id)
+        past, future = (_side_symbols(topology, next(c for c in comps if end in c))
+                        for end in (s.left, s.right))
         proj = code.projection_dim(past)
         sect = code.cross_section_dim(past)
         f_dim = code.projection_dim(future) - code.cross_section_dim(future)

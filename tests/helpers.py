@@ -23,6 +23,7 @@ from ncl import (
     Subspace,
     SymbolVar,
     Topology,
+    behavior,
     complete_to_basis,
     dualize,
     product_trellis,
@@ -80,6 +81,51 @@ def reference_dual_merge(r: Realization) -> tuple[Realization, ReductionStep]:
     rest = complete_to_basis(line.basis)
     step = ReductionStep("dual-merge", state_id, line.ambient, line.ambient - 1, rest)
     return dualize(trimmed), step
+
+
+def reference_trajectory_partition(r: Realization, max_points: int
+                                   ) -> tuple[int, tuple[tuple[str, tuple[int, ...], int], ...]]:
+    """(count, partition) of the trajectory graph by its own union-find, as
+    trajectory_components computed them before the constraint graph and
+    the trajectory graph shared one: components numbered in the order of
+    their first (state, value) node."""
+    b = behavior(r)
+    topo = r.topology
+    node_index: dict[tuple[str, tuple[int, ...]], int] = {}
+    for s in topo.states:
+        for value in b.project([s.id]).enumerate(max_points):
+            node_index.setdefault((s.id, value), len(node_index))
+
+    parent = list(range(len(node_index)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for c in topo.constraints:
+        state_vars = [v for v in c.vars if topo.is_state(v)]
+        if len(state_vars) < 2:
+            continue
+        branch = b.project(state_vars)
+        offsets = [(v, branch.structure.offset(v), topo.var_dim(v)) for v in state_vars]
+        for word in branch.enumerate(max_points):
+            touched = [node_index[(v, word[at:at + d])] for v, at, d in offsets]
+            for a, bb in zip(touched, touched[1:]):
+                union(a, bb)
+
+    roots: dict[int, int] = {}
+    partition = []
+    for (sid, value), idx in node_index.items():
+        comp = roots.setdefault(find(idx), len(roots))
+        partition.append((sid, value, comp))
+    return max(len(roots), 1), tuple(partition)
 
 
 def random_matrix(rng: random.Random, field: PrimeField, rows: int, cols: int) -> MatrixF:

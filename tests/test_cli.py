@@ -469,7 +469,8 @@ class TestErrorMapping:
 # several, and the error paths, as exact stdout, stderr, exit code and
 # written files. tests/data/cli_transcripts.json holds the expected rows; a
 # row changes only when an output is meant to change. Rewrite it with
-# `PYTHONPATH=src:tests python tests/test_cli.py --record`.
+# `PYTHONPATH=src:tests python tests/test_cli.py --record`, which prints the
+# keys of the rows it added, changed or removed.
 
 TRANSCRIPTS = DATA / "cli_transcripts.json"
 INVALID_DOC = ('{"field": 2,'
@@ -479,7 +480,11 @@ INVALID_DOC = ('{"field": 2,'
                ' {"id": "c1", "vars": ["a1"], "generators": [[1]]}]}')
 # example1, the conv_path trellis, example1's dual, a GF(3) tail-biting
 # trellis with a degenerate span, and a GF(11) generator realization;
-# conv_dual.json is not trim, so its analyze rows carry trim witnesses
+# conv_dual.json is not trim, so its analyze rows carry trim witnesses;
+# one.json holds one GF(2) symbol, against which code3.json is over
+# another field and long.json has another length
+ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [],'
+                  ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
 DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")
 
 
@@ -510,6 +515,9 @@ def transcript_files() -> dict[str, str]:
         "wrong.json": WRONG_CODE,
         "code11.json": '{"field": 11, "generators": [[1, 10], [0, 4]]}\n',
         "wrong11.json": '{"field": 11, "generators": [[1, 9]]}\n',
+        "one.json": ONE_SYMBOL_DOC,
+        "code3.json": '{"field": 3, "generators": [[1]]}\n',
+        "long.json": '{"field": 2, "generators": [[1, 1]]}\n',
     }
 
 
@@ -550,6 +558,8 @@ def transcript_argvs() -> list[list[str]]:
                  ["verify", "ex1.json", "--expect", "wrong.json"],
                  ["verify", "gf11.json", "--expect", "code11.json"],
                  ["verify", "gf11.json", "--expect", "wrong11.json"],
+                 ["verify", "one.json", "--expect", "code3.json"],
+                 ["verify", "one.json", "--expect", "long.json"],
                  ["verify", "ex1.json", "dual.json", "--expect", "code.json"],
                  ["verify", "ex1.json", "--expect", "nope.json"],
                  ["verify", "ex1.json", "--budget", "63"],
@@ -599,8 +609,13 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import tempfile
 
     os.environ.pop("NCL_BUDGET", None)
+    old = json.loads(TRANSCRIPTS.read_text(encoding="utf-8")) if TRANSCRIPTS.exists() else {}
     table = {}
     for argv in transcript_argvs():
         with tempfile.TemporaryDirectory() as where:
             table[" ".join(argv)] = run_transcript(argv, Path(where))
     TRANSCRIPTS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    report = [f"added: {key}" for key in table if key not in old]
+    report += [f"changed: {key}" for key in table if key in old and table[key] != old[key]]
+    report += [f"removed: {key}" for key in old if key not in table]
+    print("\n".join(report) or "no row changed")

@@ -8,6 +8,7 @@ from ncl import (
     GF2,
     GF3,
     InvalidRealizationError,
+    PrimeField,
     Span,
     SpannedGenerator,
     Subspace,
@@ -38,7 +39,12 @@ from fixtures import (
     example3,
     example3_dual_product,
 )
-from helpers import random_support_matrix
+from helpers import (
+    random_realization,
+    random_support_matrix,
+    random_tail_biting_product,
+    reference_trajectory_partition,
+)
 
 
 class TestSpan:
@@ -268,6 +274,19 @@ class TestTrajectoryComponents:
         rep = trajectory_components(r, max_points=4)
         assert rep == trajectory_components(r, max_points=8)
         assert rep.count == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_partition_matches_the_reference_union_find(self, p):
+        rng = random.Random(900 + p)
+        field = PrimeField(p)
+        split = 0
+        for i in range(80):
+            r = (random_tail_biting_product(rng, field, max_n=6, max_gens=3) if i % 2
+                 else random_realization(rng, field, max_constraints=5))
+            rep = trajectory_components(r)
+            assert (rep.count, rep.partition) == reference_trajectory_partition(r, 4096)
+            split += rep.count > 1
+        assert split >= 10
 
 
 class TestRandomSupportMatrices:

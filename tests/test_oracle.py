@@ -9,7 +9,9 @@ from ncl import (
     BlockStructure,
     BudgetExceededError,
     Constraint,
+    DimensionMismatchError,
     EnumerationBudget,
+    FieldMismatchError,
     InvalidRealizationError,
     Realization,
     SymbolVar,
@@ -91,3 +93,18 @@ class TestCheckRealizes:
             GF2, BlockStructure((("word", 3),)), [[1, 1, 0], [1, 0, 1]])
         with pytest.raises(BudgetExceededError):
             check_realizes(example1(), expected, EnumerationBudget(8))
+
+    # the reproducer of a foreign expected code: one GF(2) symbol, code <1>
+    @pytest.mark.parametrize("field, rows, error", [
+        (GF3, [[1]], FieldMismatchError),
+        (GF2, [[1, 1]], DimensionMismatchError),
+    ])
+    def test_foreign_code_is_a_typed_error_before_enumerating(self, field, rows, error):
+        symbols = (SymbolVar("a0", 1),)
+        cons = (Constraint("c0", ("a0",)),)
+        codes = {"c0": BlockedCode.from_rows(GF2, BlockStructure((("a0", 1),)), [[1]])}
+        r = Realization(GF2, Topology(symbols, (), cons), codes)
+        expected = BlockedCode.from_rows(field, BlockStructure((("word", len(rows[0])),)), rows)
+        # a budget of one point would stop any enumeration first
+        with pytest.raises(error):
+            check_realizes(r, expected, EnumerationBudget(1))

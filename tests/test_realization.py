@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from ncl import (
     is_reduced,
     is_state_trim,
     is_trim,
+    merge_state,
     parse_realization,
     realized_code,
     trim_state,
@@ -40,6 +42,7 @@ from ncl import (
 )
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
 from helpers import random_realization
+from ncl.realization import _component_labels
 
 
 def tags(r):
@@ -196,6 +199,56 @@ class TestConstructors:
         assert conventional_improper().topology.is_cycle_free()
 
 
+def _first_node_order(graph, order):
+    """networkx's components, numbered in the order of their first node."""
+    return sorted(nx.connected_components(graph), key=lambda comp: min(map(order.get, comp)))
+
+
+class TestConnectivity:
+    """One union-find serves the constraint graph, every cut of a tree and
+    the trajectory graph; networkx is the independent reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_labels_match_networkx(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        # self-loops, parallel edges and isolated nodes all occur
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 3))
+                 ] if n else []
+        g = nx.MultiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        want = [0] * n
+        for label, comp in enumerate(_first_node_order(g, {i: i for i in range(n)})):
+            for node in comp:
+                want[node] = label
+        assert _component_labels(n, edges) == want
+        assert _component_labels(n, [(b, a) for a, b in reversed(edges)]) == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_topology_components_match_networkx(self, seed):
+        rng = random.Random(seed)
+        cids = [f"c{rng.randrange(10)}" for _ in range(rng.randint(1, 9))]
+        # an endpoint may be undeclared ("x"), and a constraint id may repeat
+        ends = cids + ["x"]
+        states = tuple(StateVar(f"s{i}", 1, rng.choice(ends), rng.choice(ends))
+                       for i in range(rng.randint(0, 10)))
+        topo = Topology((), states, tuple(Constraint(c, ()) for c in cids))
+        order = {c: cids.index(c) for c in cids}
+        for cut in (None, *(s.id for s in states)):
+            g = nx.MultiGraph()
+            g.add_nodes_from(cids)
+            g.add_edges_from((s.left, s.right) for s in states
+                             if s.id != cut and s.left in order and s.right in order)
+            assert topo._components(cut) == _first_node_order(g, order)
+        comps = topo._components()
+        found = [i for i in topo.issues() if i.tag == "disconnected"]
+        if len(comps) > 1:
+            assert found[0].ids == tuple(sorted(min(comps, key=len)))
+        else:
+            assert found == []
+
+
 class TestBehavior:
     def test_example1_dimensions(self):
         r = example1()
@@ -290,6 +343,21 @@ class TestLocalPredicates:
             is_trim(r, "c0", "s2")
         with pytest.raises(UnknownBlockError):
             is_trim(r, "c0", "a0")
+
+    # one incidence check serves the predicate and both moves
+    @pytest.mark.parametrize("check", [
+        lambda r, cid, sid: is_trim(r, cid, sid),
+        lambda r, cid, sid: trim_state(r, sid, cid),
+        lambda r, cid, sid: merge_state(r, sid, cid),
+    ], ids=["is_trim", "trim_state", "merge_state"])
+    @pytest.mark.parametrize("cid, sid, message", [
+        ("c0", "zz", "unknown state 'zz'"),
+        ("zz", "s0", "unknown constraint 'zz'"),
+        ("c0", "s2", "state 's2' is not involved in constraint 'c0'"),
+    ])
+    def test_incidence_errors(self, check, cid, sid, message):
+        with pytest.raises(UnknownBlockError, match=message):
+            check(example1(), cid, sid)
 
     def test_example1_trim_proper_reduced(self):
         r = example1()
