@@ -6,10 +6,11 @@ components and verify share one loop over their files, and every
 command that writes a file reports it through one helper.
 
 Exit codes: 0 success, 1 a verification found a mismatch, 2 invalid
-input (bad document, invalid realization, cyclic input to minimize,
-enumeration budget exceeded, an expected code over another field or of
-another length). With --json every result and error is a
-machine-readable JSON object; errors go to stderr either way.
+input (a command line that does not parse, bad document, invalid
+realization, cyclic input to minimize, enumeration budget exceeded, an
+expected code over another field or of another length). With --json
+every result and error is a machine-readable JSON object; errors go to
+stderr either way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from . import constructions, docio, oracle, realization, reduction
-from .blockcode import format_word
+from .blockcode import format_word, parse_word
 from .constructions import Span, SpannedGenerator
 from .errors import DocumentError, EnumerationLimitError, InvalidRealizationError, NclError
 from .fields import PrimeField
@@ -197,18 +198,19 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     return _write_steps(args, *reduction.minimize_cycle_free(_load(args.infile)))
 
 
-def _parse_build_rows(occurrences: list[str], p: int) -> list[list[int]]:
+def _parse_build_rows(occurrences: list[str], field: PrimeField) -> list[list[int]]:
+    """Rows as residues: comma-separated digit strings for GF(p <= 10),
+    else one comma-separated row per occurrence."""
+    if field.p > 10:
+        # residues can exceed one digit, so one row per occurrence
+        return [list(parse_word(field, occ)) for occ in occurrences]
     rows = []
     for occ in occurrences:
-        if p <= 10:
-            for part in occ.split(","):
-                part = part.strip()
-                if not part or not part.isdigit():
-                    raise ValueError(f"expected a digit string, got {part!r}")
-                rows.append([int(ch) for ch in part])
-        else:
-            # residues can exceed one digit, so one row per occurrence
-            rows.append([int(x) for x in occ.split(",")])
+        for part in occ.split(","):
+            part = part.strip()
+            if not part.isdigit():
+                raise ValueError(f"expected a digit string, got {part!r}")
+            rows.append(list(parse_word(field, part)))
     return rows
 
 
@@ -235,16 +237,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if not args.gens or args.spans:
             raise ValueError("generator build takes --gens and no --spans")
         r = constructions.generator_realization(
-            field, args.n, _parse_build_rows(args.gens, field.p))
+            field, args.n, _parse_build_rows(args.gens, field))
     elif args.what == "parity-check":
         if not args.checks or args.spans:
             raise ValueError("parity-check build takes --checks and no --spans")
         r = constructions.parity_check_realization(
-            field, args.n, _parse_build_rows(args.checks, field.p))
+            field, args.n, _parse_build_rows(args.checks, field))
     else:
         if not args.gens or not args.spans:
             raise ValueError("trellis build takes --gens and --spans")
-        rows = _parse_build_rows(args.gens, field.p)
+        rows = _parse_build_rows(args.gens, field)
         spans = _parse_spans(args.spans)
         if len(rows) != len(spans):
             raise ValueError(
@@ -337,9 +339,25 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; main reports it like any error."""
+
+    def __init__(self, usage: str, prog: str, message: str) -> None:
+        super().__init__(message)
+        self.text = f"{usage}{prog}: error: {message}\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit 2;
+    its subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise _UsageError(self.format_usage(), self.prog, message)
+
+
 @functools.cache  # built once; every main call reuses it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncl",
         description="Build, analyze, dualize, and reduce linear realizations "
                     "of block codes on normal graphs over prime fields.")
@@ -414,7 +432,16 @@ _ERROR_TAGS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        # argparse's own text, or under --json the one-line error object
+        if "--json" in argv:
+            sys.stderr.write(json.dumps({"error": {"type": "usage", "message": str(e)}}) + "\n")
+        else:
+            sys.stderr.write(e.text)
+        return 2
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _ERROR_TAGS) as e:

@@ -198,7 +198,8 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
     """
     if kind not in (CONVENTIONAL, TAIL_BITING):
         raise ValueError(f"unknown trellis kind {kind!r}")
-    gens = list(gens)
+    # spans are checked on residues: an entry that is 0 mod p is a zero
+    gens = [SpannedGenerator(tuple(v % field.p for v in g.vector), g.span) for g in gens]
     if not gens:
         raise ValueError("at least one spanned generator required")
     if kind == TAIL_BITING and n < 2:
@@ -240,7 +241,7 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
         d_in, d_out = len(crossers[j_in]), len(crossers[j_out])
         local = np.zeros((len(gens), d_in + 1 + d_out), dtype=np.int64)
         local[crossers[j_in], np.arange(d_in)] = 1
-        local[:, d_in] = [g.vector[i] % field.p for g in gens]
+        local[:, d_in] = [g.vector[i] for g in gens]
         local[crossers[j_out], d_in + 1 + np.arange(d_out)] = 1
         structure = BlockStructure(((f"s{j_in}", d_in), (f"a{i}", 1), (f"s{j_out}", d_out)))
         codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))

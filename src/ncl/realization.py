@@ -17,7 +17,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import MatrixF, PrimeField, kernel, ranks
+from .fields import MatrixF, PrimeField, _rref_kernel, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -449,17 +449,16 @@ def is_controllable(r: Realization) -> bool:
 def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     """Trim check for one constraint at one of its states, with witness.
 
-    A rank test: trim means the code's basis columns at the state have
-    full rank. Only on a failure is the projection built, to name the
-    first standard basis vector of the state space that it misses: e_i
-    lies in an RREF row space exactly when i is a pivot whose row is e_i.
+    One RREF of the code's basis columns at the state gives both: trim
+    means its rank is the state's dim, and otherwise the witness is the
+    first standard basis vector of the state space that the row space
+    misses: e_i lies in it exactly when i is a pivot whose row is e_i.
     """
     d = r._incident_dim(constraint_id, state_id)
-    code = r.code(constraint_id)
-    if code.projection_dim([state_id]) == d:
+    red, rk, piv = rref(MatrixF(r.field, _block(r.code(constraint_id), state_id)))
+    if rk == d:
         return TrimVerdict(True, constraint_id, state_id)
-    proj = code.project([state_id]).space
-    units = {j for j, row in zip(proj.pivots, proj.basis.array) if np.count_nonzero(row) == 1}
+    units = {j for j, row in zip(piv, red.array) if np.count_nonzero(row) == 1}
     i = min(set(range(d)) - units)
     return TrimVerdict(False, constraint_id, state_id, tuple(int(k == i) for k in range(d)))
 
@@ -467,22 +466,25 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     """Proper check for one constraint, with an offending codeword if any.
 
-    The trim question of the dual, per state: the cross-section on the
-    state is zero when the dual projects onto it, i.e. when the code's
-    check matrix has full column rank there. Only on a failure is the
-    cross-section built, to give its first canonical generator.
+    The trim question of the dual, per state, from one RREF of the
+    code's check matrix columns there: the cross-section on the state is
+    that RREF's null space, (proj C^perp)^perp, so it is zero exactly
+    when the rank is the state's dim, and otherwise its first canonical
+    generator is the witness.
     """
     r.ensure_valid()
     c = r.topology.constraint(constraint_id)
     code = r.code(constraint_id)
     for v in c.vars:
-        if (not r.topology.is_state(v)
-                or code.dual().projection_dim([v]) == r.topology.var_dim(v)):
+        if not r.topology.is_state(v):
             continue
-        cs = code.cross_section([v])
+        red, rk, piv = rref(MatrixF(r.field, _block(code.dual(), v)))
+        if rk == red.cols:
+            continue
+        section = _rref_kernel(r.field, red.array, piv)
         word = np.zeros(code.structure.total, dtype=np.int64)
         at = code.structure.offset(v)
-        word[at:at + cs.structure.total] = cs.space.basis.row(0)
+        word[at:at + red.cols] = section.basis.row(0)
         return ProperVerdict(False, constraint_id, v, tuple(int(x) for x in word))
     return ProperVerdict(True, constraint_id)
 

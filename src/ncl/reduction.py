@@ -22,10 +22,12 @@ X = I[:, pi]; to quotient by L is F with no columns and X = N(L)^T.
 
 reduce_to_fixpoint and minimize_cycle_free share one driver. It sweeps
 the (constraint, state) incidences, constraints in order and each one's
-states in the order its vars list them, and at each takes a trim and
-then a merge where one applies. When a whole sweep changes nothing, an
-unobservable realization loses one unobservable direction and the sweep
-starts again. next_reduction names the first move of that sweep.
+states in the order its vars list them. A visit is one trim test, a
+trim if it fails, then one merge test on the code that is there now,
+and a merge if that finds a nonzero cross-section. When a whole sweep
+changes nothing, an unobservable realization loses one unobservable
+direction and the sweep starts again. next_reduction names the first
+move of that sweep.
 
 An incidence is tested again only after its constraint's code changed.
 Whether a trim or a merge applies there depends on that code alone (the
@@ -194,38 +196,32 @@ def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]
     return _shrink(r, DUAL_MERGE, state_id, np.zeros((d, 0), dtype=np.int64), keep)
 
 
-def _local_reduction(r: Realization, constraint_id: str, state_id: str) -> str | None:
-    """TRIM or MERGE if that move applies at one incidence (trim first), else None."""
-    if not is_trim(r, constraint_id, state_id).ok:
-        return TRIM
-    if r.code(constraint_id).cross_section_dim([state_id]) > 0:
-        return MERGE
-    return None
-
-
 def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
                        ) -> tuple[Realization, list[ReductionStep]]:
     """The one reduction driver described in the module docstring.
 
-    A trim leaves the constraint trim at that state and a merge leaves it
-    trim and proper there, so a visit takes at most a trim, then a merge.
-    clean maps an incidence to the code object last found irreducible
-    there; codes are immutable and a step swaps in new objects.
+    A visit is one trim test and one merge test. A trim leaves the
+    constraint trim at that state and a merge leaves it trim and proper
+    there, so nothing is left to re-test. clean maps an incidence to the
+    code object last found irreducible there; codes are immutable and a
+    step swaps in new objects.
     """
     pairs = r.topology.incidences(order)
     steps: list[ReductionStep] = []
     clean: dict[tuple[str, str], BlockedCode] = {}
     while True:
-        changed = False
+        taken = len(steps)
         for cid, sid in pairs:
             if clean.get((cid, sid)) is r.code(cid):
                 continue
-            while (kind := _local_reduction(r, cid, sid)) is not None:
-                r, step = (trim_state if kind == TRIM else merge_state)(r, sid, cid)
+            if not is_trim(r, cid, sid).ok:
+                r, step = trim_state(r, sid, cid)
                 steps.append(step)
-                changed = True
+            if r.code(cid).cross_section_dim([sid]) > 0:
+                r, step = merge_state(r, sid, cid)
+                steps.append(step)
             clean[cid, sid] = r.code(cid)
-        if not changed:
+        if len(steps) == taken:
             if is_observable(r):
                 return r, steps
             r, step = reduce_unobservable(r)
@@ -237,9 +233,10 @@ def next_reduction(r: Realization) -> tuple[str, str, str] | None:
     constraint_id), or None when no trim or merge applies anywhere."""
     r.ensure_valid()
     for cid, sid in r.topology.incidences():
-        kind = _local_reduction(r, cid, sid)
-        if kind is not None:
-            return kind, sid, cid
+        if not is_trim(r, cid, sid).ok:
+            return TRIM, sid, cid
+        if r.code(cid).cross_section_dim([sid]) > 0:
+            return MERGE, sid, cid
     return None
 
 

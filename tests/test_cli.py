@@ -106,6 +106,13 @@ class TestBuild:
         assert code == 0
         assert json.loads(out) == {"written": str(path)}
 
+    def test_spans_are_checked_on_residues(self, run):
+        # 103 over GF(3) is the generator 100
+        got, want = (run("build", "trellis", "--field", "3", "--n", "3",
+                         "--gens", gens, "--spans", "0:0") for gens in ("103", "100"))
+        assert got == want
+        assert want[0] == 0 and want[2] == ""
+
     def test_rejects_missing_spans(self, run):
         code, _, err = run("build", "trellis", "--field", "2", "--n", "3",
                            "--gens", "110")
@@ -565,7 +572,9 @@ def transcript_argvs() -> list[list[str]]:
                  ["verify", "ex1.json", "--budget", "63"],
                  ["verify", "ex1.json", "--budget", "0"],
                  ["components", "ex1.json", "--budget", "-5"],
-                 ["components", "ex1.json", "dual.json", "--budget", "0"]):
+                 ["components", "ex1.json", "dual.json", "--budget", "0"],
+                 ["analyze", "ex1.json", "--nope"],
+                 ["components", "ex1.json", "--budget", "x"]):
         rows += [argv, argv + ["--json"]]
     for bad in ("empty.json", "invalid.json", "nope.json"):
         for cmd in (["analyze", bad], ["verify", bad], ["dual", bad, "out.json"],
@@ -602,6 +611,8 @@ def expected_transcripts() -> dict:
 @pytest.mark.parametrize("argv", transcript_argvs(), ids=" ".join)
 def test_transcript(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("NCL_BUDGET", raising=False)
+    # argparse wraps usage text to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
     assert run_transcript(argv, tmp_path) == expected_transcripts()[" ".join(argv)]
 
 
@@ -609,6 +620,7 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import tempfile
 
     os.environ.pop("NCL_BUDGET", None)
+    os.environ["COLUMNS"] = "80"
     old = json.loads(TRANSCRIPTS.read_text(encoding="utf-8")) if TRANSCRIPTS.exists() else {}
     table = {}
     for argv in transcript_argvs():

@@ -16,6 +16,7 @@ from ncl import (
     brute_realized_words,
     controllability_defect,
     dualize,
+    emit_realization,
     generator_realization,
     is_controllable,
     is_observable,
@@ -206,6 +207,12 @@ class TestProductTrellis:
             product_trellis(GF2, 1, [SpannedGenerator((1,), Span(0, 0))], "tail-biting")
         with pytest.raises(ValueError):
             product_trellis(GF2, 3, [SpannedGenerator((1, 1, 0), Span(0, 1))], "sideways")
+
+    def test_spans_are_checked_on_residues(self):
+        # 3 is zero over GF(3), so it may sit outside the span
+        got = product_trellis(GF3, 3, [SpannedGenerator((1, 0, 3), Span(0, 0))])
+        want = product_trellis(GF3, 3, [SpannedGenerator((1, 0, 0), Span(0, 0))])
+        assert emit_realization(got) == emit_realization(want)
 
     def test_gf3_product(self):
         r = product_trellis(GF3, 3, [

@@ -4,8 +4,9 @@ Trim, proper, state-trim and branch-trim are decided by ranks; here each
 verdict is recomputed from the projection and cross-section subspaces
 themselves, and the reduction drivers are replayed with scans written
 directly in terms of those subspaces. At ladder scale the driver's work
-is pinned too: it re-tests an incidence only after its code changed, and
-the realizations its moves derive validate as fresh ones would.
+is pinned too: it re-tests an incidence only after its code changed,
+builds a projection only to trim, and the realizations its moves derive
+validate as fresh ones would.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 
 import ncl.reduction
 from ncl import (
+    BlockedCode,
     GF2,
     GF3,
     NotReducibleError,
@@ -246,14 +248,15 @@ def ladder_trellises():
 
 def test_fixpoint_retests_an_incidence_only_after_its_code_changed(monkeypatch):
     calls = Counter()
-    local_reduction = ncl.reduction._local_reduction
+    trim_test = ncl.reduction.is_trim
 
     def counting(r, cid, sid):
         calls["tests"] += 1
-        return local_reduction(r, cid, sid)
+        return trim_test(r, cid, sid)
 
-    # reference_fixpoint tests by projection and cross-section, not through it
-    monkeypatch.setattr(ncl.reduction, "_local_reduction", counting)
+    # the driver's visit starts with its trim test; reference_fixpoint
+    # tests by projection and cross-section, not through it
+    monkeypatch.setattr(ncl.reduction, "is_trim", counting)
     for r in ladder_trellises():
         calls.clear()
         got = reduce_to_fixpoint(r)
@@ -269,6 +272,25 @@ def test_fixpoint_retests_an_incidence_only_after_its_code_changed(monkeypatch):
             versions.update((state.left, state.right))
         bound = len(steps) + sum(versions[cid] for cid, _ in state_pairs(r))
         assert calls["tests"] <= bound
+
+
+def test_fixpoint_projects_once_per_trim(monkeypatch):
+    calls = Counter()
+    project = BlockedCode.project
+
+    def counting(code, block_ids):
+        calls["project"] += 1
+        return project(code, block_ids)
+
+    # the trim test reads its verdict and witness off one RREF; only the
+    # trim itself builds the projection
+    monkeypatch.setattr(BlockedCode, "project", counting)
+    for r in ladder_trellises():
+        calls.clear()
+        _, steps = reduce_to_fixpoint(r)
+        trims = sum(step.kind == "trim" for step in steps)
+        assert trims > 0
+        assert calls["project"] == trims
 
 
 def intermediate_realizations(r):
