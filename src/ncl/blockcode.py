@@ -5,9 +5,13 @@ coordinates into named blocks (symbol and state variables, in this
 package). Projection keeps a subset of blocks; cross-section keeps the
 words that vanish off that subset, then drops the zeroed coordinates.
 
-Codes are immutable, so each one computes its dual, whose basis is its
-check matrix, at most once and keeps it. A realization derived from
-another shares the codes it keeps, and with them their check matrices.
+Codes are immutable, so each one builds its dual at most once and
+keeps it. The dual's basis, the check matrix, is the orthogonal
+complement that the code's subspace computes once and keeps, so codes
+on one shared subspace (every constraint with the same generator rows
+in a parsed document) share one check matrix. A realization derived
+from another shares the codes it keeps, and with them their check
+matrices.
 """
 
 from __future__ import annotations

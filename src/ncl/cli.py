@@ -5,7 +5,8 @@ the text output is a formatting of that same dict. analyze, behavior,
 components and verify share one loop over their files, and every
 command that writes a file reports it through one helper.
 
-Exit codes: 0 success, 1 a verification found a mismatch, 2 invalid
+Exit codes: 0 success (-h/--help included; under --json its text comes
+as {"help": ...}), 1 a verification found a mismatch, 2 invalid
 input (a command line that does not parse, bad document, invalid
 realization, cyclic input to minimize, enumeration budget exceeded, an
 expected code over another field or of another length). With --json
@@ -340,19 +341,25 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 class _UsageError(Exception):
-    """A command line the parser rejects; main reports it like any error."""
+    """A command line the parser answers itself: a rejected one (exit 2)
+    or a -h/--help request (exit 0, with `message` None). main reports
+    both, as argparse's text or under --json as one JSON object."""
 
-    def __init__(self, usage: str, prog: str, message: str) -> None:
+    def __init__(self, text: str, message: str | None = None) -> None:
         super().__init__(message)
-        self.text = f"{usage}{prog}: error: {message}\n"
+        self.text = text
+        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError where argparse would print usage and exit 2;
-    its subparsers are built from this class too."""
+    """Raises _UsageError where argparse would print usage or help and
+    exit; its subparsers are built from this class too."""
 
     def error(self, message: str):
-        raise _UsageError(self.format_usage(), self.prog, message)
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n", message)
+
+    def print_help(self, file=None):
+        raise _UsageError(self.format_help())
 
 
 @functools.cache  # built once; every main call reuses it
@@ -436,9 +443,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as e:
-        # argparse's own text, or under --json the one-line error object
-        if "--json" in argv:
-            sys.stderr.write(json.dumps({"error": {"type": "usage", "message": str(e)}}) + "\n")
+        # argparse's own text, or under --json one JSON object: the help on
+        # stdout, a usage error on stderr
+        json_out = "--json" in argv
+        if e.message is None:
+            if json_out:
+                _emit_json({"help": e.text})
+            else:
+                sys.stdout.write(e.text)
+            return 0
+        if json_out:
+            sys.stderr.write(json.dumps({"error": {"type": "usage", "message": e.message}}) + "\n")
         else:
             sys.stderr.write(e.text)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure
 from .errors import DocumentError
-from .fields import MatrixF, PrimeField
+from .fields import MatrixF, PrimeField, Subspace
 from .realization import (
     Constraint,
     Realization,
@@ -91,7 +91,10 @@ def parse_realization(text: str) -> Realization:
 
     Raises DocumentError with a JSON-path location for malformed input.
     Whether the parsed realization satisfies the graph invariants is the
-    validate step's job; ids are preserved for its messages.
+    validate step's job; ids are preserved for its messages. Constraints
+    with the same generator rows get codes on one shared subspace, so
+    each distinct local code is eliminated, and its check matrix
+    computed, once.
     """
     doc, field = _document_head(text)
 
@@ -125,6 +128,8 @@ def parse_realization(text: str) -> Realization:
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
+    # (width, generator rows) -> the one space built for them
+    spaces: dict[tuple, Subspace] = {}
     for i, entry in enumerate(_require(doc, "constraints", list, "$")):
         path = f"$.constraints[{i}]"
         cid = _require(entry, "id", str, path)
@@ -146,10 +151,13 @@ def parse_realization(text: str) -> Realization:
                     f"row length {len(row)} != total var dim {width}")
         constraints.append(Constraint(cid, tuple(raw_vars)))
         structure = BlockStructure(tuple((v, dim_of[v]) for v in raw_vars))
-        matrix = _matrix(field, rows, width, f"{path}.generators")
+        key = (width, tuple(map(tuple, rows)))
+        if key not in spaces:
+            matrix = _matrix(field, rows, width, f"{path}.generators")
+            spaces[key] = Subspace.spanned_by(field, width, matrix)
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
-        codes[cid] = BlockedCode.from_rows(field, structure, matrix)
+        codes[cid] = BlockedCode(structure, spaces[key])
 
     symbols.sort(key=lambda v: natural_key(v.id))
     states.sort(key=lambda v: natural_key(v.id))

@@ -1,9 +1,11 @@
 """Exact linear algebra over prime fields GF(p).
 
 Vectors are rows and a subspace is the row space of its basis matrix.
-All arithmetic is integer arithmetic mod p on int64 numpy arrays (int32
-or uint8 inside `ranks`); there are no floats anywhere, so every result
-is exact.
+All arithmetic is integer arithmetic mod p; there are no floats
+anywhere, so every result is exact. Matrices and every public result
+hold int64 residues. Both elimination loops work in one narrower dtype
+(`_work_dtype`): uint8 when p = 2, where a row update is an XOR, and
+int32 otherwise, since every intermediate is below p**2 <= 2**26.
 
 Elimination has two entry points. `_rref_array` is the Gauss-Jordan loop
 on one matrix behind rref, rank, kernel, inverse and complete_to_basis.
@@ -129,16 +131,24 @@ class MatrixF:
         return f"MatrixF({self.field!r}, {self.tolist()!r})"
 
 
+def _work_dtype(p: int) -> type:
+    """The dtype both elimination loops work in: uint8 when p = 2, where
+    a row update is an XOR, and int32 otherwise. Every intermediate is
+    below p**2 <= 2**26 in magnitude, so int32 is exact up to MAX_FIELD."""
+    return np.uint8 if p == 2 else np.int32
+
+
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination mod p; returns (rref, pivot columns).
 
     rref, rank, kernel, inverse and complete_to_basis all run it. `a`
-    holds residues mod p. Each pivot clears its column in one block
-    update of every other row with a nonzero there (an XOR when p = 2),
-    so the work per pivot is a few numpy calls, not one per row.
+    holds residues mod p. The elimination runs on a copy in the working
+    dtype, and the rref comes back in it: callers widen to int64 where
+    they build a MatrixF or negate. Each pivot clears its column in one
+    block update of every other row with a nonzero there (an XOR when
+    p = 2), so the work per pivot is a few numpy calls, not one per row.
     """
-    m = a.copy()
-    m.setflags(write=True)
+    m = a.astype(_work_dtype(p))
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -177,14 +187,13 @@ def ranks(mats: Sequence[np.ndarray], p: int) -> np.ndarray:
     with a nonzero in its column (an XOR when p = 2). Over odd p an
     updated row is scaled by the pivot's lead rather than the pivot row
     by its inverse; both are row operations, so the ranks are the same.
-    Every intermediate is below p**2 <= 2**26 in magnitude, so the work
-    is done in int32 (in uint8 when p = 2), a half or an eighth of the
+    The stack is held in the working dtype, a half or an eighth of the
     memory of int64.
     """
     batch = len(mats)
     nrows = max((a.shape[0] for a in mats), default=0)
     ncols = max((a.shape[1] for a in mats), default=0)
-    m = np.zeros((batch, nrows, ncols), dtype=np.uint8 if p == 2 else np.int32)
+    m = np.zeros((batch, nrows, ncols), dtype=_work_dtype(p))
     for i, a in enumerate(mats):
         m[i, :a.shape[0], :a.shape[1]] = a
     free = np.ones((batch, nrows), dtype=bool)
@@ -231,13 +240,14 @@ def kernel(m: MatrixF) -> "Subspace":
 def _null_rows(a: np.ndarray, piv: Sequence[int]) -> np.ndarray:
     """Null rows of a matrix in RREF with the given pivot columns, not yet
     canonical or reduced mod p: row f is e_f minus column f on the pivots.
-    Their transpose is the quotient map modulo the row space."""
+    Their transpose is the quotient map modulo the row space. They are
+    int64 whatever dtype `a` has, so the negation cannot wrap."""
     n = a.shape[1]
     pivset = set(piv)
     free = [f for f in range(n) if f not in pivset]
     rows = np.zeros((len(free), n), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
-    rows[:, list(piv)] = -a[:len(piv), free].T
+    rows[:, list(piv)] = -a[:len(piv), free].T.astype(np.int64)
     return rows
 
 
@@ -277,10 +287,11 @@ class Subspace:
     """A subspace of F^n held as a canonical RREF basis with no zero rows.
 
     Equality is representation equality: two subspaces are equal exactly
-    when their canonical bases are identical.
+    when their canonical bases are identical. The orthogonal complement
+    is kept in a slot on the first `orthogonal()` call.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_orthogonal")
 
     def __init__(self, field: PrimeField, ambient: int, basis: MatrixF) -> None:
         if basis.field != field:
@@ -303,6 +314,7 @@ class Subspace:
         self.ambient = ambient
         self.basis = basis
         self.pivots = tuple(pivots)
+        self._orthogonal: Subspace | None = None
 
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":
@@ -347,9 +359,12 @@ class Subspace:
         """All vectors with zero dot product against every basis row.
 
         The basis is already in RREF, so its null space is read off it
-        without eliminating it again.
+        without eliminating it again; it is built on the first call and
+        kept.
         """
-        return _rref_kernel(self.field, self.basis.array, self.pivots)
+        if self._orthogonal is None:
+            self._orthogonal = _rref_kernel(self.field, self.basis.array, self.pivots)
+        return self._orthogonal
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

@@ -437,6 +437,15 @@ class TestErrorMapping:
         assert payload["error"]["type"] == "document"
         assert "not valid JSON" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [["analyze", "--help"], ["-h"]])
+    def test_help_returns_zero_with_one_json_object(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ncl")
+        code, json_out, err = run(*argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(json_out) == {"help": out}
+
     def test_huge_dimension_is_a_document_error(self, run, tmp_path):
         doc = json.dumps({"field": 3, "symbols": [{"id": "a0", "dim": 10 ** 29}],
                           "states": [],
@@ -574,7 +583,8 @@ def transcript_argvs() -> list[list[str]]:
                  ["components", "ex1.json", "--budget", "-5"],
                  ["components", "ex1.json", "dual.json", "--budget", "0"],
                  ["analyze", "ex1.json", "--nope"],
-                 ["components", "ex1.json", "--budget", "x"]):
+                 ["components", "ex1.json", "--budget", "x"],
+                 ["analyze", "--help"]):
         rows += [argv, argv + ["--json"]]
     for bad in ("empty.json", "invalid.json", "nope.json"):
         for cmd in (["analyze", bad], ["verify", bad], ["dual", bad, "out.json"],

@@ -7,14 +7,17 @@ import pytest
 from ncl import (
     GF2,
     DocumentError,
+    analyze,
     behavior,
     emit_realization,
     export_dot,
     natural_key,
+    parity_check_realization,
     parse_code_document,
     parse_realization,
     realized_code,
 )
+from ncl import fields
 from fixtures import example1, example1_document, example3
 
 
@@ -126,6 +129,65 @@ class TestParseErrors:
                    ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": []},'
                    ' {"id": "c0", "vars": ["a1"], "generators": []}]}',
                    "$.constraints[1]", "twice")
+
+
+# A Tanner graph with position nodes of degree 2 and 3 and check nodes of
+# degree 4: three distinct local codes on 13 constraints
+TANNER_CHECKS = [[1, 1, 1, 1, 0, 0, 0, 0],
+                 [0, 0, 0, 0, 1, 1, 1, 1],
+                 [1, 1, 0, 0, 1, 1, 0, 0],
+                 [0, 0, 1, 1, 0, 0, 1, 1],
+                 [1, 0, 1, 0, 1, 0, 1, 0]]
+
+
+class TestSharedLocalCodes:
+    @staticmethod
+    def document() -> str:
+        return emit_realization(parity_check_realization(GF2, 8, TANNER_CHECKS))
+
+    @staticmethod
+    def spaces_by_rows(r) -> dict:
+        """The code spaces of r, grouped by (width, generator rows)."""
+        groups: dict = {}
+        for c in r.topology.constraints:
+            space = r.code(c.id).space
+            groups.setdefault((space.ambient, tuple(map(tuple, space.basis.tolist()))),
+                              []).append(space)
+        return groups
+
+    def test_equal_generator_rows_share_one_subspace(self):
+        r = parse_realization(self.document())
+        groups = self.spaces_by_rows(r)
+        assert len(groups) == 3
+        for spaces in groups.values():
+            assert all(space is spaces[0] for space in spaces)
+
+    def test_each_distinct_space_computes_its_check_matrix_once(self, monkeypatch):
+        r = parse_realization(self.document())
+        bases = [r.code(c.id).space.basis.array for c in r.topology.constraints]
+        calls = []
+        original = fields._rref_kernel
+
+        def counted(field, a, piv):
+            calls.append(a)
+            return original(field, a, piv)
+
+        monkeypatch.setattr(fields, "_rref_kernel", counted)
+        behavior(r)
+        analyze(r)
+        # one check matrix per distinct space, read off its basis; the one
+        # other call is the behavior kernel, read off a fresh RREF
+        from_codes = [a for a in calls if any(a is b for b in bases)]
+        assert len(bases) == 13
+        assert len(from_codes) == len(self.spaces_by_rows(r)) == 3
+        assert len(calls) - len(from_codes) == 1
+
+    def test_emit_after_parse_is_byte_identical(self):
+        text = self.document()
+        r = parse_realization(text)
+        analyze(r)
+        assert emit_realization(r) == text
+        assert emit_realization(parse_realization(emit_realization(r))) == text
 
 
 class TestCodeDocuments:

@@ -21,7 +21,7 @@ from ncl import (
     rank,
     rref,
 )
-from ncl.fields import _rref_array, ranks
+from ncl.fields import _rref_array, _work_dtype, ranks
 from helpers import full_space, identity, inv, mul, neg, transpose, zero_space, zeros
 
 FIELDS = [GF2, GF3, PrimeField(5)]
@@ -159,13 +159,15 @@ class TestElimination:
 
 @st.composite
 def large_matrices(draw):
-    """Up to 40 x 60 over GF(2/3/7/257): zero, tall, wide, square or any shape.
+    """Up to 40 x 60 over GF(2/3/7/257/8191): zero, tall, wide, square or any
+    shape. 8191 is the largest field, where the int32 working dtype of the
+    elimination has the least headroom.
 
     Entries come from a low-rank product (so pivots clear many rows at
     once), thinned to a drawn density, with a few columns forced fully
     nonzero.
     """
-    p = draw(st.sampled_from((2, 3, 7, 257)))
+    p = draw(st.sampled_from((2, 3, 7, 257, 8191)))
     shape = draw(st.sampled_from(("zero", "tall", "wide", "square", "any")))
     rows, cols = {
         "tall": (draw(st.integers(20, 40)), draw(st.integers(1, 12))),
@@ -218,6 +220,42 @@ class TestAgainstSympy:
             eye = np.eye(m.rows, dtype=np.int64)
             assert (m.array @ inv % m.field.p).tolist() == eye.tolist()
             assert (inv @ m.array % m.field.p).tolist() == eye.tolist()
+
+
+class TestWorkingDtype:
+    P = 8191
+
+    @pytest.mark.parametrize("shape", [(4, 5), (6, 6)])
+    def test_every_entry_p_minus_one_at_the_largest_field(self, shape):
+        m = MatrixF(PrimeField(self.P), np.full(shape, self.P - 1))
+        want, want_piv = reference_rref(m)
+        red, rk, piv = rref(m)
+        assert red.array.tolist() == want.tolist()
+        assert (rk, piv) == (len(want_piv), want_piv) == (1, (0,))
+        k = kernel(m)
+        assert k.dim == shape[1] - 1
+        assert not (m.array @ k.basis.array.T % self.P).any()
+
+    def test_largest_products_at_the_largest_field(self):
+        # p - 1 off the diagonal and 1 on it: after the first pivot every
+        # update multiplies entries near p - 1
+        p = self.P
+        a = np.full((6, 6), p - 1)
+        np.fill_diagonal(a, 1)
+        m = MatrixF(PrimeField(p), a)
+        want, want_piv = reference_rref(m)
+        red, rk, piv = rref(m)
+        assert red.array.tolist() == want.tolist()
+        assert (rk, piv) == (len(want_piv), want_piv)
+
+    @pytest.mark.parametrize("p", [2, 3, 8191])
+    def test_public_results_are_int64(self, p):
+        m = MatrixF(PrimeField(p), [[1, 1, 0], [0, 1, 1]])
+        assert rref(m)[0].array.dtype == np.int64
+        assert kernel(m).basis.array.dtype == np.int64
+        assert Subspace.spanned_by(m.field, 3, m).orthogonal().basis.array.dtype == np.int64
+        assert _rref_array(m.array, p)[0].dtype == _work_dtype(p)
+        assert _work_dtype(p) == (np.uint8 if p == 2 else np.int32)
 
 
 def sympy_rank(a: np.ndarray, p: int) -> int:
