@@ -2,7 +2,10 @@
 
 Builders: generator-style (equality nodes feeding per-position combiner
 nodes), parity-check style (its dual, a Tanner graph), and product
-trellises (conventional or tail-biting) from spanned generators.
+trellises (conventional or tail-biting) from spanned generators. Like a
+parsed document, the first two give constraints with equal generator
+rows one shared subspace, so a Tanner graph of a regular code
+eliminates two local codes, not one per node.
 
 trajectory_components builds the graph whose nodes are reachable state
 values and whose edges are the branches of the behavior, and counts its
@@ -20,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .blockcode import DEFAULT_ENUM_CAP, BlockedCode, BlockStructure
-from .fields import MatrixF, PrimeField
+from .fields import MatrixF, PrimeField, Subspace
 from .realization import (
     Constraint,
     Realization,
@@ -130,11 +133,15 @@ def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node:
                    for i, supp in enumerate(supports) for k in supp)
     constraints = []
     codes: dict[str, BlockedCode] = {}
+    # (width, generator rows) -> the one space built for them, as parse_realization keys it
+    spaces: dict[tuple, Subspace] = {}
 
     def add(cid: str, vars_: tuple[str, ...], local: np.ndarray) -> None:
         constraints.append(Constraint(cid, vars_))
-        structure = BlockStructure(tuple((v, 1) for v in vars_))
-        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
+        key = (len(vars_), tuple(map(tuple, (local % field.p).tolist())))
+        if key not in spaces:
+            spaces[key] = Subspace.spanned_by(field, len(vars_), MatrixF(field, local))
+        codes[cid] = BlockedCode(BlockStructure(tuple((v, 1) for v in vars_)), spaces[key])
 
     for i, supp in enumerate(supports):
         add(f"{node}{i}", tuple(f"g{i}@p{k}" for k in supp), node_code(len(supp)))

@@ -1,9 +1,11 @@
 """Brute-force reference checks.
 
-Everything here re-derives its answers by scanning all |F|^N global
-assignments and testing each constraint as a plain parity equation
-system, built with list arithmetic rather than the matrix machinery the
-main path uses. Slow on purpose; bounded by an explicit budget.
+Everything here re-derives its answers by testing every one of the
+|F|^N global assignments against every parity row of every constraint,
+the rows found by list arithmetic rather than the matrix machinery the
+main path uses. The test is table-driven (brute_behavior), bounded by
+an explicit budget on the assignments and in memory by a fixed chunk
+whatever that budget is.
 """
 
 from __future__ import annotations
@@ -71,9 +73,40 @@ def _global_layout(r: Realization) -> tuple[list[tuple[str, int, int]], int]:
     return layout, at
 
 
+def _digits(vals: np.ndarray, width: int, p: int) -> np.ndarray:
+    """The base-p words of the given values, most significant digit first."""
+    return vals[:, None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64) % p
+
+
+def _syndrome_table(rows: np.ndarray, p: int) -> np.ndarray:
+    """The syndrome of every base-p word over rows' coordinates: column j
+    holds the j-th word's, in ascending order of the words.
+
+    int32 holds every sum before the final reduction: there are at most
+    13 rows (p**rows <= _CHUNK = 2**13), each adding less than p**2.
+    """
+    m = rows.shape[1]
+    table = np.zeros((m, 1), dtype=np.int32)
+    digits = np.arange(p, dtype=np.int32)[:, None]
+    for row in rows[::-1].astype(np.int32):
+        # prepend a coordinate: digit d shifts every later word's syndrome by d * row
+        table = (row[:, None, None] * digits + table[:, None, :]).reshape(m, p * table.shape[1])
+    return table % p
+
+
 def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
                    ) -> list[tuple[int, ...]]:
-    """Every satisfying global assignment, symbols first, ascending order."""
+    """Every satisfying global assignment, symbols first, ascending order.
+
+    An assignment is a high part (the leading coordinates) followed by a
+    low part (the trailing ones, at most _CHUNK values of them). Its
+    syndrome is the high part's plus the low part's, so it satisfies
+    every parity row exactly when the low part's syndrome equals the
+    negated high part's. The low parts' syndromes are tabled once; each
+    chunk of high parts is compared with every row of the table, on
+    every parity row, at most _CHUNK pairs at a time, and the pairs that
+    match are emitted high part first, low part next: ascending order.
+    """
     budget = budget or EnumerationBudget()
     r.ensure_valid()
     p = r.field.p
@@ -98,13 +131,18 @@ def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
             parity_rows.append(row)
 
     checks = np.array(parity_rows, dtype=np.int64).reshape(len(parity_rows), total).T
-    divisors = p ** np.arange(total - 1, -1, -1, dtype=np.int64)
+    low = 0
+    while low < total and p ** (low + 1) <= _CHUNK:
+        low += 1
+    high = total - low
+    low_syndromes = _syndrome_table(checks[high:], p)
+    per_chunk = _CHUNK // p ** low
     out: list[tuple[int, ...]] = []
-    for start in range(0, points, _CHUNK):
-        vals = np.arange(start, min(start + _CHUNK, points), dtype=np.int64)
-        words = (vals[:, None] // divisors[None, :]) % p
-        good = ~((words @ checks) % p).any(axis=1)
-        out.extend(tuple(int(x) for x in w) for w in words[good])
+    for start in range(0, p ** high, per_chunk):
+        heads = np.arange(start, min(start + per_chunk, p ** high), dtype=np.int64)
+        wanted = (-(_digits(heads, high, p) @ checks[:high]) % p).astype(np.int32)
+        hi, lo = np.nonzero((low_syndromes[:, None, :] == wanted.T[:, :, None]).all(axis=0))
+        out.extend(map(tuple, _digits(heads[hi] * p ** low + lo, total, p).tolist()))
     return out
 
 

@@ -26,8 +26,9 @@ states in the order its vars list them. A visit is one trim test, a
 trim if it fails, then one merge test on the code that is there now,
 and a merge if that finds a nonzero cross-section. When a whole sweep
 changes nothing, an unobservable realization loses one unobservable
-direction and the sweep starts again. next_reduction names the first
-move of that sweep.
+direction and the sweep starts again; a cycle-free one is observable by
+then, so the behavior is built only on graphs with a cycle.
+next_reduction names the first move of that sweep.
 
 An incidence is tested again only after its constraint's code changed.
 Whether a trim or a merge applies there depends on that code alone (the
@@ -205,6 +206,12 @@ def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
     there, so nothing is left to re-test. clean maps an incidence to the
     code object last found irreducible there; codes are immutable and a
     step swaps in new objects.
+
+    Trees first: "On a finite cycle-free graph, a linear realization is
+    minimal if and only if every constraint code is both trim and
+    proper" (arXiv:1202.0534), and a minimal realization is observable.
+    So on a cycle-free topology a sweep that changes nothing ends the
+    driver without building the behavior to ask is_observable.
     """
     pairs = r.topology.incidences(order)
     steps: list[ReductionStep] = []
@@ -222,7 +229,7 @@ def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
                 steps.append(step)
             clean[cid, sid] = r.code(cid)
         if len(steps) == taken:
-            if is_observable(r):
+            if r.topology.is_cycle_free() or is_observable(r):
                 return r, steps
             r, step = reduce_unobservable(r)
             steps.append(step)

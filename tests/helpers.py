@@ -10,8 +10,10 @@ import numpy as np
 from ncl import (
     BlockedCode,
     BlockStructure,
+    BudgetExceededError,
     Constraint,
     DimensionMismatchError,
+    EnumerationBudget,
     FieldMismatchError,
     MatrixF,
     PrimeField,
@@ -29,6 +31,7 @@ from ncl import (
     product_trellis,
     reduce_unobservable,
 )
+from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.reduction import _unobservable_direction
 
 
@@ -143,8 +146,15 @@ def random_blocked_code(rng: random.Random, field: PrimeField,
 
 def random_realization(rng: random.Random, field: PrimeField, *,
                        max_constraints: int = 4, max_dim: int = 2,
-                       total_cap: int = 12, allow_cycles: bool = True) -> Realization:
-    """A structurally valid random realization within a total-dimension cap."""
+                       total_cap: int = 12, allow_cycles: bool = True,
+                       extra_edges: int = 0) -> Realization:
+    """A structurally valid random realization within a total-dimension cap.
+
+    A random tree of constraints, with one more edge 40% of the time when
+    allow_cycles, and then extra_edges more between random pairs of
+    constraints (parallel states allowed), so each of those closes
+    another cycle.
+    """
     while True:
         m = rng.randint(1, max_constraints)
         edges: list[tuple[int, int]] = []
@@ -153,6 +163,8 @@ def random_realization(rng: random.Random, field: PrimeField, *,
         if allow_cycles and m >= 2 and rng.random() < 0.4:
             a, b = rng.sample(range(m), 2)
             edges.append((a, b))
+        if m >= 2:
+            edges += [tuple(rng.sample(range(m), 2)) for _ in range(extra_edges)]
 
         states = []
         for idx, (a, b) in enumerate(edges):
@@ -187,6 +199,44 @@ def random_realization(rng: random.Random, field: PrimeField, *,
             blocks = tuple((v, dims[v]) for v in c.vars)
             codes[c.id] = random_blocked_code(rng, field, blocks)
         return Realization(field, topo, codes)
+
+
+def reference_brute_behavior(r: Realization, budget: EnumerationBudget | None = None
+                             ) -> list[tuple[int, ...]]:
+    """brute_behavior as one chunked loop over the assignments: each chunk
+    spelled out digit by digit and multiplied into every parity row."""
+    budget = budget or EnumerationBudget()
+    r.ensure_valid()
+    p = r.field.p
+    layout, total = _global_layout(r)
+    points = p ** total
+    if points > budget.max_points:
+        raise BudgetExceededError(
+            f"{p}^{total} assignments exceed the budget of {budget.max_points}")
+    offset = {vid: at for vid, at, _ in layout}
+
+    parity_rows: list[list[int]] = []
+    for c in r.topology.constraints:
+        gens = [[int(x) for x in row] for row in r.code(c.id).space.basis.array]
+        width = sum(r.topology.var_dim(v) for v in c.vars)
+        for h in _nullspace(gens, width, p):
+            row = [0] * total
+            at = 0
+            for v in c.vars:
+                d = r.topology.var_dim(v)
+                row[offset[v]:offset[v] + d] = h[at:at + d]
+                at += d
+            parity_rows.append(row)
+
+    checks = np.array(parity_rows, dtype=np.int64).reshape(len(parity_rows), total).T
+    divisors = p ** np.arange(total - 1, -1, -1, dtype=np.int64)
+    out: list[tuple[int, ...]] = []
+    for start in range(0, points, _CHUNK):
+        vals = np.arange(start, min(start + _CHUNK, points), dtype=np.int64)
+        words = (vals[:, None] // divisors[None, :]) % p
+        good = ~((words @ checks) % p).any(axis=1)
+        out.extend(tuple(int(x) for x in w) for w in words[good])
+    return out
 
 
 def random_tree_realization(rng: random.Random, field: PrimeField, *,
@@ -288,3 +338,25 @@ def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
         gens.append(SpannedGenerator(tuple(vec), Span(start, (start + length) % n)))
     rng.shuffle(gens)
     return product_trellis(field, n, gens, "tail-biting")
+
+
+def ladder_conventional_trellis(rng: random.Random, field: PrimeField, n: int) -> Realization:
+    """A conventional trellis shaped like the benchmark's minimize documents.
+
+    3n // 8 short generators (spans 1, 2, 3 in turn, none wrapping); the
+    first n // 8 of them that are 2+ long have a zero at one span end,
+    which leaves a merge to make.
+    """
+    p = field.p
+    gens = []
+    for j in range(3 * n // 8):
+        length = 1 + j % 3
+        start = rng.randrange(n - length)
+        vec = [0] * n
+        for k in range(start, start + length + 1):
+            vec[k] = rng.randrange(1, p)
+        if j < n // 8 and length >= 2:
+            vec[rng.choice((start, start + length))] = 0
+        gens.append(SpannedGenerator(tuple(vec), Span(start, start + length)))
+    rng.shuffle(gens)
+    return product_trellis(field, n, gens, "conventional")

@@ -364,6 +364,15 @@ def test_criterion_11_oracle_matches_kernel_everywhere():
     for _ in range(30):
         field = GF3 if rng.random() < 0.3 else GF2
         instances.append(random_realization(rng, field, total_cap=10))
+    # ten graphs with two or three independent cycles, parallel states allowed
+    rng = random.Random(111112)
+    multi_cycle = 0
+    while multi_cycle < 10:
+        field = GF3 if multi_cycle % 3 == 0 else GF2
+        r = random_realization(rng, field, total_cap=12, extra_edges=2)
+        if len(r.topology.states) - len(r.topology.constraints) >= 1:
+            instances.append(r)
+            multi_cycle += 1
     # a 16-variable instance and a boundary instance at exactly 2^20 points
     instances.append(product_trellis(GF2, 8, [
         SpannedGenerator((1, 1, 1, 1, 1, 0, 0, 0), Span(0, 4)),

@@ -1,5 +1,6 @@
 """Builders (generator, parity-check, trellis) and trajectory connectivity."""
 
+import hashlib
 import random
 
 import pytest
@@ -163,6 +164,26 @@ class TestParityCheckRealization:
             parity_check_realization(GF2, 3, [])
         with pytest.raises(ValueError):
             parity_check_realization(GF2, 3, [[0, 0, 0]])
+
+    def test_equal_local_codes_share_one_space(self):
+        # Gallager's (3,6)-regular check matrix: three bands of n/6 rows, each
+        # band a column permutation of runs of six
+        rng = random.Random("shared-spaces")
+        n, h = 240, []
+        for band in range(3):
+            cols = list(range(n))
+            if band:
+                rng.shuffle(cols)
+            for i in range(n // 6):
+                h.append([int(k in cols[6 * i:6 * i + 6]) for k in range(n)])
+        r = parity_check_realization(GF2, n, h)
+        assert len(r.topology.constraints) == 360
+        # every check node has six replicas and every position node three
+        assert len({id(r.code(c.id).space) for c in r.topology.constraints}) == 2
+        # the digest of the same document built with one space per constraint
+        text = emit_realization(r)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "98cf765204d480fbc52ae11b93d2dfba152df96063166a7963b1f3229b766ff6"
 
 
 class TestProductTrellis:

@@ -41,7 +41,8 @@ from ncl import (
 )
 from ncl.reduction import DUAL_MERGE, MERGE, UNOBS_TRIM, _quotient_map, _shrink
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
-from helpers import identity, random_realization, random_tree_realization
+from helpers import (identity, ladder_conventional_trellis, random_realization,
+                     random_tree_realization)
 
 
 def state_dims(r):
@@ -201,6 +202,40 @@ class TestFixpoint:
                 for v in c.vars:
                     if out.topology.is_state(v):
                         assert is_trim(out, c.id, v).ok
+
+
+class TestTreesFirst:
+    """On a cycle-free graph the driver stops at its first trim-and-proper
+    fixpoint without building the behavior: trim and proper everywhere
+    means minimal there, and minimal means observable."""
+
+    @staticmethod
+    def behavior_built(r) -> bool:
+        # _behavior_code is a cached_property: a build leaves it in the instance dict
+        return "_behavior_code" in vars(r)
+
+    def test_random_tree_fixpoints_are_observable(self):
+        rng = random.Random(1202_0534)
+        for k in range(1000):
+            field = (GF2, GF3, PrimeField(5))[k % 3]
+            r = random_tree_realization(rng, field, total_cap=9)
+            if k % 2:
+                order = list(r.topology.constraint_ids())
+                rng.shuffle(order)
+                out, steps = minimize_cycle_free(r, constraint_order=order)
+            else:
+                out, steps = reduce_to_fixpoint(r)
+            assert not self.behavior_built(out)
+            assert is_observable(out)
+            assert all(s.kind in ("trim", "merge") for s in steps)
+
+    def test_ladder_conventional_trellises(self):
+        for i in range(3):
+            r = ladder_conventional_trellis(random.Random(f"trees-first:{i}"), GF3, 48)
+            for out, steps in (minimize_cycle_free(r), reduce_to_fixpoint(r)):
+                assert steps and not self.behavior_built(out)
+                assert is_observable(out)
+                assert next_reduction(out) is None
 
 
 class TestMinimize:
