@@ -176,6 +176,26 @@ class BlockedCode:
         return f"<code dim {self.dim} on blocks {list(self.structure.ids())!r}>"
 
 
+def _gathered(code: BlockedCode, groups: Sequence[Sequence[str]]) -> np.ndarray:
+    """The code's basis columns on each group of blocks, as one (groups,
+    rows, width) stack gathered in one indexing call. A group narrower
+    than the widest reads a zero column appended to the basis, which
+    leaves its rank unchanged."""
+    a = code.space.basis.array
+    where, at = {}, 0
+    for bid, d in code.structure.blocks:
+        where[bid] = range(at, at + d)
+        at += d
+    cols = [[j for bid in g for j in where[bid]] for g in groups]
+    width = max(map(len, cols), default=0)
+    index = np.array([c + [at] * (width - len(c)) for c in cols],
+                     dtype=np.intp).reshape(len(cols), width)
+    padded = np.hstack([a, np.zeros((a.shape[0], 1), dtype=a.dtype)])
+    # gathering rows of the transpose reads whole columns; the stack is
+    # a (groups, rows, width) view of the result
+    return padded.T[index].transpose(0, 2, 1)
+
+
 def format_word(field: PrimeField, word: Sequence[int]) -> str:
     """Residues as a digit string for p <= 10, comma-separated otherwise."""
     vals = [int(x) % field.p for x in word]

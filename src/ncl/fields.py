@@ -15,6 +15,13 @@ many small rank tests behind analyze's verdicts, which would otherwise
 be one Python-level elimination each. A single matrix stays on the 2-D
 loop: `ranks` gives no RREF or pivots, and a stack of one costs more
 (about 0.08 against 0.05 ms on a 6x10 GF(3) matrix).
+
+Inputs are validated at the public boundary only. `MatrixF(...)` reduces
+what it is given mod p, and `Subspace(...)` checks that its basis is in
+canonical reduced echelon form. An elimination's RREF is already both,
+so `rref` and `Subspace.spanned_by`, and with it every kernel, sum and
+complement, build their result from `_rref_array`'s rows and pivots:
+one widening to int64, no `% p` copy and no canonical re-check.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ GF3 = PrimeField(3)
 class MatrixF:
     """An immutable row-major matrix of residues over a prime field."""
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "_a", "_echelon")
 
     def __init__(self, field: PrimeField, array) -> None:
         a = np.asarray(array, dtype=np.int64)
@@ -84,6 +91,8 @@ class MatrixF:
         a.setflags(write=False)
         self.field = field
         self._a = a
+        # pivots, set by _held alone, mark a known canonical RREF basis
+        self._echelon: tuple[int, ...] | None = None
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]],
@@ -129,6 +138,19 @@ class MatrixF:
 
     def __repr__(self) -> str:
         return f"MatrixF({self.field!r}, {self.tolist()!r})"
+
+
+def _held(field: PrimeField, a: np.ndarray,
+          echelon: tuple[int, ...] | None = None) -> MatrixF:
+    """A MatrixF around an int64 array of residues that this package built,
+    taken as it is: no `% p` copy, and, given the pivots of a canonical
+    RREF basis, no canonical re-check when a Subspace takes it."""
+    m = MatrixF.__new__(MatrixF)
+    a.setflags(write=False)
+    m.field = field
+    m._a = a
+    m._echelon = echelon
+    return m
 
 
 def _work_dtype(p: int) -> type:
@@ -177,11 +199,12 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def ranks(mats: Sequence[np.ndarray], p: int) -> np.ndarray:
+def ranks(mats: Sequence[np.ndarray] | np.ndarray, p: int) -> np.ndarray:
     """The rank of each 2-D matrix of residues mod p in `mats`.
 
     The matrices are zero-padded into one (batch, rows, cols) stack,
-    which leaves their ranks unchanged. One loop over the columns serves
+    which leaves their ranks unchanged; a 3-D array is taken as that
+    stack as it is, with no padding loop. One loop over the columns serves
     the whole batch: a row not yet used as a pivot is zero left of the
     current column, and each pivot updates only the (matrix, row) pairs
     with a nonzero in its column (an XOR when p = 2). Over odd p an
@@ -190,12 +213,16 @@ def ranks(mats: Sequence[np.ndarray], p: int) -> np.ndarray:
     The stack is held in the working dtype, a half or an eighth of the
     memory of int64.
     """
-    batch = len(mats)
-    nrows = max((a.shape[0] for a in mats), default=0)
-    ncols = max((a.shape[1] for a in mats), default=0)
-    m = np.zeros((batch, nrows, ncols), dtype=_work_dtype(p))
-    for i, a in enumerate(mats):
-        m[i, :a.shape[0], :a.shape[1]] = a
+    if isinstance(mats, np.ndarray):
+        m = mats.astype(_work_dtype(p))
+        batch, nrows, ncols = m.shape
+    else:
+        batch = len(mats)
+        nrows = max((a.shape[0] for a in mats), default=0)
+        ncols = max((a.shape[1] for a in mats), default=0)
+        m = np.zeros((batch, nrows, ncols), dtype=_work_dtype(p))
+        for i, a in enumerate(mats):
+            m[i, :a.shape[0], :a.shape[1]] = a
     free = np.ones((batch, nrows), dtype=bool)
     pivot_row = np.zeros(batch, dtype=np.intp)
     for c in range(ncols):
@@ -224,7 +251,7 @@ def ranks(mats: Sequence[np.ndarray], p: int) -> np.ndarray:
 def rref(m: MatrixF) -> tuple[MatrixF, int, tuple[int, ...]]:
     """Reduced row echelon form with its rank and pivot columns."""
     a, piv = _rref_array(m.array, m.field.p)
-    return MatrixF(m.field, a), len(piv), tuple(piv)
+    return _held(m.field, a.astype(np.int64)), len(piv), tuple(piv)
 
 
 def rank(m: MatrixF) -> int:
@@ -298,22 +325,25 @@ class Subspace:
             raise FieldMismatchError(f"{basis.field} vs {field}")
         if basis.cols != ambient:
             raise DimensionMismatchError(f"basis width {basis.cols}, ambient {ambient}")
-        a = basis.array
-        pivots = []
-        last = -1
-        for i in range(a.shape[0]):
-            nz = np.nonzero(a[i])[0]
-            if nz.size == 0 or a[i, nz[0]] != 1 or int(nz[0]) <= last:
-                raise ValueError("basis is not in canonical reduced echelon form")
-            c = int(nz[0])
-            if np.count_nonzero(a[:, c]) != 1:
-                raise ValueError("basis is not in canonical reduced echelon form")
-            pivots.append(c)
-            last = c
+        pivots = basis._echelon
+        if pivots is None:
+            a = basis.array
+            found = []
+            last = -1
+            for i in range(a.shape[0]):
+                nz = np.nonzero(a[i])[0]
+                if nz.size == 0 or a[i, nz[0]] != 1 or int(nz[0]) <= last:
+                    raise ValueError("basis is not in canonical reduced echelon form")
+                c = int(nz[0])
+                if np.count_nonzero(a[:, c]) != 1:
+                    raise ValueError("basis is not in canonical reduced echelon form")
+                found.append(c)
+                last = c
+            pivots = tuple(found)
         self.field = field
         self.ambient = ambient
         self.basis = basis
-        self.pivots = tuple(pivots)
+        self.pivots = pivots
         self._orthogonal: Subspace | None = None
 
     @classmethod
@@ -321,8 +351,8 @@ class Subspace:
         m = rows if isinstance(rows, MatrixF) else MatrixF.from_rows(field, rows, cols=ambient)
         if m.cols != ambient:
             raise DimensionMismatchError(f"rows have width {m.cols}, ambient {ambient}")
-        red, rk, _ = rref(m)
-        return cls(field, ambient, MatrixF(field, red.array[:rk]))
+        red, rk, piv = rref(m)
+        return cls(field, ambient, _held(field, red.array[:rk], piv))
 
     @property
     def dim(self) -> int:

@@ -120,13 +120,13 @@ def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
     parity_rows: list[list[int]] = []
     for c in r.topology.constraints:
         gens = [[int(x) for x in row] for row in r.code(c.id).space.basis.array]
-        width = sum(r.topology.var_dim(v) for v in c.vars)
+        spans = [(offset[v], r.topology.var_dim(v)) for v in c.vars]
+        width = sum(d for _, d in spans)
         for h in _nullspace(gens, width, p):
             row = [0] * total
             at = 0
-            for v in c.vars:
-                d = r.topology.var_dim(v)
-                row[offset[v]:offset[v] + d] = h[at:at + d]
+            for start, d in spans:
+                row[start:start + d] = h[at:at + d]
                 at += d
             parity_rows.append(row)
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .blockcode import BlockedCode, BlockStructure
+from .blockcode import BlockedCode, BlockStructure, _gathered
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import MatrixF, PrimeField, _rref_kernel, kernel, ranks, rref
+from .fields import MatrixF, PrimeField, _held, _rref_kernel, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -187,8 +188,13 @@ class Topology:
             comps[label].add(cid)
         return comps
 
+    @cached_property
+    def _uncut_components(self) -> list[set[str]]:
+        """_components() computed once, for validation and is_connected."""
+        return self._components()
+
     def is_connected(self) -> bool:
-        return len(self._components()) <= 1
+        return len(self._uncut_components) <= 1
 
     def is_cycle_free(self) -> bool:
         """Connected and acyclic; multi-edges count as cycles."""
@@ -251,7 +257,7 @@ class Topology:
                     f"{s.left!r} and {s.right!r}, found {uses[s.id]!r}",
                     (s.id, *uses[s.id])))
 
-        comps = self._components()
+        comps = self._uncut_components
         if len(comps) > 1:
             smaller = min(comps, key=len)
             found.append(ValidationIssue(
@@ -349,8 +355,10 @@ class Realization:
         states = tuple(
             StateVar(s.id, new_dim, s.left, s.right, s.negate_at) if s.id == state_id else s
             for s in topo.states)
-        child = Realization(self.field, Topology(topo.symbols, states, topo.constraints),
-                            {**self._codes, **replaced})
+        child_topo = Topology(topo.symbols, states, topo.constraints)
+        # a step never changes endpoints, so the components carry over
+        child_topo.__dict__["_uncut_components"] = topo._uncut_components
+        child = Realization(self.field, child_topo, {**self._codes, **replaced})
         # _issues is a cached_property: assigning it fills the cache
         child._issues = tuple(issue for c in topo.constraints if c.id in replaced
                               for issue in child._code_issues(c.id))
@@ -363,14 +371,15 @@ class Realization:
         frame = BlockStructure(tuple(
             (v.id, v.dim) for v in (*topo.symbols, *topo.states)))
         # one block of rows per constraint: its cached check matrix, written
-        # into the columns of its vars in one indexed assignment
+        # into the columns of its vars in one indexed assignment; every
+        # block already holds residues, so the system needs no % p copy
         rows = [np.zeros((0, frame.total), dtype=np.int64)]
         for c in topo.constraints:
             h = self._codes[c.id].dual().space.basis.array
             emb = np.zeros((h.shape[0], frame.total), dtype=np.int64)
             emb[:, frame.positions(c.vars)] = h
             rows.append(emb)
-        return BlockedCode(frame, kernel(MatrixF(self.field, np.vstack(rows))))
+        return BlockedCode(frame, kernel(_held(self.field, np.vstack(rows))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Realization):
@@ -497,18 +506,16 @@ def _block(code: BlockedCode, var_id: str) -> np.ndarray:
 
 def is_state_trim(r: Realization) -> bool:
     """The behavior projects onto every state space: one stacked rank call."""
-    b = r._behavior_code
     states = r.topology.states
-    return bool((ranks([_block(b, s.id) for s in states], r.field.p)
-                 == [s.dim for s in states]).all())
+    stack = _gathered(r._behavior_code, [[s.id] for s in states])
+    return bool((ranks(stack, r.field.p) == [s.dim for s in states]).all())
 
 
 def is_branch_trim(r: Realization) -> bool:
     """The behavior projects onto every constraint code: one stacked rank call."""
-    b = r._behavior_code
     cons = r.topology.constraints
-    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
-    return bool((ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
+    stack = _gathered(r._behavior_code, [c.vars for c in cons])
+    return bool((ranks(stack, r.field.p) == [r.code(c.id).dim for c in cons]).all())
 
 
 def is_reduced(r: Realization) -> bool:
@@ -637,10 +644,11 @@ def analyze(r: Realization) -> AnalysisReport:
 
     Every local verdict is a block-column rank: trim at state s when the
     code's generator matrix has full column rank on s, proper when its
-    check matrix does. All of them are one stacked rank call, and the
-    state-trim and branch-trim tests of the behavior one call each.
-    is_trim and is_proper run only where a rank falls short, to build the
-    witness.
+    check matrix does. Both depend only on the code's subspace and where
+    its states sit, so each distinct pair is ranked once, all in one
+    stacked rank call; the state-trim and branch-trim tests of the
+    behavior are one call each. is_trim and is_proper run only where a
+    rank falls short, to build the witness.
     """
     r.ensure_valid()
     topo = r.topology
@@ -648,19 +656,30 @@ def analyze(r: Realization) -> AnalysisReport:
     realized = b.projection_dim(topo.symbol_ids())
     unobs = b.dim - realized
     defect = controllability_defect(r)
-    incidences = topo.incidences()
-    blocks = []
-    for cid, v in incidences:
-        code = r.code(cid)
-        blocks += (_block(code, v), _block(code.dual(), v))
-    full = ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
-    trim_ok = dict(zip(incidences, full[0::2]))
-    improper = {cid for (cid, _), ok in zip(incidences, full[1::2]) if not ok}
+    # per constraint: its code's subspace, and each block's dim and whether it is a state
+    key_of = {cid: (id(code.space), tuple((d, v in topo._states_by_id)
+                                          for v, d in code.structure.blocks))
+              for cid, code in r._codes.items()}
+    distinct = {key: r._codes[cid] for cid, key in key_of.items()}
+    blocks, dims = [], []
+    for (_, layout), code in distinct.items():
+        g, h = code.space.basis.array, code.dual().space.basis.array
+        at = 0
+        for d, is_state in layout:
+            if is_state:
+                blocks += (g[:, at:at + d], h[:, at:at + d])
+                dims += (d, d)
+            at += d
+    full = iter((ranks(blocks, r.field.p) == dims).tolist())
+    # each key's (trim, proper) rank verdicts, state by state
+    oks = {key: list(islice(full, 2 * sum(s for _, s in key[1]))) for key in distinct}
     reports = []
     for c in topo.constraints:
-        trims = tuple(TrimVerdict(True, c.id, v) if trim_ok[c.id, v] else is_trim(r, c.id, v)
-                      for v in c.vars if topo.is_state(v))
-        proper = is_proper(r, c.id) if c.id in improper else ProperVerdict(True, c.id)
+        ok = oks[key_of[c.id]]
+        states = [v for v in c.vars if topo.is_state(v)]
+        trims = tuple(TrimVerdict(True, c.id, v) if t else is_trim(r, c.id, v)
+                      for v, t in zip(states, ok[0::2]))
+        proper = ProperVerdict(True, c.id) if all(ok[1::2]) else is_proper(r, c.id)
         reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, proper))
     trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
     cycle_free = topo.is_cycle_free()

@@ -8,15 +8,18 @@ import random
 import numpy as np
 
 from ncl import (
+    AnalysisReport,
     BlockedCode,
     BlockStructure,
     BudgetExceededError,
     Constraint,
+    ConstraintReport,
     DimensionMismatchError,
     EnumerationBudget,
     FieldMismatchError,
     MatrixF,
     PrimeField,
+    ProperVerdict,
     Realization,
     ReductionStep,
     Span,
@@ -25,13 +28,20 @@ from ncl import (
     Subspace,
     SymbolVar,
     Topology,
+    TrimVerdict,
     behavior,
     complete_to_basis,
+    controllability_defect,
     dualize,
+    is_proper,
+    is_trim,
+    kernel,
     product_trellis,
     reduce_unobservable,
 )
+from ncl.fields import ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
+from ncl.realization import _block
 from ncl.reduction import _unobservable_direction
 
 
@@ -360,3 +370,101 @@ def ladder_conventional_trellis(rng: random.Random, field: PrimeField, n: int) -
         gens.append(SpannedGenerator(tuple(vec), Span(start, start + length)))
     rng.shuffle(gens)
     return product_trellis(field, n, gens, "conventional")
+
+
+def gallager_checks(rng: random.Random, n: int) -> list[list[int]]:
+    """Check matrix of a (3,6)-regular LDPC code, Gallager's way: three
+    stacked blocks of n // 6 rows, each block a random permutation of the
+    n columns cut into rows of six, so no check lists a variable twice."""
+    rows = []
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows += [perm[6 * i:6 * i + 6] for i in range(n // 6)]
+    return [[int(k in row) for k in range(n)] for row in rows]
+
+
+def reference_behavior(r: Realization) -> BlockedCode:
+    """The behavior built through the checking MatrixF constructor, as
+    realization._behavior_code built it before the system skipped its
+    % p copy."""
+    r.ensure_valid()
+    topo = r.topology
+    frame = BlockStructure(tuple(
+        (v.id, v.dim) for v in (*topo.symbols, *topo.states)))
+    rows = [np.zeros((0, frame.total), dtype=np.int64)]
+    for c in topo.constraints:
+        h = r.code(c.id).dual().space.basis.array
+        emb = np.zeros((h.shape[0], frame.total), dtype=np.int64)
+        emb[:, frame.positions(c.vars)] = h
+        rows.append(emb)
+    return BlockedCode(frame, kernel(MatrixF(r.field, np.vstack(rows))))
+
+
+def reference_is_state_trim(r: Realization) -> bool:
+    """is_state_trim with one sliced block per state, padded by ranks."""
+    b = behavior(r)
+    states = r.topology.states
+    return bool((ranks([_block(b, s.id) for s in states], r.field.p)
+                 == [s.dim for s in states]).all())
+
+
+def reference_is_branch_trim(r: Realization) -> bool:
+    """is_branch_trim with one sliced block per constraint, padded by ranks."""
+    b = behavior(r)
+    cons = r.topology.constraints
+    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
+    return bool((ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
+
+
+def reference_analyze(r: Realization) -> AnalysisReport:
+    """analyze with one trim and one proper block ranked per (constraint,
+    state) incidence, as it was before the verdicts were asked once per
+    distinct local code; the behavior's state-trim and branch-trim tests
+    are the sliced references above."""
+    r.ensure_valid()
+    topo = r.topology
+    b = behavior(r)
+    realized = b.projection_dim(topo.symbol_ids())
+    unobs = b.dim - realized
+    defect = controllability_defect(r)
+    incidences = topo.incidences()
+    blocks = []
+    for cid, v in incidences:
+        code = r.code(cid)
+        blocks += (_block(code, v), _block(code.dual(), v))
+    full = ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
+    trim_ok = dict(zip(incidences, full[0::2]))
+    improper = {cid for (cid, _), ok in zip(incidences, full[1::2]) if not ok}
+    reports = []
+    for c in topo.constraints:
+        trims = tuple(TrimVerdict(True, c.id, v) if trim_ok[c.id, v] else is_trim(r, c.id, v)
+                      for v in c.vars if topo.is_state(v))
+        proper = is_proper(r, c.id) if c.id in improper else ProperVerdict(True, c.id)
+        reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, proper))
+    trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
+    cycle_free = topo.is_cycle_free()
+    state_trim = reference_is_state_trim(r)
+    branch_trim = reference_is_branch_trim(r)
+    observable = unobs == 0
+    controllable = defect == 0
+    return AnalysisReport(
+        field_order=r.field.p,
+        symbol_dims=tuple((s.id, s.dim) for s in topo.symbols),
+        state_dims=tuple((s.id, s.dim) for s in topo.states),
+        constraint_dims=tuple((c.id, r.code(c.id).dim) for c in topo.constraints),
+        behavior_dim=b.dim,
+        realized_dim=realized,
+        unobservable_dim=unobs,
+        defect=defect,
+        observable=observable,
+        controllable=controllable,
+        state_trim=state_trim,
+        branch_trim=branch_trim,
+        reduced=state_trim and branch_trim,
+        cycle_free=cycle_free,
+        minimal=trim_proper if cycle_free else None,
+        trim_proper=trim_proper,
+        locally_reducible=not trim_proper or not observable or not controllable,
+        constraints=tuple(reports),
+    )

@@ -279,6 +279,14 @@ class TestStackedRanks:
         got = ranks(mats, p)
         assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
         assert got.tolist() == [sympy_rank(a, p) for a in mats]
+        # the same matrices zero-padded into one 3-D stack, taken as it is
+        stack = np.zeros((len(mats), 6, 7), dtype=np.int64)
+        for i, a in enumerate(mats):
+            stack[i, :a.shape[0], :a.shape[1]] = a
+        before = stack.copy()
+        assert ranks(stack, p).tolist() == got.tolist()
+        assert ranks(stack.transpose(0, 2, 1), p).tolist() == got.tolist()
+        assert np.array_equal(stack, before)
 
     def test_empty_stack(self):
         assert ranks([], 3).tolist() == []
@@ -349,3 +357,50 @@ class TestSubspace:
             a.sum(zero_space(GF3, 2))
         with pytest.raises(DimensionMismatchError):
             a.intersect(zero_space(GF2, 3))
+
+
+class TestTrustedConstruction:
+    """Subspaces built from an elimination skip the % p copy and the
+    canonical check; the public constructors keep both."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 8191])
+    def test_spanned_by_equals_the_checking_constructor(self, p):
+        field = PrimeField(p)
+        rng = np.random.default_rng(p)
+        for _ in range(60):
+            rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 8))
+            a = rng.integers(0, p, (rows, cols))
+            if rows and rng.random() < 0.4:
+                a[int(rng.integers(rows))] = 0
+            if cols and rng.random() < 0.4:
+                a[:, int(rng.integers(cols))] = 0
+            s = Subspace.spanned_by(field, cols, MatrixF(field, a))
+            checked = Subspace(field, cols, MatrixF(field, s.basis.array.copy()))
+            assert s == checked
+            assert s.pivots == checked.pivots
+            for m in (s.basis.array, rref(MatrixF(field, a))[0].array):
+                assert m.dtype == np.int64
+                assert not m.flags.writeable
+                assert ((0 <= m) & (m < p)).all()
+
+    def test_subspaces_an_elimination_builds_are_canonical(self):
+        rng = np.random.default_rng(11)
+        for p in (2, 3, 7):
+            field = PrimeField(p)
+            for _ in range(20):
+                m = MatrixF(field, rng.integers(0, p, (4, 6)))
+                s = Subspace.spanned_by(field, 6, m)
+                for built in (kernel(m), s.orthogonal(), s.sum(kernel(m)), s.intersect(kernel(m))):
+                    assert built == Subspace(field, 6, MatrixF(field, built.basis.array))
+
+    def test_public_constructor_still_rejects_non_canonical_bases(self):
+        # rref's own matrix keeps its zero rows, so it is no basis
+        red, rk, _ = rref(MatrixF(GF3, [[1, 2, 0], [2, 1, 0]]))
+        assert rk == 1
+        with pytest.raises(ValueError):
+            Subspace(GF3, 3, red)
+        s = Subspace.spanned_by(GF3, 3, [[1, 0, 2], [0, 1, 1]])
+        for bad in (s.basis.array[::-1], 2 * s.basis.array,
+                    s.basis.array + np.array([[0, 1, 0], [0, 0, 0]])):
+            with pytest.raises(ValueError):
+                Subspace(GF3, 3, MatrixF(GF3, bad))

@@ -5,15 +5,18 @@ nothing here enumerates. Instead each check relates two computations
 that must agree: a reduction preserves the realized code, dualizing
 twice gives back the constraint codes, the dual realizes the dual code,
 and a realization is observable exactly when its dual is controllable
-(Forney and Gluesing-Luerssen, arXiv:1202.0534).
+(Forney and Gluesing-Luerssen, arXiv:1202.0534). The same properties
+are checked on small random graphs with several independent cycles.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from ncl import GF3, dualize, is_controllable, is_observable, realized_code, reduce_to_fixpoint
-from helpers import ladder_trellis
+from ncl import (GF2, GF3, PrimeField, dualize, is_controllable, is_observable,
+                 realized_code, reduce_to_fixpoint)
+from helpers import ladder_trellis, random_realization
 
 SIZES = (64, 96, 128)
 
@@ -49,3 +52,29 @@ def test_observable_iff_dual_controllable(pair):
     assert [is_observable(r), is_observable(reduced)] == [False, True]
     for x in pair:
         assert is_observable(x) == is_controllable(dualize(x))
+
+
+def multi_cycle_realizations():
+    for field in (GF2, GF3, PrimeField(5)):
+        rng = random.Random(f"metamorphic-cycles:{field.p}")
+        for _ in range(60):
+            yield random_realization(rng, field, max_constraints=5, max_dim=2,
+                                     extra_edges=rng.randint(2, 3))
+
+
+def test_properties_on_multi_cycle_graphs():
+    seen = Counter()
+    for r in multi_cycle_realizations():
+        reduced, steps = reduce_to_fixpoint(r)
+        assert realized_code(reduced) == realized_code(r)
+        for x in (r, reduced):
+            assert dualize(dualize(x)).codes == x.codes
+            assert is_observable(x) == is_controllable(dualize(x))
+        # a connected graph has states - constraints + 1 independent cycles
+        topo = r.topology
+        seen["two or more cycles"] += len(topo.states) - len(topo.constraints) >= 1
+        seen["unobservable"] += not is_observable(r)
+        seen["uncontrollable"] += not is_controllable(r)
+        seen.update(step.kind for step in steps)
+    assert {"two or more cycles", "unobservable", "uncontrollable", "trim", "merge",
+            "unobservability-trim"} <= {k for k, v in seen.items() if v}, seen

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+import ncl.realization
 import ncl.reduction
 from ncl import (
     BlockedCode,
@@ -29,6 +30,8 @@ from ncl import (
     behavior,
     dual_merge_unobservable,
     dualize,
+    emit_realization,
+    generator_realization,
     is_branch_trim,
     is_observable,
     is_proper,
@@ -37,6 +40,8 @@ from ncl import (
     merge_state,
     minimize_cycle_free,
     next_reduction,
+    parity_check_realization,
+    parse_realization,
     reduce_to_fixpoint,
     reduce_unobservable,
     trim_state,
@@ -45,10 +50,14 @@ from ncl import (
 )
 from fixtures import example1
 from helpers import (
+    gallager_checks,
     ladder_trellis,
     random_blocked_code,
     random_realization,
+    random_support_matrix,
     random_tail_biting_product,
+    random_tree_realization,
+    reference_analyze,
     reference_dual_merge,
 )
 
@@ -192,6 +201,83 @@ def test_local_verdicts_match_definitions(field):
     assert set(seen) == {"trim failure at dim >= 2", "proper failure at dim >= 2",
                          "state trim True", "state trim False",
                          "branch trim True", "branch trim False"}
+
+
+def with_repeated_codes(r):
+    """r with every constraint taking the generator rows of the first one
+    with its block dims, emitted and parsed, so those constraints share
+    one subspace, failing verdicts and all."""
+    first, codes = {}, {}
+    for c in r.topology.constraints:
+        code = r.code(c.id)
+        rows = first.setdefault(tuple(d for _, d in code.structure.blocks), code.space.basis)
+        codes[c.id] = BlockedCode.from_rows(r.field, code.structure, rows)
+    return parse_realization(emit_realization(Realization(r.field, r.topology, codes)))
+
+
+def analyze_cases(field):
+    """(kind, realization) pairs for comparing analyze with its reference."""
+    rng = random.Random(f"analyze-reference:{field.p}")
+    cases = [("tree", random_tree_realization(rng, field, max_dim=3)) for _ in range(12)]
+    cases += [("one cycle", random_realization(rng, field, max_dim=3)) for _ in range(12)]
+    cases += [("cycles", random_realization(rng, field, max_dim=2, extra_edges=rng.randint(2, 3)))
+              for _ in range(16)]
+    cases += [("tail-biting", random_tail_biting_product(rng, field, max_n=6))
+              for _ in range(10)]
+    cases += [("shared", with_repeated_codes(random_realization(
+        rng, field, max_constraints=6, max_dim=2, extra_edges=rng.randint(0, 3))))
+        for _ in range(16)]
+    for _ in range(4):
+        n = rng.randint(3, 7)
+        rows = random_support_matrix(rng, field, rng.randint(1, n - 1), n)
+        for build in (parity_check_realization, generator_realization):
+            cases.append(("shared", parse_realization(emit_realization(build(field, n, rows)))))
+    # the fixpoints of every other tree and graph above, derived step by step
+    cases += [("derived", reduce_to_fixpoint(r)[0]) for _, r in cases[:40:2]]
+    return cases
+
+
+def test_analyze_matches_the_per_incidence_reference():
+    seen = Counter()
+    for field in FIELDS + [PrimeField(7)]:
+        for kind, r in analyze_cases(field):
+            report = analyze(r)
+            assert report.to_dict() == reference_analyze(r).to_dict()
+            spaces = [id(r.code(c).space) for c in r.topology.constraint_ids()]
+            shared = len(set(spaces)) < len(spaces)
+            seen[kind] += 1
+            seen["shared subspace"] += shared
+            for cr in report.constraints:
+                failed = sum(not t.ok for t in cr.trim) + (not cr.proper.ok)
+                seen["failed trim"] += any(not t.ok for t in cr.trim)
+                seen["failed proper"] += not cr.proper.ok
+                seen["failed verdict on a shared subspace"] += bool(failed) and shared
+    assert sum(seen[k] for k in ("tree", "one cycle", "cycles", "tail-biting", "shared",
+                                 "derived")) >= 300, seen
+    assert min(seen.values()) > 0, seen
+
+
+def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
+    """A parsed (3,6)-regular Tanner graph with n = 240 has two local codes:
+    a variable node's three states and a check node's six give 9 trim
+    and 9 proper blocks, where one per incidence would be 2,880."""
+    batches = []
+
+    def counted(mats, p):
+        batches.append((isinstance(mats, list), len(mats)))
+        return ranks(mats, p)
+
+    ranks = ncl.realization.ranks
+    n = 240
+    r = parse_realization(emit_realization(
+        parity_check_realization(GF2, n, gallager_checks(random.Random(15), n))))
+    monkeypatch.setattr(ncl.realization, "ranks", counted)
+    report = analyze(r)
+    local = sum(size for is_list, size in batches if is_list)
+    assert 0 < local <= 18
+    # the behavior's state-trim and branch-trim stacks, one call each
+    assert sorted(size for is_list, size in batches if not is_list) == [n // 2 * 3, 3 * n]
+    assert report.to_dict() == reference_analyze(r).to_dict()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")

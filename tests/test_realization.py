@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from ncl import (
     Constraint,
     InvalidRealizationError,
     MatrixF,
+    PrimeField,
     Realization,
     StateVar,
     SymbolVar,
@@ -24,6 +26,7 @@ from ncl import (
     analyze,
     behavior,
     controllability_defect,
+    cut_dims,
     dualize,
     emit_realization,
     is_branch_trim,
@@ -36,12 +39,18 @@ from ncl import (
     merge_state,
     parse_realization,
     realized_code,
+    reduce_to_fixpoint,
     trim_state,
     unobservable_behavior,
     validate,
 )
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
-from helpers import random_realization
+from helpers import (
+    random_realization,
+    random_tail_biting_product,
+    random_tree_realization,
+    reference_behavior,
+)
 from ncl.realization import _component_labels
 
 
@@ -249,7 +258,70 @@ class TestConnectivity:
             assert found == []
 
 
+def _fresh(topo):
+    """An equal topology that has computed nothing yet."""
+    return Topology(topo.symbols, topo.states, topo.constraints)
+
+
+def _uncut_cases():
+    rng = random.Random("uncut-components")
+    for field in (GF2, GF3, PrimeField(5), PrimeField(7)):
+        for _ in range(10):
+            yield random_tree_realization(rng, field, max_constraints=6)
+            yield random_realization(rng, field, extra_edges=rng.randint(0, 3))
+            yield random_tail_biting_product(rng, field, max_n=6)
+
+
+class TestUncutComponents:
+    """The uncut components are computed once per topology and handed to
+    every realization a step derives; nothing reads differently."""
+
+    def test_findings_and_cut_dims_match_a_fresh_topology(self):
+        seen = {"tree": 0, "derived": 0}
+        for r in _uncut_cases():
+            reduced, steps = reduce_to_fixpoint(r)
+            for x in (r, reduced):
+                topo = x.topology
+                fresh = _fresh(topo)
+                assert topo._uncut_components == fresh._components() == topo._components()
+                assert validate(x) == validate(Realization(x.field, fresh, x.codes))
+                assert topo.is_cycle_free() == fresh.is_cycle_free()
+                if topo.is_cycle_free():
+                    code = realized_code(x)
+                    assert cut_dims(code, topo) == cut_dims(code, fresh)
+                    seen["tree"] += 1
+            if steps:
+                # the derived topology took its parent's components, not its own
+                assert "_uncut_components" in vars(reduced.topology)
+                seen["derived"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_multigraph_findings_match_a_fresh_topology(self, seed):
+        rng = random.Random(seed)
+        cids = [f"c{rng.randrange(10)}" for _ in range(rng.randint(1, 9))]
+        ends = cids + ["x"]
+        states = tuple(StateVar(f"s{i}", 1, rng.choice(ends), rng.choice(ends))
+                       for i in range(rng.randint(0, 10)))
+        topo = Topology((), states, tuple(Constraint(c, ()) for c in cids))
+        first = topo.issues()
+        assert topo.issues() == first == _fresh(topo).issues()
+        assert topo.is_connected() == _fresh(topo).is_connected()
+
+
 class TestBehavior:
+    def test_matches_the_checked_system(self):
+        rng = random.Random("behavior-reference")
+        for field in (GF2, GF3, PrimeField(5), PrimeField(7)):
+            for _ in range(15):
+                for r in (random_tree_realization(rng, field),
+                          random_realization(rng, field, extra_edges=rng.randint(0, 3)),
+                          random_tail_biting_product(rng, field, max_n=6)):
+                    b = behavior(r)
+                    assert b == reference_behavior(r)
+                    assert b.space.basis.array.dtype == np.int64
+                    assert not b.space.basis.array.flags.writeable
+
     def test_example1_dimensions(self):
         r = example1()
         assert behavior(r).dim == 3
