@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, EnumerationLimitError,
                      FieldMismatchError, UnknownBlockError)
-from .fields import MatrixF, PrimeField, Subspace, kernel, rank
+from .fields import MatrixF, PrimeField, Subspace, _held, kernel, rank
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -132,7 +132,7 @@ class BlockedCode:
         return self.dim - self._rank_at(off)
 
     def _rank_at(self, cols: np.ndarray) -> int:
-        return rank(MatrixF(self.field, self.space.basis.array[:, cols]))
+        return rank(_held(self.field, self.space.basis.array[:, cols]))
 
     def cross_section(self, block_ids: Sequence[str]) -> "BlockedCode":
         """Subcode vanishing off the given blocks, seen on those blocks."""
@@ -176,20 +176,12 @@ class BlockedCode:
         return f"<code dim {self.dim} on blocks {list(self.structure.ids())!r}>"
 
 
-def _gathered(code: BlockedCode, groups: Sequence[Sequence[str]]) -> np.ndarray:
-    """The code's basis columns on each group of blocks, as one (groups,
-    rows, width) stack gathered in one indexing call. A group narrower
-    than the widest reads a zero column appended to the basis, which
-    leaves its rank unchanged."""
+def _gathered(code: BlockedCode, index: np.ndarray) -> np.ndarray:
+    """The code's basis columns at each row of the (groups, width) column
+    index, as one (groups, rows, width) stack gathered in one indexing
+    call. The index structure.total reads a zero column appended to the
+    basis, which pads a narrower group and leaves its rank unchanged."""
     a = code.space.basis.array
-    where, at = {}, 0
-    for bid, d in code.structure.blocks:
-        where[bid] = range(at, at + d)
-        at += d
-    cols = [[j for bid in g for j in where[bid]] for g in groups]
-    width = max(map(len, cols), default=0)
-    index = np.array([c + [at] * (width - len(c)) for c in cols],
-                     dtype=np.intp).reshape(len(cols), width)
     padded = np.hstack([a, np.zeros((a.shape[0], 1), dtype=a.dtype)])
     # gathering rows of the transpose reads whole columns; the stack is
     # a (groups, rows, width) view of the result

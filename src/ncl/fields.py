@@ -3,9 +3,11 @@
 Vectors are rows and a subspace is the row space of its basis matrix.
 All arithmetic is integer arithmetic mod p; there are no floats
 anywhere, so every result is exact. Matrices and every public result
-hold int64 residues. Both elimination loops work in one narrower dtype
-(`_work_dtype`): uint8 when p = 2, where a row update is an XOR, and
-int32 otherwise, since every intermediate is below p**2 <= 2**26.
+hold int64 residues. Elimination works in one narrower form per field:
+over GF(2) the Gauss-Jordan loop holds each row as a Python int, one bit
+per column, so a row update is one XOR of machine words, and the
+stacked rank loop holds uint8 (`_work_dtype`); over odd p both work in
+int32, since every intermediate is below p**2 <= 2**26.
 
 Elimination has two entry points. `_rref_array` is the Gauss-Jordan loop
 on one matrix behind rref, rank, kernel, inverse and complete_to_basis.
@@ -154,9 +156,10 @@ def _held(field: PrimeField, a: np.ndarray,
 
 
 def _work_dtype(p: int) -> type:
-    """The dtype both elimination loops work in: uint8 when p = 2, where
-    a row update is an XOR, and int32 otherwise. Every intermediate is
-    below p**2 <= 2**26 in magnitude, so int32 is exact up to MAX_FIELD."""
+    """The dtype of `ranks`' stack and of the rref `_rref_array` returns:
+    uint8 when p = 2, where a row update is an XOR, and int32 otherwise.
+    Every intermediate is below p**2 <= 2**26 in magnitude, so int32 is
+    exact up to MAX_FIELD."""
     return np.uint8 if p == 2 else np.int32
 
 
@@ -164,12 +167,15 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination mod p; returns (rref, pivot columns).
 
     rref, rank, kernel, inverse and complete_to_basis all run it. `a`
-    holds residues mod p. The elimination runs on a copy in the working
-    dtype, and the rref comes back in it: callers widen to int64 where
-    they build a MatrixF or negate. Each pivot clears its column in one
-    block update of every other row with a nonzero there (an XOR when
-    p = 2), so the work per pivot is a few numpy calls, not one per row.
+    holds residues mod p, and the rref comes back in `_work_dtype(p)`:
+    callers widen to int64 where they build a MatrixF or negate. Over
+    GF(2) the rows are eliminated as Python ints (`_rref_bits`). Over odd
+    p the loop runs on an int32 copy, and each pivot clears its column in
+    one block update of every other row with a nonzero there, so the work
+    per pivot is a few numpy calls, not one per row.
     """
+    if p == 2:
+        return _rref_bits(a)
     m = a.astype(_work_dtype(p))
     nrows, ncols = m.shape
     pivots: list[int] = []
@@ -190,12 +196,59 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if hits.size > 1:
             others = hits[hits != r]
             block = m[others]
-            if p == 2:
-                m[others] = block ^ m[r]
-            else:
-                m[others] = (block - block[:, c, None] * m[r]) % p
+            m[others] = (block - block[:, c, None] * m[r]) % p
         pivots.append(c)
         r += 1
+    return m, pivots
+
+
+def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`_rref_array` over GF(2), on rows held as Python ints.
+
+    Bit j of a row is column j, so a row operation is one XOR, with no
+    numpy call per pivot (word-packed rows as in M4RI: Albrecht, Bard and
+    Hart, ACM TOMS 2010). Each row is XOR-reduced at its lowest set bit
+    against the rows kept so far, until that bit is a new pivot or the
+    row is zero; the kept rows are then back-reduced from the highest
+    pivot down. An RREF is unique, so the uint8 result and the pivots are
+    those of any other Gauss-Jordan order. A matrix with fewer than two
+    rows or no columns is its own RREF and skips the packing.
+    """
+    nrows, ncols = a.shape
+    if nrows < 2 or not ncols:
+        m = a.astype(np.uint8)
+        return m, m[0].nonzero()[0][:1].tolist() if m.size else []
+    width = (ncols + 7) // 8
+    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
+    kept: dict[int, int] = {}
+    for at in range(0, nrows * width, width):
+        x = int.from_bytes(packed[at:at + width], "little")
+        while x:
+            c = (x & -x).bit_length() - 1
+            row = kept.get(c)
+            if row is None:
+                kept[c] = x
+                break
+            x ^= row
+    pivots = sorted(kept)
+    # a kept row has no set bit below its pivot, so once the rows of the
+    # higher pivots are reduced, XOR-ing one in clears just its pivot bit
+    higher = 0
+    for c in reversed(pivots):
+        row = kept[c]
+        hits = row & higher
+        while hits:
+            low = hits & -hits
+            row ^= kept[low.bit_length() - 1]
+            hits ^= low
+        kept[c] = row
+        higher |= 1 << c
+    m = np.zeros((nrows, ncols), dtype=np.uint8)
+    if pivots:
+        rows = b"".join(kept[c].to_bytes(width, "little") for c in pivots)
+        m[:len(pivots)] = np.unpackbits(
+            np.frombuffer(rows, dtype=np.uint8).reshape(len(pivots), width),
+            axis=1, count=ncols, bitorder="little")
     return m, pivots
 
 

@@ -189,6 +189,23 @@ class Topology:
         return comps
 
     @cached_property
+    def _frame_columns(self) -> tuple[BlockStructure, np.ndarray, np.ndarray]:
+        """The behavior's frame, symbols then states, and the frame columns
+        of each constraint's vars and of each state, one row each, padded
+        with the column index frame.total."""
+        frame = BlockStructure(tuple((v.id, v.dim) for v in (*self.symbols, *self.states)))
+        where = {v: range(at, at + d) for v, (at, d) in frame._offsets.items()}
+
+        def padded(groups: list) -> np.ndarray:
+            cols = [[j for v in g for j in where[v]] for g in groups]
+            width = max(map(len, cols), default=0)
+            return np.array([c + [frame.total] * (width - len(c)) for c in cols],
+                            dtype=np.intp).reshape(len(cols), width)
+
+        return (frame, padded([c.vars for c in self.constraints]),
+                padded([[s.id] for s in self.states]))
+
+    @cached_property
     def _uncut_components(self) -> list[set[str]]:
         """_components() computed once, for validation and is_connected."""
         return self._components()
@@ -367,19 +384,23 @@ class Realization:
     @cached_property
     def _behavior_code(self) -> BlockedCode:
         self.ensure_valid()
-        topo = self.topology
-        frame = BlockStructure(tuple(
-            (v.id, v.dim) for v in (*topo.symbols, *topo.states)))
-        # one block of rows per constraint: its cached check matrix, written
-        # into the columns of its vars in one indexed assignment; every
-        # block already holds residues, so the system needs no % p copy
-        rows = [np.zeros((0, frame.total), dtype=np.int64)]
-        for c in topo.constraints:
-            h = self._codes[c.id].dual().space.basis.array
-            emb = np.zeros((h.shape[0], frame.total), dtype=np.int64)
-            emb[:, frame.positions(c.vars)] = h
-            rows.append(emb)
-        return BlockedCode(frame, kernel(_held(self.field, np.vstack(rows))))
+        frame, cols, _ = self.topology._frame_columns
+        # each constraint's check matrix fills its own rows, in topology
+        # order, at its vars' columns; constraints on one shared subspace
+        # share the array, which is written into all of their rows in one
+        # indexed assignment. Every entry is a residue: no % p copy.
+        checks = [self._codes[c.id].dual().space.basis.array
+                  for c in self.topology.constraints]
+        starts = np.cumsum([0] + [h.shape[0] for h in checks])
+        system = np.zeros((int(starts[-1]), frame.total), dtype=np.int64)
+        sharing: dict[int, list[int]] = {}
+        for i, h in enumerate(checks):
+            sharing.setdefault(id(h), []).append(i)
+        for at in sharing.values():
+            h = checks[at[0]]
+            rows = starts[at, None] + np.arange(h.shape[0])
+            system[rows[:, :, None], cols[at, None, :h.shape[1]]] = h
+        return BlockedCode(frame, kernel(_held(self.field, system)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Realization):
@@ -464,7 +485,7 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     misses: e_i lies in it exactly when i is a pivot whose row is e_i.
     """
     d = r._incident_dim(constraint_id, state_id)
-    red, rk, piv = rref(MatrixF(r.field, _block(r.code(constraint_id), state_id)))
+    red, rk, piv = rref(_held(r.field, _block(r.code(constraint_id), state_id)))
     if rk == d:
         return TrimVerdict(True, constraint_id, state_id)
     units = {j for j, row in zip(piv, red.array) if np.count_nonzero(row) == 1}
@@ -487,7 +508,7 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     for v in c.vars:
         if not r.topology.is_state(v):
             continue
-        red, rk, piv = rref(MatrixF(r.field, _block(code.dual(), v)))
+        red, rk, piv = rref(_held(r.field, _block(code.dual(), v)))
         if rk == red.cols:
             continue
         section = _rref_kernel(r.field, red.array, piv)
@@ -506,16 +527,15 @@ def _block(code: BlockedCode, var_id: str) -> np.ndarray:
 
 def is_state_trim(r: Realization) -> bool:
     """The behavior projects onto every state space: one stacked rank call."""
-    states = r.topology.states
-    stack = _gathered(r._behavior_code, [[s.id] for s in states])
-    return bool((ranks(stack, r.field.p) == [s.dim for s in states]).all())
+    stack = _gathered(r._behavior_code, r.topology._frame_columns[2])
+    return bool((ranks(stack, r.field.p) == [s.dim for s in r.topology.states]).all())
 
 
 def is_branch_trim(r: Realization) -> bool:
     """The behavior projects onto every constraint code: one stacked rank call."""
-    cons = r.topology.constraints
-    stack = _gathered(r._behavior_code, [c.vars for c in cons])
-    return bool((ranks(stack, r.field.p) == [r.code(c.id).dim for c in cons]).all())
+    stack = _gathered(r._behavior_code, r.topology._frame_columns[1])
+    dims = [r.code(c.id).dim for c in r.topology.constraints]
+    return bool((ranks(stack, r.field.p) == dims).all())
 
 
 def is_reduced(r: Realization) -> bool:

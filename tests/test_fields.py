@@ -1,5 +1,7 @@
 """Exact linear algebra over GF(p)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+import ncl.realization
 from ncl import (
     GF2,
     GF3,
@@ -18,11 +21,12 @@ from ncl import (
     complete_to_basis,
     inverse,
     kernel,
+    parity_check_realization,
     rank,
     rref,
 )
 from ncl.fields import _rref_array, _work_dtype, ranks
-from helpers import full_space, identity, inv, mul, neg, transpose, zero_space, zeros
+from helpers import full_space, gallager_checks, identity, inv, mul, neg, transpose, zero_space, zeros
 
 FIELDS = [GF2, GF3, PrimeField(5)]
 
@@ -220,6 +224,75 @@ class TestAgainstSympy:
             eye = np.eye(m.rows, dtype=np.int64)
             assert (m.array @ inv % m.field.p).tolist() == eye.tolist()
             assert (inv @ m.array % m.field.p).tolist() == eye.tolist()
+
+
+def gf2_matrices():
+    """Random GF(2) matrices of fixed and random shapes: no rows, no
+    columns, one row, square, tall, wide and past a 64-bit word, each
+    all-zero, sparse, half full and dense; with three or more rows, the
+    last is the sum of the first two, so the rank falls short."""
+    rng = np.random.default_rng(2718)
+    shapes = [(0, 0), (0, 6), (5, 0), (1, 1), (1, 9), (2, 2), (7, 7), (30, 8),
+              (8, 30), (40, 70), (70, 40), (9, 130)]
+    shapes += [(int(rng.integers(0, 40)), int(rng.integers(0, 90))) for _ in range(8)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.06, 0.5, 0.94):
+            a = (rng.random((rows, cols)) < density).astype(np.int64)
+            if rows > 2:
+                a[-1] = a[0] ^ a[1]
+            yield pytest.param(a, id=f"{rows}x{cols}-{density}")
+
+
+def sympy_gf2(a: np.ndarray) -> DomainMatrix:
+    k = GF(2)
+    return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k)
+
+
+def gf2_list(dm: DomainMatrix) -> list[list[int]]:
+    return [[int(x) % 2 for x in row] for row in dm.to_list()]
+
+
+def tanner_systems():
+    """The behavior system of each Tanner graph of the benchmark's tiny
+    ladder (n = 24 and 36), as the realization hands it to kernel."""
+    for n in (24, 36):
+        r = parity_check_realization(GF2, n, gallager_checks(random.Random(n), n))
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ncl.realization, "kernel", lambda m: seen.append(m) or kernel(m))
+            r._behavior_code
+        yield pytest.param(seen[0].array, id=f"tanner-n{n}")
+
+
+class TestGF2BitRows:
+    """Over GF(2), _rref_array eliminates rows held as Python ints; it must
+    give sympy's RREF and pivots, in uint8, on any shape."""
+
+    @pytest.mark.parametrize("a", [*gf2_matrices(), *tanner_systems()])
+    def test_rref_array_matches_sympy(self, a):
+        red, piv = _rref_array(a, 2)
+        want, want_piv = reference_rref(MatrixF(GF2, a))
+        assert red.dtype == np.uint8
+        assert red.shape == a.shape
+        assert red.tolist() == want.tolist()
+        assert piv == list(want_piv)
+
+    @pytest.mark.parametrize("a", gf2_matrices())
+    def test_kernel_inverse_and_completion_match_sympy(self, a):
+        m = MatrixF(GF2, a)
+        dm = sympy_gf2(a)
+        _, piv = dm.rref()
+        rows, cols = a.shape
+        assert complete_to_basis(m).tolist() == [
+            [int(j == i) for j in range(cols)] for i in range(cols) if i not in piv]
+        null = dm.nullspace()
+        want = gf2_list(null.rref()[0]) if null.shape[0] else []
+        assert kernel(m).basis.tolist() == want
+        if rows == cols and len(piv) == rows:
+            assert inverse(m).tolist() == gf2_list(dm.inv())
+        elif rows == cols:
+            with pytest.raises(ValueError):
+                inverse(m)
 
 
 class TestWorkingDtype:

@@ -460,11 +460,11 @@ class TestDualize:
             assert dualize(dualize(r)) == r
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(0, 10 ** 9))
-    def test_involution_random(self, p, seed):
+    @given(st.sampled_from([2, 3]), st.integers(0, 10 ** 9), st.integers(0, 3))
+    def test_involution_random(self, p, seed, extra_edges):
         rng = random.Random(seed)
         field = GF2 if p == 2 else GF3
-        r = random_realization(rng, field, total_cap=8)
+        r = random_realization(rng, field, total_cap=8, extra_edges=extra_edges)
         assert dualize(dualize(r)) == r
 
     def test_gf3_sign_lands_on_negate_constraint(self):
@@ -518,10 +518,11 @@ class TestAnalyze:
         assert all(t["ok"] for c in d["constraints"] for t in c["trim"])
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(0, 10 ** 9))
-    def test_report_internal_consistency(self, p, seed):
+    @given(st.sampled_from([2, 3]), st.integers(0, 10 ** 9), st.integers(0, 3))
+    def test_report_internal_consistency(self, p, seed, extra_edges):
         rng = random.Random(seed)
-        r = random_realization(rng, GF2 if p == 2 else GF3, total_cap=10)
+        r = random_realization(rng, GF2 if p == 2 else GF3, total_cap=10,
+                               extra_edges=extra_edges)
         rep = analyze(r)
         assert rep.behavior_dim == rep.realized_dim + rep.unobservable_dim
         assert rep.observable == (rep.unobservable_dim == 0)
