@@ -3,7 +3,8 @@
 A BlockedCode is a subspace together with a partition of its ambient
 coordinates into named blocks (symbol and state variables, in this
 package). Projection keeps a subset of blocks; cross-section keeps the
-words that vanish off that subset, then drops the zeroed coordinates.
+words that vanish off that subset, then drops the zeroed coordinates:
+one `fields._vanishing` call each, with the other blocks skipped.
 
 Codes are immutable, so each one builds its dual at most once and
 keeps it. The dual's basis, the check matrix, is the orthogonal
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, EnumerationLimitError,
                      FieldMismatchError, UnknownBlockError)
-from .fields import MatrixF, PrimeField, Subspace, _held, kernel, rank
+from .fields import PrimeField, Subspace, _held, _vanishing, rank
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -117,9 +118,8 @@ class BlockedCode:
     def project(self, block_ids: Sequence[str]) -> "BlockedCode":
         """Image of coordinate dropping: keep the given blocks, in that order."""
         cols = self.structure.positions(block_ids)
-        rows = self.space.basis.array[:, cols]
-        sub = self.structure.restrict(block_ids)
-        return BlockedCode(sub, Subspace.spanned_by(self.field, sub.total, MatrixF(self.field, rows)))
+        return BlockedCode(self.structure.restrict(block_ids),
+                           _vanishing(self.field, self.space.basis.array[:, cols]))
 
     def projection_dim(self, block_ids: Sequence[str]) -> int:
         """dim of project(block_ids): the rank of the basis columns there."""
@@ -136,15 +136,11 @@ class BlockedCode:
 
     def cross_section(self, block_ids: Sequence[str]) -> "BlockedCode":
         """Subcode vanishing off the given blocks, seen on those blocks."""
-        keep = self.structure.positions(block_ids)
         kept = set(block_ids)
         drop = self.structure.positions([b for b in self.structure.ids() if b not in kept])
-        g = self.space.basis.array
-        # coefficient vectors y with y @ g[:, drop] = 0
-        coeffs = kernel(MatrixF(self.field, g[:, drop].T))
-        rows = (coeffs.basis.array @ g[:, keep]) % self.field.p
-        sub = self.structure.restrict(block_ids)
-        return BlockedCode(sub, Subspace.spanned_by(self.field, sub.total, MatrixF(self.field, rows)))
+        cols = np.concatenate([drop, self.structure.positions(block_ids)])
+        return BlockedCode(self.structure.restrict(block_ids),
+                           _vanishing(self.field, self.space.basis.array[:, cols], len(drop)))
 
     def dual(self) -> "BlockedCode":
         """The orthogonal code on the same blocks, built on the first call

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .blockcode import DEFAULT_ENUM_CAP, BlockedCode, BlockStructure
-from .fields import MatrixF, PrimeField, Subspace
+from .fields import PrimeField, Subspace, _held
 from .realization import (
     Constraint,
     Realization,
@@ -113,9 +113,9 @@ def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node:
 
     Each nonzero entry m[i][k] becomes a dim-1 state "g{i}@p{k}" from
     row node "{node}{i}" to position node "pos{k}", whose vars are the
-    symbol a_k and then its states. node_code(w) gives the local
-    generators of a row node with w states, position_code(entries) those
-    of a position node from its column's nonzero entries in row order.
+    symbol a_k and then its states. node_code(w) gives the residue rows
+    generating a row node with w states, position_code(entries) those of
+    a position node from its column's nonzero entries in row order.
     """
     noun, zero = _ROWS[node]
     rows = [tuple(int(v) % field.p for v in row) for row in matrix]
@@ -138,9 +138,9 @@ def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node:
 
     def add(cid: str, vars_: tuple[str, ...], local: np.ndarray) -> None:
         constraints.append(Constraint(cid, vars_))
-        key = (len(vars_), tuple(map(tuple, (local % field.p).tolist())))
+        key = (len(vars_), tuple(map(tuple, local.tolist())))
         if key not in spaces:
-            spaces[key] = Subspace.spanned_by(field, len(vars_), MatrixF(field, local))
+            spaces[key] = Subspace.spanned_by(field, len(vars_), _held(field, local))
         codes[cid] = BlockedCode(BlockStructure(tuple((v, 1) for v in vars_)), spaces[key])
 
     for i, supp in enumerate(supports):
@@ -184,7 +184,7 @@ def parity_check_realization(field: PrimeField, n: int,
     def zero_sum(w: int) -> np.ndarray:
         # e_0 - e_j for each j > 0 spans the words that sum to zero
         return np.hstack([np.ones((w - 1, 1), dtype=np.int64),
-                          -np.eye(w - 1, dtype=np.int64)])
+                          (field.p - 1) * np.eye(w - 1, dtype=np.int64)])
 
     return _bipartite(field, n, checks, "chk", zero_sum,
                       lambda entries: np.concatenate([[1], entries]).reshape(1, -1))
@@ -251,13 +251,12 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
         local[:, d_in] = [g.vector[i] for g in gens]
         local[crossers[j_out], d_in + 1 + np.arange(d_out)] = 1
         structure = BlockStructure(((f"s{j_in}", d_in), (f"a{i}", 1), (f"s{j_out}", d_out)))
-        codes[cid] = BlockedCode.from_rows(field, structure, MatrixF(field, local))
+        codes[cid] = BlockedCode.from_rows(field, structure, _held(field, local))
     if kind == CONVENTIONAL:
         for cid, sid in (("end0", "s0"), ("end1", f"s{n}")):
             constraints.append(Constraint(cid, (sid,)))
             structure = BlockStructure(((sid, 0),))
-            codes[cid] = BlockedCode.from_rows(
-                field, structure, MatrixF(field, np.zeros((0, 0), dtype=np.int64)))
+            codes[cid] = BlockedCode.from_rows(field, structure, [])
 
     topo = Topology(_symbol_vars(n), states, tuple(constraints))
     return Realization(field, topo, codes)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure
 from .errors import DocumentError
-from .fields import MatrixF, PrimeField, Subspace
+from .fields import MatrixF, PrimeField, Subspace, _held
 from .realization import (
     Constraint,
     Realization,
@@ -66,7 +66,7 @@ def _int_rows(raw: Any, path: str, p: int) -> list[list[int]]:
 
 def _matrix(field: PrimeField, rows: list[list[int]], width: int, path: str) -> MatrixF:
     try:
-        return MatrixF(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
+        return _held(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
     except (ValueError, OverflowError, MemoryError) as e:
         raise DocumentError(path, f"cannot hold a {len(rows)} x {width} matrix: {e}") from None
 
@@ -89,15 +89,16 @@ def _document_head(text: str) -> tuple[dict, PrimeField]:
 def parse_realization(text: str) -> Realization:
     """Read a realization document; structural soundness is checked later.
 
-    Raises DocumentError with a JSON-path location for malformed input.
-    Whether the parsed realization satisfies the graph invariants is the
-    validate step's job; ids are preserved for its messages. Constraints
-    with the same generator rows get codes on one shared subspace, so
-    each distinct local code is eliminated, and its check matrix
-    computed, once.
+    Raises DocumentError with a JSON-path location for malformed input,
+    and at the second declaration of a variable id, whose dim would be
+    ambiguous. Whether the parsed realization satisfies the graph
+    invariants is the validate step's job; ids are preserved for its
+    messages. Constraints with the same generator rows get codes on one
+    shared subspace, so each distinct local code is eliminated, and its
+    check matrix computed, once.
     """
     doc, field = _document_head(text)
-
+    dim_of: dict[str, int] = {}  # symbols and states share one namespace
     symbols = []
     for i, entry in enumerate(_require(doc, "symbols", list, "$")):
         path = f"$.symbols[{i}]"
@@ -107,6 +108,9 @@ def parse_realization(text: str) -> Realization:
             symbols.append(SymbolVar(sid, dim))
         except ValueError as e:
             raise DocumentError(path, str(e)) from None
+        if sid in dim_of:
+            raise DocumentError(path, f"id {sid!r} declared twice")
+        dim_of[sid] = dim
 
     states = []
     for i, entry in enumerate(_require(doc, "states", list, "$")):
@@ -122,9 +126,9 @@ def parse_realization(text: str) -> Realization:
             states.append(StateVar(sid, dim, left, right, negate_at))
         except ValueError as e:
             raise DocumentError(path, str(e)) from None
-
-    dim_of = {v.id: v.dim for v in symbols}
-    dim_of.update({v.id: v.dim for v in states})
+        if sid in dim_of:
+            raise DocumentError(path, f"id {sid!r} declared twice")
+        dim_of[sid] = dim
 
     constraints = []
     codes: dict[str, BlockedCode] = {}

@@ -20,10 +20,12 @@ loop: `ranks` gives no RREF or pivots, and a stack of one costs more
 
 Inputs are validated at the public boundary only. `MatrixF(...)` reduces
 what it is given mod p, and `Subspace(...)` checks that its basis is in
-canonical reduced echelon form. An elimination's RREF is already both,
-so `rref` and `Subspace.spanned_by`, and with it every kernel, sum and
-complement, build their result from `_rref_array`'s rows and pivots:
-one widening to int64, no `% p` copy and no canonical re-check.
+canonical reduced echelon form. Every subspace the package derives is
+read off one RREF, which is already both, by `_vanishing(field, a,
+skip)`: the words of the row space of the residues `a` that are zero on
+the first `skip` columns. With skip = 0 that is a span (every kernel,
+complement, sum and projection), and with other columns first a
+cross-section or the endpoint code of a reduction step.
 """
 
 from __future__ import annotations
@@ -333,7 +335,17 @@ def _null_rows(a: np.ndarray, piv: Sequence[int]) -> np.ndarray:
 
 def _rref_kernel(field: PrimeField, a: np.ndarray, piv: Sequence[int]) -> "Subspace":
     """The right null space of a matrix in RREF with the given pivot columns."""
-    return Subspace.spanned_by(field, a.shape[1], MatrixF(field, _null_rows(a, piv)))
+    return _vanishing(field, _null_rows(a, piv) % field.p)
+
+
+def _vanishing(field: PrimeField, a: np.ndarray, skip: int = 0) -> "Subspace":
+    """The words of the row space of the int64 residues `a` that are zero
+    on its first `skip` columns, seen on the others: the rows of one RREF
+    whose pivot is at or past `skip`, cut there, a canonical basis."""
+    red, rk, piv = rref(_held(field, a))
+    kept = tuple(c - skip for c in piv if c >= skip)
+    basis = _held(field, red.array[rk - len(kept):rk, skip:], kept)
+    return Subspace(field, a.shape[1] - skip, basis)
 
 
 def inverse(m: MatrixF) -> MatrixF:
@@ -345,7 +357,7 @@ def inverse(m: MatrixF) -> MatrixF:
     red, piv = _rref_array(aug, m.field.p)
     if list(piv) != list(range(n)):
         raise ValueError("matrix is singular")
-    return MatrixF(m.field, red[:, n:])
+    return _held(m.field, red[:, n:].astype(np.int64))
 
 
 def complete_to_basis(m: MatrixF) -> MatrixF:
@@ -360,7 +372,7 @@ def complete_to_basis(m: MatrixF) -> MatrixF:
     out = np.zeros((len(extra), m.cols), dtype=np.int64)
     for r, i in enumerate(extra):
         out[r, i] = 1
-    return MatrixF(m.field, out)
+    return _held(m.field, out)
 
 
 class Subspace:
@@ -402,10 +414,11 @@ class Subspace:
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":
         m = rows if isinstance(rows, MatrixF) else MatrixF.from_rows(field, rows, cols=ambient)
+        if m.field != field:
+            raise FieldMismatchError(f"{m.field} vs {field}")
         if m.cols != ambient:
             raise DimensionMismatchError(f"rows have width {m.cols}, ambient {ambient}")
-        red, rk, piv = rref(m)
-        return cls(field, ambient, _held(field, red.array[:rk], piv))
+        return _vanishing(field, m.array)
 
     @property
     def dim(self) -> int:
@@ -430,13 +443,12 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
-        stacked = np.vstack([self.basis.array, other.basis.array])
-        return Subspace.spanned_by(self.field, self.ambient, MatrixF(self.field, stacked))
+        return _vanishing(self.field, np.vstack([self.basis.array, other.basis.array]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
         checks = np.vstack([self.orthogonal().basis.array, other.orthogonal().basis.array])
-        return kernel(MatrixF(self.field, checks))
+        return kernel(_held(self.field, checks))
 
     def orthogonal(self) -> "Subspace":
         """All vectors with zero dot product against every basis row.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import MatrixF, PrimeField, _held, _rref_kernel, kernel, ranks, rref
+from .fields import PrimeField, _held, _vanishing, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -496,26 +496,21 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     """Proper check for one constraint, with an offending codeword if any.
 
-    The trim question of the dual, per state, from one RREF of the
-    code's check matrix columns there: the cross-section on the state is
-    that RREF's null space, (proj C^perp)^perp, so it is zero exactly
-    when the rank is the state's dim, and otherwise its first canonical
-    generator is the witness.
+    Proper at a state means the code's cross-section there is zero. The
+    witness is the first canonical generator of the first nonzero one, in
+    the order of the vars: a word of the subcode merge_state quotients by.
     """
     r.ensure_valid()
-    c = r.topology.constraint(constraint_id)
     code = r.code(constraint_id)
-    for v in c.vars:
+    for v in r.topology.constraint(constraint_id).vars:
         if not r.topology.is_state(v):
             continue
-        red, rk, piv = rref(_held(r.field, _block(code.dual(), v)))
-        if rk == red.cols:
-            continue
-        section = _rref_kernel(r.field, red.array, piv)
-        word = np.zeros(code.structure.total, dtype=np.int64)
-        at = code.structure.offset(v)
-        word[at:at + red.cols] = section.basis.row(0)
-        return ProperVerdict(False, constraint_id, v, tuple(int(x) for x in word))
+        section = code.cross_section([v]).space
+        if section.dim:
+            word = np.zeros(code.structure.total, dtype=np.int64)
+            at = code.structure.offset(v)
+            word[at:at + section.ambient] = section.basis.row(0)
+            return ProperVerdict(False, constraint_id, v, tuple(int(x) for x in word))
     return ProperVerdict(True, constraint_id)
 
 
@@ -562,7 +557,7 @@ def dualize(r: Realization) -> Realization:
                 scale[at:at + topo.var_dim(v)] = p - 1
         if (scale != 1).any():
             rows = (dual.space.basis.array * scale) % p
-            dual = BlockedCode.from_rows(r.field, dual.structure, MatrixF(r.field, rows))
+            dual = BlockedCode(dual.structure, _vanishing(r.field, rows))
         new_codes[c.id] = dual
     return Realization(r.field, topo, new_codes)
 

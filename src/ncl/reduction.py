@@ -4,11 +4,13 @@ Each reduction shrinks one state space in place, preserves the realized
 code, and reports the coordinate map it applied. All of them take one
 step: given a state s and matrices F and X, each of the two codes at the
 ends of s keeps the words whose value v at s has v F = 0, and rewrites
-that value as v X. F and X are read off a subspace L of the state space
-held in RREF, with pivot columns pi and free columns phi: row f of N(L)
-(fields._null_rows) is e_f minus column f of L on the pivots, and N(L)^T
-is the quotient map modulo L. To restrict to L is F = N(L)^T and
-X = I[:, pi]; to quotient by L is F with no columns and X = N(L)^T.
+that value as v X. That is one fields._vanishing call: the words of
+[v F | the code with v rewritten as v X] that are zero on v F. F and X
+are read off a subspace L of the state space held in RREF, with pivot
+columns pi and free columns phi: row f of N(L) (fields._null_rows) is
+e_f minus column f of L on the pivots, and N(L)^T is the quotient map
+modulo L. To restrict to L is F = N(L)^T and X = I[:, pi]; to quotient
+by L is F with no columns and X = N(L)^T.
 
 - trim: restrict to a constraint's projection onto the state.
 - merge: quotient by a constraint's cross-section on the state.
@@ -50,7 +52,7 @@ from .errors import (
     NotCycleFreeError,
     NotReducibleError,
 )
-from .fields import MatrixF, Subspace, _null_rows, kernel, rank
+from .fields import MatrixF, Subspace, _null_rows, _vanishing, rank
 from .realization import (
     Realization,
     Topology,
@@ -104,14 +106,10 @@ def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarr
         code = r.code(cid)
         g = code.space.basis.array
         at = code.structure.offset(state_id)
-        prod = (g[:, at:at + d] @ f) % p
-        # prod's left null space picks the surviving rows: all of them if prod is 0
-        if prod.any():
-            g = (kernel(MatrixF(field, prod.T)).basis.array @ g) % p
-        mapped = np.hstack([g[:, :at], (g[:, at:at + d] @ x) % p, g[:, at + d:]])
+        v = g[:, at:at + d]
+        both = np.hstack([(v @ f) % p, g[:, :at], (v @ x) % p, g[:, at + d:]])
         blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
-        replaced[cid] = BlockedCode.from_rows(field, BlockStructure(blocks),
-                                              MatrixF(field, mapped))
+        replaced[cid] = BlockedCode(BlockStructure(blocks), _vanishing(field, both, f.shape[1]))
     step = ReductionStep(kind, state_id, d, new_dim, MatrixF(field, x.T), constraint_id)
     return r._with_state(state_id, new_dim, replaced), step
 
@@ -161,8 +159,7 @@ def _unobservable_direction(r: Realization) -> tuple[str, Subspace]:
         at = unobs.structure.offset(state.id)
         block = trajectory[at:at + state.dim]
         if block.any():
-            return state.id, Subspace.spanned_by(r.field, state.dim,
-                                                 MatrixF(r.field, block.reshape(1, -1)))
+            return state.id, _vanishing(r.field, block.reshape(1, -1))
     raise AssertionError("nonzero unobservable trajectory with all-zero state blocks")
 
 

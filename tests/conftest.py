@@ -19,6 +19,7 @@ _CRITERIA = {
     9: "generator builds controllable, check builds observable; converses by rank",
     10: "reduced tail-biting products: disconnected iff uncontrollable iff degenerate span",
     11: "kernel behavior equals brute-force behavior on every enumerable instance",
+    12: "off tail-biting trellises: reduced, uncontrollable, trajectory graph connected",
 }
 
 _PATTERN = re.compile(r"test_criterion_(\d+)")

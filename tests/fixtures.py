@@ -144,5 +144,43 @@ def conventional_improper() -> Realization:
     ], "conventional")
 
 
+# "General graphical realizations do not share this property"
+# (arXiv:1202.0534): two constraints joined by three parallel dim-1
+# states, reduced, observable, trim and proper everywhere and
+# uncontrollable (defect 1), yet with one trajectory-graph component
+CRITERION12_DOCUMENT = (
+    '{"field": 2, "symbols": [{"id": "a0", "dim": 1}, {"id": "a1", "dim": 2}],'
+    ' "states": [{"id": "s0", "dim": 1, "left": "c0", "right": "c1"},'
+    ' {"id": "s1", "dim": 1, "left": "c0", "right": "c1"},'
+    ' {"id": "s2", "dim": 1, "left": "c0", "right": "c1", "negate_at": "left"}],'
+    ' "constraints": [{"id": "c0", "vars": ["s1", "s0", "s2", "a0"],'
+    ' "generators": [[1,0,0,1],[0,1,1,0]]},'
+    ' {"id": "c1", "vars": ["s1", "s0", "s2", "a1"],'
+    ' "generators": [[1,0,0,0,1],[0,1,1,0,1],[0,0,0,1,1]]}]}\n')
+
+
+def criterion12_witness() -> Realization:
+    """The criterion-12 witness, built from its topology and codes."""
+    rows = {"c0": [[1, 0, 0, 1], [0, 1, 1, 0]],
+            "c1": [[1, 0, 0, 0, 1], [0, 1, 1, 0, 1], [0, 0, 0, 1, 1]]}
+    symbols = (SymbolVar("a0", 1), SymbolVar("a1", 2))
+    states = (StateVar("s0", 1, "c0", "c1"), StateVar("s1", 1, "c0", "c1"),
+              StateVar("s2", 1, "c0", "c1", "left"))
+    constraints = (Constraint("c0", ("s1", "s0", "s2", "a0")),
+                   Constraint("c1", ("s1", "s0", "s2", "a1")))
+    dims = {"a0": 1, "a1": 2, "s0": 1, "s1": 1, "s2": 1}
+    codes = {c.id: BlockedCode.from_rows(
+        GF2, BlockStructure(tuple((v, dims[v]) for v in c.vars)), rows[c.id])
+        for c in constraints}
+    return Realization(GF2, Topology(symbols, states, constraints), codes)
+
+
+# symbol "a" declared with dim 1 and again with dim 2: a DocumentError
+# at the second declaration
+DECLARED_TWICE = ('{"field": 2, "symbols": [{"id": "a", "dim": 1}, {"id": "a", "dim": 2}],'
+                  ' "states": [], "constraints": [{"id": "c0", "vars": ["a"],'
+                  ' "generators": [[1]]}]}')
+
+
 def example1_document() -> str:
     return (DATA / "example1.json").read_text(encoding="utf-8")

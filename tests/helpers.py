@@ -42,7 +42,7 @@ from ncl import (
 from ncl.fields import ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.realization import _block
-from ncl.reduction import _unobservable_direction
+from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _quotient_map, _unobservable_direction
 
 
 def neg(field: PrimeField, a: int) -> int:
@@ -468,3 +468,83 @@ def reference_analyze(r: Realization) -> AnalysisReport:
         locally_reducible=not trim_proper or not observable or not controllable,
         constraints=tuple(reports),
     )
+
+
+def reference_cross_section(code: BlockedCode, block_ids) -> BlockedCode:
+    """BlockedCode.cross_section as a left kernel and a second span: the
+    coefficient vectors y with y g = 0 off the blocks, times g on them."""
+    keep = code.structure.positions(block_ids)
+    kept = set(block_ids)
+    drop = code.structure.positions([b for b in code.structure.ids() if b not in kept])
+    g = code.space.basis.array
+    coeffs = kernel(MatrixF(code.field, g[:, drop].T))
+    rows = (coeffs.basis.array @ g[:, keep]) % code.field.p
+    sub = code.structure.restrict(block_ids)
+    return BlockedCode(sub, Subspace.spanned_by(code.field, sub.total, MatrixF(code.field, rows)))
+
+
+def reference_shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarray,
+                     constraint_id: str | None = None) -> tuple[Realization, ReductionStep]:
+    """reduction._shrink with each endpoint code updated in three passes:
+    the left kernel of v F picks the surviving rows (all of them when
+    v F = 0), their value v is rewritten as v X, and the rows are spanned
+    again."""
+    field, p = r.field, r.field.p
+    state = r.topology.state(state_id)
+    d, new_dim = x.shape
+    replaced = {}
+    for cid in (state.left, state.right):
+        code = r.code(cid)
+        g = code.space.basis.array
+        at = code.structure.offset(state_id)
+        prod = (g[:, at:at + d] @ f) % p
+        if prod.any():
+            g = (kernel(MatrixF(field, prod.T)).basis.array @ g) % p
+        mapped = np.hstack([g[:, :at], (g[:, at:at + d] @ x) % p, g[:, at + d:]])
+        blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
+        replaced[cid] = BlockedCode.from_rows(field, BlockStructure(blocks),
+                                              MatrixF(field, mapped))
+    step = ReductionStep(kind, state_id, d, new_dim, MatrixF(field, x.T), constraint_id)
+    return r._with_state(state_id, new_dim, replaced), step
+
+
+def reference_move(r: Realization, kind: str, state_id: str | None = None,
+                   constraint_id: str | None = None) -> tuple[Realization, ReductionStep]:
+    """trim_state, merge_state or reduce_unobservable (kind TRIM, MERGE or
+    UNOBS_TRIM; the last one chooses its own state) with F and X read as
+    those moves read them, every cross-section and endpoint update taken
+    by the references above."""
+    if kind == TRIM:
+        proj = r.code(constraint_id).project([state_id]).space
+        keep = np.eye(proj.ambient, dtype=np.int64)[:, list(proj.pivots)]
+        return reference_shrink(r, TRIM, state_id, _quotient_map(proj), keep, constraint_id)
+    if kind == MERGE:
+        section = reference_cross_section(r.code(constraint_id), [state_id]).space
+        zero = np.zeros((section.ambient, 0), dtype=np.int64)
+        return reference_shrink(r, MERGE, state_id, zero, _quotient_map(section), constraint_id)
+    unobs = reference_cross_section(behavior(r), r.topology.state_ids())
+    trajectory = unobs.space.basis.array[0]
+    for s in r.topology.states:
+        block = trajectory[unobs.structure.offset(s.id):][:s.dim]
+        if block.any():
+            line = Subspace.spanned_by(r.field, s.dim, MatrixF(r.field, block.reshape(1, -1)))
+            e_j = np.eye(s.dim, dtype=np.int64)[:, list(line.pivots)]
+            return reference_shrink(r, UNOBS_TRIM, s.id, e_j, _quotient_map(line))
+    raise AssertionError("nonzero unobservable trajectory with all-zero state blocks")
+
+
+def reference_is_proper(r: Realization, cid: str) -> ProperVerdict:
+    """is_proper as the trim question of the dual: per state, the null
+    space of the check matrix's columns there is the cross-section, and
+    its first canonical generator is the witness."""
+    code = r.code(cid)
+    for v in r.topology.constraint(cid).vars:
+        if not r.topology.is_state(v):
+            continue
+        section = kernel(MatrixF(r.field, _block(code.dual(), v)))
+        if section.dim:
+            word = np.zeros(code.structure.total, dtype=np.int64)
+            at = code.structure.offset(v)
+            word[at:at + section.ambient] = section.basis.row(0)
+            return ProperVerdict(False, cid, v, tuple(int(x) for x in word))
+    return ProperVerdict(True, cid)

@@ -16,6 +16,7 @@ from ncl import (
     EnumerationBudget,
     MatrixF,
     Subspace,
+    analyze,
     behavior,
     brute_behavior,
     brute_realized_words,
@@ -35,6 +36,7 @@ from ncl import (
     minimize_cycle_free,
     next_reduction,
     parity_check_realization,
+    parse_realization,
     product_trellis,
     rank,
     Span,
@@ -51,8 +53,10 @@ from fixtures import (
     EX3_DUAL_ROWS,
     EX3_GEN_ROWS,
     EX3_STATE_DIMS,
+    CRITERION12_DOCUMENT,
     RM84_CHECKS,
     conventional_improper,
+    criterion12_witness,
     example1,
     example2,
     example3,
@@ -66,6 +70,7 @@ from helpers import (
     random_spanned_generator,
     random_support_matrix,
     random_tree_realization,
+    reference_trajectory_partition,
 )
 
 ORACLE_POINTS = 1 << 16
@@ -397,7 +402,37 @@ def test_criterion_11_oracle_matches_kernel_everywhere():
     assert boundary_seen
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+def test_criterion_12_general_graph_connected_yet_uncontrollable():
+    # "General graphical realizations do not share this property"
+    # (arXiv:1202.0534): off tail-biting trellises, a reduced realization
+    # can be uncontrollable with a connected trajectory graph
+    r = criterion12_witness()
+    assert r == parse_realization(CRITERION12_DOCUMENT)
+    words = brute_behavior(r)
+    behavior_dim = len(words).bit_length() - 1
+    assert len(words) == 2 ** behavior_dim == 8
+    free = r.total_constraint_dim() - r.topology.total_state_dim()
+    defect = behavior_dim - free
+    assert defect == 1
+
+    report = analyze(r)
+    assert report.reduced and report.observable
+    assert report.trim_proper
+    assert all(cr.fully_trim and cr.proper.ok for cr in report.constraints)
+    assert report.defect == defect and not report.controllable
+    assert report.locally_reducible
+    assert not report.cycle_free
+
+    rep = trajectory_components(r)
+    count, partition = reference_trajectory_partition(r, 1 << 10)
+    assert rep.count == count == 1
+    assert rep.partition == partition
+    assert not rep.tail_biting and rep.reduced
+    assert rep.defect == defect
+    assert rep.uncontrollable is None and rep.warning
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_criteria_all_numbers_have_a_test(n):
     # guard: renaming a criterion test would silently drop its summary line
     import test_acceptance as me

@@ -14,7 +14,7 @@ from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, dualize,
                  emit_realization, export_dot, generator_realization, parse_realization,
                  product_trellis)
 from ncl.cli import main
-from fixtures import DATA, example1_document
+from fixtures import CRITERION12_DOCUMENT, DATA, example1_document
 
 EXPECTED_CODE = '{"field": 2, "generators": [[1, 1, 0], [1, 0, 1]]}\n'
 WRONG_CODE = '{"field": 2, "generators": [[1, 1, 1]]}\n'
@@ -498,7 +498,8 @@ INVALID_DOC = ('{"field": 2,'
 # trellis with a degenerate span, and a GF(11) generator realization;
 # conv_dual.json is not trim, so its analyze rows carry trim witnesses;
 # one.json holds one GF(2) symbol, against which code3.json is over
-# another field and long.json has another length
+# another field and long.json has another length; crit12.json is the
+# criterion-12 witness, whose components verdict is withheld
 ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [],'
                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
 DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")
@@ -534,6 +535,7 @@ def transcript_files() -> dict[str, str]:
         "one.json": ONE_SYMBOL_DOC,
         "code3.json": '{"field": 3, "generators": [[1]]}\n',
         "long.json": '{"field": 2, "generators": [[1, 1]]}\n',
+        "crit12.json": CRITERION12_DOCUMENT,
     }
 
 
@@ -592,6 +594,7 @@ def transcript_argvs() -> list[list[str]]:
             rows += [cmd, cmd + ["--json"]]
     rows += [["analyze", "conv_dual.json"], ["analyze", "conv_dual.json", "--json"]]
     rows += [["analyze", "gf11_conv_dual.json"], ["analyze", "gf11_conv_dual.json", "--json"]]
+    rows += [["components", "crit12.json"], ["components", "crit12.json", "--json"]]
     return rows
 
 

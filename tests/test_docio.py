@@ -18,7 +18,7 @@ from ncl import (
     realized_code,
 )
 from ncl import fields
-from fixtures import example1, example1_document, example3
+from fixtures import DECLARED_TWICE, example1, example1_document, example3
 
 
 class TestNaturalKey:
@@ -122,6 +122,13 @@ class TestParseErrors:
                    ' "constraints": [{"id": "c0", "vars": ["a0"],'
                    ' "generators": [[1.5]]}]}',
                    "$.constraints[0].generators[0][0]", "integer")
+
+    def test_variable_declared_twice(self):
+        # the second declaration is reported, not the row width it would skew
+        self.check(DECLARED_TWICE, "$.symbols[1]", "id 'a' declared twice")
+        self.check('{"field": 2, "symbols": [{"id": "s0", "dim": 1}],'
+                   ' "states": [{"id": "s0", "dim": 1, "left": "c0", "right": "c1"}],'
+                   ' "constraints": []}', "$.states[0]", "id 's0' declared twice")
 
     def test_duplicate_constraint(self):
         self.check('{"field": 2, "symbols": [{"id": "a0", "dim": 1},'

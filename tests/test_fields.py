@@ -431,6 +431,11 @@ class TestSubspace:
         with pytest.raises(DimensionMismatchError):
             a.intersect(zero_space(GF2, 3))
 
+    def test_spanned_by_rejects_rows_over_another_field(self):
+        # 5 is no residue mod 3: the rows would become a GF(3) basis as they are
+        with pytest.raises(FieldMismatchError):
+            Subspace.spanned_by(GF3, 2, MatrixF(PrimeField(7), [[1, 5]]))
+
 
 class TestTrustedConstruction:
     """Subspaces built from an elimination skip the % p copy and the

@@ -10,11 +10,12 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ncl import DocumentError, InvalidRealizationError, Realization, parse_realization
 from ncl.cli import main
+from fixtures import DECLARED_TWICE
 
 SYMBOLS = ("a0", "a1", "a2")
 STATES = ("s0", "s1", "s2")
@@ -72,6 +73,7 @@ documents = st.one_of(near_documents().map(json.dumps), near_documents().map(jso
 
 @settings(max_examples=300, deadline=None)
 @given(documents)
+@example(DECLARED_TWICE)
 def test_parse_realization_ends_in_realization_or_typed_error(text):
     try:
         r = parse_realization(text)
@@ -100,6 +102,8 @@ def argv_for(command: str, doc: str, out: str) -> list[str]:
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=documents, command=st.sampled_from(COMMANDS), as_json=st.booleans())
+@example(text=DECLARED_TWICE, command="analyze", as_json=True)
+@example(text=DECLARED_TWICE, command="analyze", as_json=False)
 def test_cli_exit_codes_and_output_format(tmp_path, text, command, as_json):
     doc = tmp_path / "doc.json"
     doc.write_text(text, encoding="utf-8")
