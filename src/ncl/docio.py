@@ -3,13 +3,18 @@
 The on-disk format is one JSON object: field order, symbol and state
 declarations, and one generator-row list per constraint. Emission is
 canonical: ids in natural order (digit runs compared numerically),
-generators in reduced echelon form, explicit negate_at. Parsing nudges
-any document into the same order, so parse(emit(parse(text))) equals
-parse(text).
+generators in reduced echelon form, explicit negate_at, indented as
+json.dumps(doc, indent=2) would. Parsing nudges any document into the
+same order, so parse(emit(parse(text))) equals parse(text).
+
+The parse checks every field, each distinct local code once and the
+declared dims against cell budgets, so its realization needs only the
+topology validated. One writer, _dumps, writes all indented JSON.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Any
@@ -29,11 +34,22 @@ from .realization import (
 
 _CHUNKS = re.compile(r"\d+|\D+")
 
+# Cell budgets on the matrices a document's declared dims ask for, checked
+# before any is built: the sum of squared constraint widths (local codes)
+# and the total constraint width times the total var dim (the behavior's
+# system). A (3,6)-regular n = 960 Tanner graph needs 32,640 and 25.8M.
+MAX_LOCAL_CELLS = 1 << 22
+MAX_SYSTEM_CELLS = 1 << 25
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _chunk_key(chunk: str) -> tuple:
+    return (0, int(chunk)) if chunk.isdecimal() else (1, chunk)
+
 
 def natural_key(text: str) -> tuple:
     """Sort key treating digit runs as numbers: a2 before a10."""
-    return tuple((0, int(c)) if c.isdigit() else (1, c)
-                 for c in _CHUNKS.findall(text))
+    return tuple(map(_chunk_key, _CHUNKS.findall(text)))
 
 
 def _require(obj: Any, key: str, kind: type, path: str) -> Any:
@@ -49,10 +65,8 @@ def _require(obj: Any, key: str, kind: type, path: str) -> Any:
     return value
 
 
-def _int_rows(raw: Any, path: str, p: int) -> list[list[int]]:
+def _int_rows(raw: list, path: str, p: int) -> list[list[int]]:
     """Integer rows reduced mod p, so any JSON integer becomes a residue."""
-    if not isinstance(raw, list):
-        raise DocumentError(path, "expected a list of rows")
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list):
@@ -87,23 +101,26 @@ def _document_head(text: str) -> tuple[dict, PrimeField]:
 
 
 def parse_realization(text: str) -> Realization:
-    """Read a realization document; structural soundness is checked later.
+    """Read and validate a realization document.
 
     Raises DocumentError with a JSON-path location for malformed input,
-    and at the second declaration of a variable id, whose dim would be
-    ambiguous. Whether the parsed realization satisfies the graph
-    invariants is the validate step's job; ids are preserved for its
-    messages. Constraints with the same generator rows get codes on one
-    shared subspace, so each distinct local code is eliminated, and its
-    check matrix computed, once.
+    at the second declaration of a variable id, whose dim would be
+    ambiguous, and where the declared dims exceed a cell budget. Fields
+    are type-tested inline; _require builds the error where a test
+    fails. Each distinct (width, raw generator rows) is converted and
+    checked once, and constraints with equal residue rows get codes on
+    one shared subspace, so each distinct local code is eliminated, and
+    its check matrix computed, once. What is left to validate is the
+    topology; ids are preserved for its messages.
     """
     doc, field = _document_head(text)
     dim_of: dict[str, int] = {}  # symbols and states share one namespace
     symbols = []
     for i, entry in enumerate(_require(doc, "symbols", list, "$")):
         path = f"$.symbols[{i}]"
-        sid = _require(entry, "id", str, path)
-        dim = _require(entry, "dim", int, path)
+        if not (type(entry) is dict and type(sid := entry.get("id")) is str
+                and type(dim := entry.get("dim")) is int):
+            sid, dim = _require(entry, "id", str, path), _require(entry, "dim", int, path)
         try:
             symbols.append(SymbolVar(sid, dim))
         except ValueError as e:
@@ -115,11 +132,13 @@ def parse_realization(text: str) -> Realization:
     states = []
     for i, entry in enumerate(_require(doc, "states", list, "$")):
         path = f"$.states[{i}]"
-        sid = _require(entry, "id", str, path)
-        dim = _require(entry, "dim", int, path)
-        left = _require(entry, "left", str, path)
-        right = _require(entry, "right", str, path)
-        negate_at = entry.get("negate_at", "right") if isinstance(entry, dict) else "right"
+        if not (type(entry) is dict and type(sid := entry.get("id")) is str
+                and type(dim := entry.get("dim")) is int
+                and type(left := entry.get("left")) is str
+                and type(right := entry.get("right")) is str):
+            sid, dim = _require(entry, "id", str, path), _require(entry, "dim", int, path)
+            left, right = _require(entry, "left", str, path), _require(entry, "right", str, path)
+        negate_at = entry.get("negate_at", "right")
         if not isinstance(negate_at, str):
             raise DocumentError(f"{path}.negate_at", "expected a string")
         try:
@@ -132,42 +151,59 @@ def parse_realization(text: str) -> Realization:
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
-    # (width, generator rows) -> the one space built for them
+    frame, squares, widths = sum(dim_of.values()), 0, 0
+    # (width, repr of the raw rows) and (width, residue rows) -> the one space for them
     spaces: dict[tuple, Subspace] = {}
     for i, entry in enumerate(_require(doc, "constraints", list, "$")):
         path = f"$.constraints[{i}]"
-        cid = _require(entry, "id", str, path)
-        raw_vars = _require(entry, "vars", list, path)
-        for j, v in enumerate(raw_vars):
-            if not isinstance(v, str):
-                raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
-            if v not in dim_of:
-                raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
-            if v in raw_vars[:j]:
-                raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
-        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators",
-                        field.p)
-        width = sum(dim_of[v] for v in raw_vars)
-        for j, row in enumerate(rows):
-            if len(row) != width:
-                raise DocumentError(
-                    f"{path}.generators[{j}]",
-                    f"row length {len(row)} != total var dim {width}")
-        constraints.append(Constraint(cid, tuple(raw_vars)))
-        structure = BlockStructure(tuple((v, dim_of[v]) for v in raw_vars))
-        key = (width, tuple(map(tuple, rows)))
-        if key not in spaces:
-            matrix = _matrix(field, rows, width, f"{path}.generators")
-            spaces[key] = Subspace.spanned_by(field, width, matrix)
+        if not (type(entry) is dict and type(cid := entry.get("id")) is str
+                and type(raw_vars := entry.get("vars")) is list):
+            cid, raw_vars = _require(entry, "id", str, path), _require(entry, "vars", list, path)
+        try:  # a var that is not a declared id, or is listed twice, goes to the loop
+            blocks = tuple([(v, dim_of[v]) for v in raw_vars])
+        except (KeyError, TypeError):
+            blocks = ()
+        if len(blocks) != len(raw_vars) or len(set(raw_vars)) != len(raw_vars):
+            for j, v in enumerate(raw_vars):
+                if not isinstance(v, str):
+                    raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
+                if v not in dim_of:
+                    raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
+                if v in raw_vars[:j]:
+                    raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
+        if type(raw := entry.get("generators")) is not list:
+            raw = _require(entry, "generators", list, path)
+        width = sum(d for _, d in blocks)
+        squares, widths = squares + width * width, widths + width
+        if squares > MAX_LOCAL_CELLS or widths * frame > MAX_SYSTEM_CELLS:
+            raise DocumentError(f"{path}.generators", (
+                f"declared dims need {squares} local-code and {widths * frame} behavior "
+                f"cells, over the budgets of {MAX_LOCAL_CELLS} and {MAX_SYSTEM_CELLS}"))
+        raw_key = (width, repr(raw))
+        if raw_key not in spaces:
+            rows = _int_rows(raw, f"{path}.generators", field.p)
+            for j, row in enumerate(rows):
+                if len(row) != width:
+                    raise DocumentError(
+                        f"{path}.generators[{j}]",
+                        f"row length {len(row)} != total var dim {width}")
+            key = (width, tuple(map(tuple, rows)))
+            if key not in spaces:
+                matrix = _matrix(field, rows, width, f"{path}.generators")
+                spaces[key] = Subspace.spanned_by(field, width, matrix)
+            spaces[raw_key] = spaces[key]
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
-        codes[cid] = BlockedCode(structure, spaces[key])
+        constraints.append(Constraint(cid, tuple(raw_vars)))
+        codes[cid] = BlockedCode(BlockStructure(blocks), spaces[raw_key])
 
     symbols.sort(key=lambda v: natural_key(v.id))
     states.sort(key=lambda v: natural_key(v.id))
     constraints.sort(key=lambda c: natural_key(c.id))
     topo = Topology(tuple(symbols), tuple(states), tuple(constraints))
-    return Realization(field, topo, codes)
+    r = Realization(field, topo, codes)
+    r._issues = tuple(topo.issues())  # codes checked above; fills the cached_property
+    return r
 
 
 def emit_realization(r: Realization) -> str:
@@ -190,7 +226,31 @@ def emit_realization(r: Realization) -> str:
             for c in sorted(topo.constraints, key=lambda c: natural_key(c.id))
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
+
+
+_encode = json.encoder.encode_basestring_ascii
+# how json.dumps writes the scalars that documents and results hold
+_SCALARS = {str: _encode, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def _dumps(obj: Any, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2): one str.join per container, its scalars
+    formatted inline. Floats, keys that are not strings (as json.dumps
+    writes them in {k: 0}) and what json.dumps rejects with TypeError
+    take json.dumps's own path."""
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        parts = [f(v) if (f := _SCALARS.get(type(v))) else _dumps(v, inner) for v in obj]
+        return f"[{inner}{f',{inner}'.join(parts)}{nl}]" if parts else "[]"
+    if isinstance(obj, dict):
+        parts = [(_encode(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
+                 + (f(v) if (f := _SCALARS.get(type(v))) else _dumps(v, inner))
+                 for k, v in obj.items()]
+        return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}" if parts else "{}"
+    f = _SCALARS.get(type(obj))
+    return f(obj) if f else json.dumps(obj)
 
 
 def parse_code_document(text: str) -> BlockedCode:

@@ -39,6 +39,7 @@ from ncl import (
     product_trellis,
     reduce_unobservable,
 )
+from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require, natural_key
 from ncl.fields import ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.realization import _block
@@ -548,3 +549,80 @@ def reference_is_proper(r: Realization, cid: str) -> ProperVerdict:
             word[at:at + section.ambient] = section.basis.row(0)
             return ProperVerdict(False, cid, v, tuple(int(x) for x in word))
     return ProperVerdict(True, cid)
+
+
+def reference_parse_realization(text: str) -> Realization:
+    """The reference for docio.parse_realization: every field read
+    through _require, every constraint's rows converted and checked, and
+    the whole validation left to the realization's _issues."""
+    doc, field = _document_head(text)
+    dim_of: dict[str, int] = {}  # symbols and states share one namespace
+    symbols = []
+    for i, entry in enumerate(_require(doc, "symbols", list, "$")):
+        path = f"$.symbols[{i}]"
+        sid = _require(entry, "id", str, path)
+        dim = _require(entry, "dim", int, path)
+        try:
+            symbols.append(SymbolVar(sid, dim))
+        except ValueError as e:
+            raise DocumentError(path, str(e)) from None
+        if sid in dim_of:
+            raise DocumentError(path, f"id {sid!r} declared twice")
+        dim_of[sid] = dim
+
+    states = []
+    for i, entry in enumerate(_require(doc, "states", list, "$")):
+        path = f"$.states[{i}]"
+        sid = _require(entry, "id", str, path)
+        dim = _require(entry, "dim", int, path)
+        left = _require(entry, "left", str, path)
+        right = _require(entry, "right", str, path)
+        negate_at = entry.get("negate_at", "right") if isinstance(entry, dict) else "right"
+        if not isinstance(negate_at, str):
+            raise DocumentError(f"{path}.negate_at", "expected a string")
+        try:
+            states.append(StateVar(sid, dim, left, right, negate_at))
+        except ValueError as e:
+            raise DocumentError(path, str(e)) from None
+        if sid in dim_of:
+            raise DocumentError(path, f"id {sid!r} declared twice")
+        dim_of[sid] = dim
+
+    constraints = []
+    codes: dict[str, BlockedCode] = {}
+    # (width, generator rows) -> the one space built for them
+    spaces: dict[tuple, Subspace] = {}
+    for i, entry in enumerate(_require(doc, "constraints", list, "$")):
+        path = f"$.constraints[{i}]"
+        cid = _require(entry, "id", str, path)
+        raw_vars = _require(entry, "vars", list, path)
+        for j, v in enumerate(raw_vars):
+            if not isinstance(v, str):
+                raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
+            if v not in dim_of:
+                raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
+            if v in raw_vars[:j]:
+                raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
+        rows = _int_rows(_require(entry, "generators", list, path), f"{path}.generators",
+                        field.p)
+        width = sum(dim_of[v] for v in raw_vars)
+        for j, row in enumerate(rows):
+            if len(row) != width:
+                raise DocumentError(
+                    f"{path}.generators[{j}]",
+                    f"row length {len(row)} != total var dim {width}")
+        constraints.append(Constraint(cid, tuple(raw_vars)))
+        structure = BlockStructure(tuple((v, dim_of[v]) for v in raw_vars))
+        key = (width, tuple(map(tuple, rows)))
+        if key not in spaces:
+            matrix = _matrix(field, rows, width, f"{path}.generators")
+            spaces[key] = Subspace.spanned_by(field, width, matrix)
+        if cid in codes:
+            raise DocumentError(path, f"constraint id {cid!r} declared twice")
+        codes[cid] = BlockedCode(structure, spaces[key])
+
+    symbols.sort(key=lambda v: natural_key(v.id))
+    states.sort(key=lambda v: natural_key(v.id))
+    constraints.sort(key=lambda c: natural_key(c.id))
+    topo = Topology(tuple(symbols), tuple(states), tuple(constraints))
+    return Realization(field, topo, codes)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output text, JSON payloads, exit codes."""
 
 import io
+import itertools
 import json
 import os
 import sys
@@ -10,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, dualize,
-                 emit_realization, export_dot, generator_realization, parse_realization,
-                 product_trellis)
+from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, behavior, dualize,
+                 emit_realization, export_dot, generator_realization, oracle,
+                 parse_realization, product_trellis)
 from ncl.cli import main
 from fixtures import CRITERION12_DOCUMENT, DATA, example1_document
 
@@ -333,6 +334,27 @@ class TestVerify:
         assert code == 2
         assert "exceed" in err
 
+    def test_cap_error_before_the_oracle_budget_error(self, run, ex1_path):
+        # ex1's behavior has 8 words and its frame 2^6 points
+        code, _, err = run("verify", ex1_path, "--budget", "4")
+        assert (code, err) == (2, "error: 8 codewords exceed the cap 4\n")
+
+    @pytest.mark.parametrize("tamper", ["drop", "extra", "swap", "repeat", "repeat-for-one"])
+    def test_oracle_disagreement_as_set_comparison(self, run, ex1_path, monkeypatch, tamper):
+        # the verdict and counterexample of comparing the two word sets
+        r = parse_realization(example1_document())
+        words = sorted(behavior(r).enumerate())
+        outside = next(w for w in itertools.product(range(2), repeat=len(words[0]))
+                       if w not in set(words))
+        told = {"drop": words[1:], "extra": words + [outside],
+                "swap": words[:-1] + [outside], "repeat": words + words[:3],
+                "repeat-for-one": words[:-1] + [words[0]]}[tamper]
+        monkeypatch.setattr(oracle, "brute_behavior", lambda r, budget: list(told))
+        diff = set(words) ^ set(told)
+        code, out, _ = run("verify", ex1_path, "--json")
+        assert (code, json.loads(out)) == (
+            (1, {"ok": False, "counterexample": list(min(diff))}) if diff else (0, {"ok": True}))
+
     def test_multiple_files_worst_exit(self, run, ex1_path, tmp_path):
         exp = tmp_path / "code.json"
         exp.write_text(EXPECTED_CODE, encoding="utf-8")
@@ -499,9 +521,13 @@ INVALID_DOC = ('{"field": 2,'
 # conv_dual.json is not trim, so its analyze rows carry trim witnesses;
 # one.json holds one GF(2) symbol, against which code3.json is over
 # another field and long.json has another length; crit12.json is the
-# criterion-12 witness, whose components verdict is withheld
+# criterion-12 witness, whose components verdict is withheld; dim4000.json
+# declares one symbol too wide for the local-code cell budget, dim2000.json
+# one just inside it
 ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [],'
                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
+WIDE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": %d}], "states": [],'
+                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": []}]}\n')
 DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")
 
 
@@ -536,6 +562,8 @@ def transcript_files() -> dict[str, str]:
         "code3.json": '{"field": 3, "generators": [[1]]}\n',
         "long.json": '{"field": 2, "generators": [[1, 1]]}\n',
         "crit12.json": CRITERION12_DOCUMENT,
+        "dim4000.json": WIDE_SYMBOL_DOC % 4000,
+        "dim2000.json": WIDE_SYMBOL_DOC % 2000,
     }
 
 
@@ -595,6 +623,8 @@ def transcript_argvs() -> list[list[str]]:
     rows += [["analyze", "conv_dual.json"], ["analyze", "conv_dual.json", "--json"]]
     rows += [["analyze", "gf11_conv_dual.json"], ["analyze", "gf11_conv_dual.json", "--json"]]
     rows += [["components", "crit12.json"], ["components", "crit12.json", "--json"]]
+    for wide in ("dim4000.json", "dim2000.json"):
+        rows += [["analyze", wide], ["analyze", wide, "--json"]]
     return rows
 
 
