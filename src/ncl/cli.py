@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
-
-import numpy as np
 
 from . import constructions, docio, oracle, realization, reduction
 from .blockcode import format_word, parse_word
@@ -312,20 +309,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             verdict = oracle.check_realizes(r, expected, budget)
             ok, counter = verdict.ok, verdict.counterexample
         else:
-            # equal iff every oracle word w lies in the behavior's row space,
-            # w = c @ basis for c = w[:, pivots], and p^dim of the c differ
-            b, p = realization.behavior(r), r.field.p
-            got = b.enumerate(budget.max_points)
-            if p ** b.dim > budget.max_points:
-                next(got)  # enumerate's cap error comes before the oracle's
-            want = oracle.brute_behavior(r, budget)
-            n, total = len(want), b.structure.total
-            w = np.fromiter(itertools.chain.from_iterable(want), np.int64, n * total)
-            w = w.reshape(n, total)
-            c = w[:, list(b.space.pivots)]
-            ok = bool(((c @ b.space.basis.array) % p == w).all()) and int(np.count_nonzero(
-                np.bincount(c @ p ** np.arange(b.dim)))) == p ** b.dim
-            counter = None if ok else min(set(got) ^ set(want))
+            got = set(realization.behavior(r).enumerate(budget.max_points))
+            want = set(oracle.brute_behavior(r, budget))
+            ok = got == want
+            counter = min(got ^ want) if not ok else None
         payload: dict = {"ok": ok}
         if counter is not None:
             payload["counterexample"] = list(counter)

@@ -7,14 +7,12 @@ generators in reduced echelon form, explicit negate_at, indented as
 json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
-The parse checks every field, each distinct local code once and the
-declared dims against cell budgets, so its realization needs only the
-topology validated. One writer, _dumps, writes all indented JSON.
+The parse checks each distinct local code once and the behavior's system
+against a cell budget, leaving the topology to validate; _dumps writes JSON.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from typing import Any
@@ -34,22 +32,15 @@ from .realization import (
 
 _CHUNKS = re.compile(r"\d+|\D+")
 
-# Cell budgets on the matrices a document's declared dims ask for, checked
-# before any is built: the sum of squared constraint widths (local codes)
-# and the total constraint width times the total var dim (the behavior's
-# system). A (3,6)-regular n = 960 Tanner graph needs 32,640 and 25.8M.
-MAX_LOCAL_CELLS = 1 << 22
-MAX_SYSTEM_CELLS = 1 << 25
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _chunk_key(chunk: str) -> tuple:
-    return (0, int(chunk)) if chunk.isdecimal() else (1, chunk)
+# Cells of the behavior's system: each local code's check rows (width less dim)
+# times the frame's total dim; a (3,6)-regular Tanner graph of n = 960 has 12.9M.
+MAX_SYSTEM_CELLS = 15_000_000
 
 
 def natural_key(text: str) -> tuple:
     """Sort key treating digit runs as numbers: a2 before a10."""
-    return tuple(map(_chunk_key, _CHUNKS.findall(text)))
+    return tuple((0, int(c)) if c.isdecimal() else (1, c)
+                 for c in _CHUNKS.findall(text))
 
 
 def _require(obj: Any, key: str, kind: type, path: str) -> Any:
@@ -105,9 +96,8 @@ def parse_realization(text: str) -> Realization:
 
     Raises DocumentError with a JSON-path location for malformed input,
     at the second declaration of a variable id, whose dim would be
-    ambiguous, and where the declared dims exceed a cell budget. Fields
-    are type-tested inline; _require builds the error where a test
-    fails. Each distinct (width, raw generator rows) is converted and
+    ambiguous, and where the behavior's system would exceed the cell
+    budget. Each distinct (width, raw generator rows) is converted and
     checked once, and constraints with equal residue rows get codes on
     one shared subspace, so each distinct local code is eliminated, and
     its check matrix computed, once. What is left to validate is the
@@ -118,9 +108,8 @@ def parse_realization(text: str) -> Realization:
     symbols = []
     for i, entry in enumerate(_require(doc, "symbols", list, "$")):
         path = f"$.symbols[{i}]"
-        if not (type(entry) is dict and type(sid := entry.get("id")) is str
-                and type(dim := entry.get("dim")) is int):
-            sid, dim = _require(entry, "id", str, path), _require(entry, "dim", int, path)
+        sid = _require(entry, "id", str, path)
+        dim = _require(entry, "dim", int, path)
         try:
             symbols.append(SymbolVar(sid, dim))
         except ValueError as e:
@@ -132,12 +121,10 @@ def parse_realization(text: str) -> Realization:
     states = []
     for i, entry in enumerate(_require(doc, "states", list, "$")):
         path = f"$.states[{i}]"
-        if not (type(entry) is dict and type(sid := entry.get("id")) is str
-                and type(dim := entry.get("dim")) is int
-                and type(left := entry.get("left")) is str
-                and type(right := entry.get("right")) is str):
-            sid, dim = _require(entry, "id", str, path), _require(entry, "dim", int, path)
-            left, right = _require(entry, "left", str, path), _require(entry, "right", str, path)
+        sid = _require(entry, "id", str, path)
+        dim = _require(entry, "dim", int, path)
+        left = _require(entry, "left", str, path)
+        right = _require(entry, "right", str, path)
         negate_at = entry.get("negate_at", "right")
         if not isinstance(negate_at, str):
             raise DocumentError(f"{path}.negate_at", "expected a string")
@@ -151,34 +138,23 @@ def parse_realization(text: str) -> Realization:
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
-    frame, squares, widths = sum(dim_of.values()), 0, 0
+    frame, checks = sum(dim_of.values()), 0
     # (width, repr of the raw rows) and (width, residue rows) -> the one space for them
     spaces: dict[tuple, Subspace] = {}
     for i, entry in enumerate(_require(doc, "constraints", list, "$")):
         path = f"$.constraints[{i}]"
-        if not (type(entry) is dict and type(cid := entry.get("id")) is str
-                and type(raw_vars := entry.get("vars")) is list):
-            cid, raw_vars = _require(entry, "id", str, path), _require(entry, "vars", list, path)
-        try:  # a var that is not a declared id, or is listed twice, goes to the loop
-            blocks = tuple([(v, dim_of[v]) for v in raw_vars])
-        except (KeyError, TypeError):
-            blocks = ()
-        if len(blocks) != len(raw_vars) or len(set(raw_vars)) != len(raw_vars):
-            for j, v in enumerate(raw_vars):
-                if not isinstance(v, str):
-                    raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
-                if v not in dim_of:
-                    raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
-                if v in raw_vars[:j]:
-                    raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
-        if type(raw := entry.get("generators")) is not list:
-            raw = _require(entry, "generators", list, path)
+        cid = _require(entry, "id", str, path)
+        raw_vars = _require(entry, "vars", list, path)
+        for j, v in enumerate(raw_vars):
+            if not isinstance(v, str):
+                raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
+            if v not in dim_of:
+                raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
+            if v in raw_vars[:j]:
+                raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
+        blocks = tuple([(v, dim_of[v]) for v in raw_vars])
+        raw = _require(entry, "generators", list, path)
         width = sum(d for _, d in blocks)
-        squares, widths = squares + width * width, widths + width
-        if squares > MAX_LOCAL_CELLS or widths * frame > MAX_SYSTEM_CELLS:
-            raise DocumentError(f"{path}.generators", (
-                f"declared dims need {squares} local-code and {widths * frame} behavior "
-                f"cells, over the budgets of {MAX_LOCAL_CELLS} and {MAX_SYSTEM_CELLS}"))
         raw_key = (width, repr(raw))
         if raw_key not in spaces:
             rows = _int_rows(raw, f"{path}.generators", field.p)
@@ -192,6 +168,10 @@ def parse_realization(text: str) -> Realization:
                 matrix = _matrix(field, rows, width, f"{path}.generators")
                 spaces[key] = Subspace.spanned_by(field, width, matrix)
             spaces[raw_key] = spaces[key]
+        checks += width - spaces[raw_key].dim
+        if (cells := checks * frame) > MAX_SYSTEM_CELLS:
+            raise DocumentError(f"{path}.generators", f"the behavior's system needs {cells} "
+                                f"cells, over the budget of {MAX_SYSTEM_CELLS}")
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
         constraints.append(Constraint(cid, tuple(raw_vars)))

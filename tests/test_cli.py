@@ -522,8 +522,8 @@ INVALID_DOC = ('{"field": 2,'
 # one.json holds one GF(2) symbol, against which code3.json is over
 # another field and long.json has another length; crit12.json is the
 # criterion-12 witness, whose components verdict is withheld; dim4000.json
-# declares one symbol too wide for the local-code cell budget, dim2000.json
-# one just inside it
+# declares one symbol whose behavior system is over the cell budget,
+# dim2000.json one whose system fits
 ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [],'
                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
 WIDE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": %d}], "states": [],'

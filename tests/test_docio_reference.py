@@ -1,7 +1,7 @@
 """The document boundary against references: the JSON writer against
 json.dumps(obj, indent=2), and parse_realization against the parse that
 converted and checked every constraint's rows (reference_parse_realization).
-Also the declared-dimension cell budgets."""
+Also the behavior-system cell budget."""
 
 import io
 import json
@@ -24,7 +24,8 @@ from ncl import (
     parse_realization,
 )
 from ncl.cli import main
-from ncl.docio import MAX_LOCAL_CELLS, MAX_SYSTEM_CELLS, _dumps
+from ncl.docio import MAX_SYSTEM_CELLS, _dumps
+from ncl.fields import MatrixF, rank
 from fixtures import DECLARED_TWICE, example1_document
 from helpers import (
     gallager_checks,
@@ -110,15 +111,18 @@ def test_writer_pinned_on_the_n240_analyze_report(tmp_path):
 
 # --- the parse -----------------------------------------------------------------
 
-def declared_cells_exceed_budget(text: str) -> bool:
-    """Whether the constraints, up to some one, declare more cells than a budget allows."""
+def system_cells_exceed_budget(text: str) -> bool:
+    """Whether the constraints, up to some one, have more check rows
+    (width less dim) times the frame's total dim than the budget allows."""
     doc = json.loads(text)
+    field = PrimeField(doc["field"])
     dims = {v["id"]: v["dim"] for v in doc["symbols"] + doc["states"]}
-    frame, squares, widths = sum(dims.values()), 0, 0
+    frame, checks = sum(dims.values()), 0
     for c in doc["constraints"]:
         width = sum(dims[v] for v in c["vars"])
-        squares, widths = squares + width * width, widths + width
-        if squares > MAX_LOCAL_CELLS or widths * frame > MAX_SYSTEM_CELLS:
+        rows = [[x % field.p for x in row] for row in c["generators"]]
+        checks += width - rank(MatrixF.from_rows(field, rows, cols=width))
+        if checks * frame > MAX_SYSTEM_CELLS:
             return True
     return False
 
@@ -126,12 +130,12 @@ def declared_cells_exceed_budget(text: str) -> bool:
 def assert_parses_like_reference(text: str) -> None:
     """Equal emitted text, equal validation findings and as many distinct
     spaces as the reference parse; or the same error; or, where the
-    declared dims exceed a budget, the budget error."""
+    behavior's system exceeds the budget, the budget error."""
     try:
         got = parse_realization(text)
     except DocumentError as e:
-        if "over the budgets" in str(e):
-            assert declared_cells_exceed_budget(text)
+        if "over the budget" in str(e):
+            assert system_cells_exceed_budget(text)
             return
         with pytest.raises(DocumentError) as want:
             reference_parse_realization(text)
@@ -224,31 +228,37 @@ def test_rows_equal_to_a_seen_key_but_of_another_type_are_rejected(bad, path, me
     assert_parses_like_reference(json.dumps(doc))
 
 
-# --- the cell budgets -----------------------------------------------------------
+# --- the cell budget -------------------------------------------------------------
 
 def test_budget_admits_a_36_regular_tanner_graph_of_n_960():
     r = parity_check_realization(GF2, 960, gallager_checks(random.Random(960), 960))
-    back = parse_realization(emit_realization(r))
+    text = emit_realization(r)
+    back = parse_realization(text)
     frame = sum(v.dim for v in (*back.topology.symbols, *back.topology.states))
     assert frame == 3840
     assert back._issues == ()
+    assert not system_cells_exceed_budget(text)
 
 
-def test_budget_rejects_one_wide_local_code():
-    doc = {"field": 2, "symbols": [{"id": "a0", "dim": 2049}], "states": [],
+def test_budget_rejects_one_symbol_of_dim_4000():
+    doc = {"field": 2, "symbols": [{"id": "a0", "dim": 4000}], "states": [],
            "constraints": [{"id": "c0", "vars": ["a0"], "generators": []}]}
     with pytest.raises(DocumentError) as e:
         parse_realization(json.dumps(doc))
     assert e.value.path == "$.constraints[0].generators"
-    assert "4198401 local-code" in str(e.value)
+    assert "needs 16000000 cells" in str(e.value)
 
 
-def test_budget_rejects_a_wide_behavior_system_of_narrow_codes():
-    n = 6000  # 6000 width-1 codes on a frame of 6000: 36M behavior cells
+@pytest.mark.parametrize("generators", [[[1]], []])
+def test_budget_counts_check_rows_not_widths(generators):
+    n = 6000  # 6000 width-1 codes on a frame of 6000: one check row each, or none
     doc = {"field": 2, "symbols": [{"id": f"a{k}", "dim": 1} for k in range(n)], "states": [],
-           "constraints": [{"id": f"c{k}", "vars": [f"a{k}"], "generators": [[1]]}
+           "constraints": [{"id": f"c{k}", "vars": [f"a{k}"], "generators": generators}
                            for k in range(n)]}
+    if generators:
+        assert len(parse_realization(json.dumps(doc)).topology.constraints) == n
+        return
     with pytest.raises(DocumentError) as e:
         parse_realization(json.dumps(doc))
-    assert e.value.path == "$.constraints[5592].generators"
-    assert "33558000 behavior" in str(e.value)
+    assert e.value.path == "$.constraints[2500].generators"
+    assert "needs 15006000 cells" in str(e.value)

@@ -1,6 +1,6 @@
 """Fuzz of the input boundary: any JSON ends in a result or a typed error.
 
-Declared dims are mostly in [0, 2], sometimes 40, or wide enough (3000
+Declared dims are mostly in [0, 2], sometimes 40, or wide enough (4000
 and up) that the parse's cell budget rejects them; a replaced value is
 in [-3, 12]. Generator rows are drawn for constraints at most 64 wide.
 """
@@ -27,7 +27,7 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=12,
 )
-dims = st.integers(0, 2) | st.sampled_from([40, 3000, 10 ** 12])
+dims = st.integers(0, 2) | st.sampled_from([40, 4000, 10 ** 12])
 
 
 @st.composite
