@@ -27,7 +27,7 @@ from .errors import (DimensionMismatchError, EnumerationLimitError,
                      FieldMismatchError, UnknownBlockError)
 from .fields import PrimeField, Subspace, _held, _vanishing, rank
 
-DEFAULT_ENUM_CAP = 1 << 22
+DEFAULT_MAX_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,12 @@ class BlockedCode:
             self._dual = BlockedCode(self.structure, self.space.orthogonal())
         return self._dual
 
-    def enumerate(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
+    def enumerate(self, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[tuple[int, ...]]:
         """All codewords, most significant coefficient first."""
         p = self.field.p
         count = p ** self.dim
-        if count > cap:
-            raise EnumerationLimitError(f"{count} codewords exceed the cap {cap}")
+        if count > max_points:
+            raise EnumerationLimitError(f"{count} codewords exceed the cap {max_points}")
         basis = self.space.basis.array
         powers = p ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         chunk = 1 << 13

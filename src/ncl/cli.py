@@ -25,11 +25,10 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from . import constructions, docio, oracle, realization, reduction
-from .blockcode import format_word, parse_word
+from .blockcode import DEFAULT_MAX_POINTS, format_word, parse_word
 from .constructions import Span, SpannedGenerator
 from .errors import DocumentError, EnumerationLimitError, InvalidRealizationError, NclError
 from .fields import PrimeField
-from .oracle import DEFAULT_MAX_POINTS, EnumerationBudget
 from .realization import Realization
 
 
@@ -44,6 +43,8 @@ def _load(path: str) -> Realization:
 
 
 def _budget_points(args: argparse.Namespace) -> int:
+    """The enumeration budget in points: --budget, else NCL_BUDGET, else
+    the default. The one place a budget is checked to be positive."""
     points = args.budget
     if points is None:
         env = os.environ.get("NCL_BUDGET")
@@ -255,6 +256,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         gens = [SpannedGenerator(tuple(v), s) for v, s in zip(rows, spans)]
         r = constructions.product_trellis(field, args.n, gens, args.kind)
     text = docio.emit_realization(r)
+    docio.parse_realization(text)  # its cell budget: write no document the readers refuse
     if args.out:
         return _write(args, text)
     sys.stdout.write(text)
@@ -301,16 +303,16 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = EnumerationBudget(_budget_points(args))
+    points = _budget_points(args)
     expected = docio.parse_code_document(_read(args.expect)) if args.expect else None
 
     def result(r: Realization) -> dict:
         if expected is not None:
-            verdict = oracle.check_realizes(r, expected, budget)
+            verdict = oracle.check_realizes(r, expected, points)
             ok, counter = verdict.ok, verdict.counterexample
         else:
-            got = set(realization.behavior(r).enumerate(budget.max_points))
-            want = set(oracle.brute_behavior(r, budget))
+            got = set(realization.behavior(r).enumerate(points))
+            want = set(oracle.brute_behavior(r, points))
             ok = got == want
             counter = min(got ^ want) if not ok else None
         payload: dict = {"ok": ok}

@@ -22,7 +22,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blockcode import DEFAULT_ENUM_CAP, BlockedCode, BlockStructure
+from .blockcode import DEFAULT_MAX_POINTS, BlockedCode, BlockStructure
+from .errors import EnumerationLimitError
 from .fields import PrimeField, Subspace, _held
 from .realization import (
     Constraint,
@@ -288,31 +289,36 @@ class ComponentReport:
 
 
 def trajectory_components(r: Realization, *,
-                          max_points: int = DEFAULT_ENUM_CAP) -> ComponentReport:
+                          max_points: int = DEFAULT_MAX_POINTS) -> ComponentReport:
     """Count connected pieces of the behavior's state-value branch graph.
 
     Nodes are the (state, value) pairs that actually occur; every branch
     of every section links the state values it passes through. The
     uncontrollable verdict is populated only for reduced tail-biting
     trellises, where disconnection is equivalent to uncontrollability.
+    The state values and branch words it enumerates, p^dim per projection,
+    count together against max_points, checked before any is enumerated.
     """
     r.ensure_valid()
     b = behavior(r)
     topo = r.topology
+    # symbol coordinates add words but no edges: a branch is its state values only
+    state_sets = ([v for v in c.vars if topo.is_state(v)] for c in topo.constraints)
+    branches = [vs for vs in state_sets if len(vs) >= 2]
+    values = [b.project([s.id]) for s in topo.states]
+    words = [b.project(vs) for vs in branches]
+    points = sum(r.field.p ** proj.dim for proj in (*values, *words))
+    if points > max_points:
+        raise EnumerationLimitError(
+            f"{points} state values and branch words exceed the budget of {max_points}")
 
     node_index: dict[tuple[str, tuple[int, ...]], int] = {}
-    for s in topo.states:
-        proj = b.project([s.id])
+    for s, proj in zip(topo.states, values):
         for value in proj.enumerate(max_points):
             node_index.setdefault((s.id, value), len(node_index))
 
     def branch_edges() -> Iterator[tuple[int, int]]:
-        for c in topo.constraints:
-            state_vars = [v for v in c.vars if topo.is_state(v)]
-            if len(state_vars) < 2:
-                continue
-            # symbol coordinates add words but no edges: enumerate the state values only
-            branch = b.project(state_vars)
+        for state_vars, branch in zip(branches, words):
             offsets = [(v, branch.structure.offset(v), topo.var_dim(v)) for v in state_vars]
             for word in branch.enumerate(max_points):
                 touched = [node_index[(v, word[at:at + d])] for v, at, d in offsets]

@@ -80,7 +80,7 @@ def _document_head(text: str) -> tuple[dict, PrimeField]:
     """The JSON object a document holds and the prime field it names."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or an int too long to read
         raise DocumentError("$", f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", "expected a JSON object")
@@ -253,9 +253,10 @@ def parse_code_document(text: str) -> BlockedCode:
     return BlockedCode.from_rows(field, structure, matrix)
 
 
-def _quote(s: str) -> str:
-    # double quotes escaped; backslashes left alone so \n stays a DOT newline
-    return '"' + s.replace('"', '\\"') + '"'
+def _quote(*lines: str) -> str:
+    """A DOT string of the lines, backslashes and double quotes escaped,
+    joined by DOT's \\n line break."""
+    return '"' + "\\n".join(s.replace("\\", "\\\\").replace('"', '\\"') for s in lines) + '"'
 
 
 def export_dot(r: Realization) -> str:
@@ -264,8 +265,8 @@ def export_dot(r: Realization) -> str:
     topo = r.topology
     lines = ["graph realization {", "  node [shape=box];"]
     for c in topo.constraints:
-        label = c.id + "\\ndim " + str(r.code(c.id).dim)
-        lines.append(f"  {_quote(c.id)} [label={_quote(label)}];")
+        label = _quote(c.id, f"dim {r.code(c.id).dim}")
+        lines.append(f"  {_quote(c.id)} [label={label}];")
     for s in topo.states:
         lines.append(f"  {_quote(s.left)} -- {_quote(s.right)} "
                      f"[label={_quote(f'{s.id}:{s.dim}')}];")

@@ -23,10 +23,6 @@ class EnumerationLimitError(NclError):
     """An exhaustive enumeration would exceed the allowed number of points."""
 
 
-class BudgetExceededError(EnumerationLimitError):
-    """A brute-force scan would exceed the enumeration budget."""
-
-
 class NotReducibleError(NclError):
     """A local reduction was requested where none applies (no-op)."""
 

@@ -14,23 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcode import DEFAULT_ENUM_CAP, BlockedCode
-from .errors import BudgetExceededError, DimensionMismatchError, FieldMismatchError
+from .blockcode import DEFAULT_MAX_POINTS, BlockedCode
+from .errors import DimensionMismatchError, EnumerationLimitError, FieldMismatchError
 from .realization import Realization
 
-DEFAULT_MAX_POINTS = DEFAULT_ENUM_CAP
 _CHUNK = 1 << 13
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on how many assignments a brute-force scan may visit."""
-
-    max_points: int = DEFAULT_MAX_POINTS
-
-    def __post_init__(self) -> None:
-        if self.max_points <= 0:
-            raise ValueError("budget must be positive")
 
 
 def _nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
@@ -94,7 +82,7 @@ def _syndrome_table(rows: np.ndarray, p: int) -> np.ndarray:
     return table % p
 
 
-def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
+def brute_behavior(r: Realization, max_points: int = DEFAULT_MAX_POINTS
                    ) -> list[tuple[int, ...]]:
     """Every satisfying global assignment, symbols first, ascending order.
 
@@ -107,14 +95,12 @@ def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
     every parity row, at most _CHUNK pairs at a time, and the pairs that
     match are emitted high part first, low part next: ascending order.
     """
-    budget = budget or EnumerationBudget()
     r.ensure_valid()
     p = r.field.p
     layout, total = _global_layout(r)
     points = p ** total
-    if points > budget.max_points:
-        raise BudgetExceededError(
-            f"{p}^{total} assignments exceed the budget of {budget.max_points}")
+    if points > max_points:
+        raise EnumerationLimitError(f"{p}^{total} assignments exceed the budget of {max_points}")
     offset = {vid: at for vid, at, _ in layout}
 
     parity_rows: list[list[int]] = []
@@ -146,11 +132,11 @@ def brute_behavior(r: Realization, budget: EnumerationBudget | None = None
     return out
 
 
-def brute_realized_words(r: Realization, budget: EnumerationBudget | None = None
+def brute_realized_words(r: Realization, max_points: int = DEFAULT_MAX_POINTS
                          ) -> set[tuple[int, ...]]:
     """Symbol projections of the brute-force behavior, as a set."""
     width = r.topology.total_symbol_dim()
-    return {w[:width] for w in brute_behavior(r, budget)}
+    return {w[:width] for w in brute_behavior(r, max_points)}
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,7 @@ class RealizesVerdict:
 
 
 def check_realizes(r: Realization, expected: BlockedCode,
-                   budget: EnumerationBudget | None = None) -> RealizesVerdict:
+                   max_points: int = DEFAULT_MAX_POINTS) -> RealizesVerdict:
     """Set-compare the realized words with the expected code's words.
 
     An expected code over another field or of another length is a typed
@@ -180,9 +166,8 @@ def check_realizes(r: Realization, expected: BlockedCode,
         raise DimensionMismatchError(
             f"expected code has length {expected.structure.total}, "
             f"the realized code {width}")
-    budget = budget or EnumerationBudget()
-    got = brute_realized_words(r, budget)
-    want = set(expected.enumerate(budget.max_points))
+    got = brute_realized_words(r, max_points)
+    want = set(expected.enumerate(max_points))
     if got == want:
         return RealizesVerdict(True)
     return RealizesVerdict(False, min(got ^ want))

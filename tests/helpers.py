@@ -11,11 +11,11 @@ from ncl import (
     AnalysisReport,
     BlockedCode,
     BlockStructure,
-    BudgetExceededError,
     Constraint,
     ConstraintReport,
+    DEFAULT_MAX_POINTS,
     DimensionMismatchError,
-    EnumerationBudget,
+    EnumerationLimitError,
     FieldMismatchError,
     MatrixF,
     PrimeField,
@@ -212,18 +212,17 @@ def random_realization(rng: random.Random, field: PrimeField, *,
         return Realization(field, topo, codes)
 
 
-def reference_brute_behavior(r: Realization, budget: EnumerationBudget | None = None
+def reference_brute_behavior(r: Realization, max_points: int = DEFAULT_MAX_POINTS
                              ) -> list[tuple[int, ...]]:
     """brute_behavior as one chunked loop over the assignments: each chunk
     spelled out digit by digit and multiplied into every parity row."""
-    budget = budget or EnumerationBudget()
     r.ensure_valid()
     p = r.field.p
     layout, total = _global_layout(r)
     points = p ** total
-    if points > budget.max_points:
-        raise BudgetExceededError(
-            f"{p}^{total} assignments exceed the budget of {budget.max_points}")
+    if points > max_points:
+        raise EnumerationLimitError(
+            f"{p}^{total} assignments exceed the budget of {max_points}")
     offset = {vid: at for vid, at, _ in layout}
 
     parity_rows: list[list[int]] = []

@@ -13,7 +13,6 @@ import pytest
 from ncl import (
     GF2,
     GF3,
-    EnumerationBudget,
     MatrixF,
     Subspace,
     analyze,
@@ -386,16 +385,16 @@ def test_criterion_11_oracle_matches_kernel_everywhere():
     instances.append(parity_check_realization(
         GF2, 8, [RM84_CHECKS[0], RM84_CHECKS[1], RM84_CHECKS[2]]))
 
-    budget = EnumerationBudget(1 << 20)
+    max_points = 1 << 20
     checked = 0
     boundary_seen = False
     for r in instances:
         points = r.field.p ** total_dim(r)
-        if points > budget.max_points:
+        if points > max_points:
             continue
-        boundary_seen = boundary_seen or points == budget.max_points
-        got = set(behavior(r).enumerate(budget.max_points))
-        want = set(brute_behavior(r, budget))
+        boundary_seen = boundary_seen or points == max_points
+        got = set(behavior(r).enumerate(max_points))
+        want = set(brute_behavior(r, max_points))
         assert got == want
         checked += 1
     assert checked >= 35

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -16,6 +17,7 @@ from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, behavior
                  parse_realization, product_trellis)
 from ncl.cli import main
 from fixtures import CRITERION12_DOCUMENT, DATA, example1_document
+from helpers import gallager_checks
 
 EXPECTED_CODE = '{"field": 2, "generators": [[1, 1, 0], [1, 0, 1]]}\n'
 WRONG_CODE = '{"field": 2, "generators": [[1, 1, 1]]}\n'
@@ -142,6 +144,24 @@ class TestBuild:
                            "--gens", "1x0")
         assert code == 2
         assert "digit string" in err
+
+    @pytest.mark.parametrize("n", [960, 1200])
+    def test_applies_the_cell_budget_of_the_parse(self, run, tmp_path, n):
+        # a (3,6)-regular Tanner graph has 3.5n check rows over a frame of 4n:
+        # 12,902,400 cells at n = 960; at n = 1200 the count passes the budget
+        # at the 1,442nd constraint, as the parse of the document would
+        rows = ",".join("".join(map(str, row)) for row in gallager_checks(random.Random(n), n))
+        path = tmp_path / "tanner.json"
+        code, out, err = run("build", "parity-check", "--field", "2", "--n", str(n),
+                             "--checks", rows, "-o", str(path), "--json")
+        if n == 960:
+            assert (code, json.loads(out), err) == (0, {"written": str(path)}, "")
+            parse_realization(path.read_text(encoding="utf-8"))
+        else:
+            assert (code, out, path.exists()) == (2, "", False)
+            assert json.loads(err) == {"error": {"type": "document", "message": (
+                "$.constraints[1441].generators: the behavior's system needs 15004800 "
+                "cells, over the budget of 15000000")}}
 
 
 class TestAnalyze:
@@ -349,7 +369,7 @@ class TestVerify:
         told = {"drop": words[1:], "extra": words + [outside],
                 "swap": words[:-1] + [outside], "repeat": words + words[:3],
                 "repeat-for-one": words[:-1] + [words[0]]}[tamper]
-        monkeypatch.setattr(oracle, "brute_behavior", lambda r, budget: list(told))
+        monkeypatch.setattr(oracle, "brute_behavior", lambda r, max_points: list(told))
         diff = set(words) ^ set(told)
         code, out, _ = run("verify", ex1_path, "--json")
         assert (code, json.loads(out)) == (
@@ -396,6 +416,30 @@ class TestBudgetEnv:
         monkeypatch.setenv("NCL_BUDGET", "0")
         code, out, err = run(command, ex1_path)
         assert (code, out, err) == (2, "", "error: budget must be positive\n")
+
+
+class TestOneBudget:
+    """--budget counts the points of one command: verify's assignments (the
+    transcript's ex1 rows at 63 and 64), and components' state values and
+    branch words together."""
+
+    def test_components_counts_every_projection_together(self, run, tmp_path):
+        text = transcript_files()["tb3.json"]
+        r = parse_realization(text)
+        b, topo = behavior(r), r.topology
+        branches = ([v for v in c.vars if topo.is_state(v)] for c in topo.constraints)
+        sizes = [3 ** b.project([s.id]).dim for s in topo.states]
+        sizes += [3 ** b.project(vs).dim for vs in branches if len(vs) > 1]
+        total = sum(sizes)
+        assert (max(sizes), total) == (9, 54)
+        path = tmp_path / "tb3.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run("components", str(path), "--budget", str(total))
+        assert (code, out.splitlines()[0]) == (0, "components: 3")
+        code, out, err = run("components", str(path), "--budget", str(total - 1), "--json")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"type": "budget", "message": (
+            "54 state values and branch words exceed the budget of 53")}}
 
 
 class TestExportDot:

@@ -8,6 +8,7 @@ import pytest
 from ncl import (
     GF2,
     GF3,
+    EnumerationLimitError,
     InvalidRealizationError,
     PrimeField,
     Span,
@@ -292,16 +293,19 @@ class TestTrajectoryComponents:
         assert trajectory_components(r).defect == controllability_defect(r)
 
     def test_budget_counts_state_values_not_symbol_coordinates(self):
-        # every state value and every branch's pair of state values fits a
-        # budget of 4, but c1's branches with their symbol coordinate are 8
+        # 3 states of 2 values and 3 branches of 4 state-value pairs: 18
+        # points, though c1's branches with their symbol coordinate are 8
         gens = [SpannedGenerator((1, 1, 0), Span(0, 1)),
                 SpannedGenerator((0, 1, 1), Span(1, 2)),
                 SpannedGenerator((1, 0, 1), Span(2, 0)),
                 SpannedGenerator((0, 1, 0), Span(1, 1))]
         r = product_trellis(GF2, 3, gens, "tail-biting")
-        rep = trajectory_components(r, max_points=4)
-        assert rep == trajectory_components(r, max_points=8)
+        rep = trajectory_components(r, max_points=18)
+        assert rep == trajectory_components(r, max_points=22)
         assert rep.count == 1
+        with pytest.raises(EnumerationLimitError, match="^18 state values and branch words "
+                           "exceed the budget of 17$"):
+            trajectory_components(r, max_points=17)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_partition_matches_the_reference_union_find(self, p):

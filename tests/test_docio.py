@@ -242,3 +242,12 @@ class TestExportDot:
         r = Realization(GF2, Topology(symbols, (), cons), codes)
         text = export_dot(r)
         assert '\\"' in text
+
+    def test_backslashes_escaped_and_the_label_break_kept(self):
+        # unescaped, the id's backslash would escape the closing quote
+        doc = {"field": 2, "symbols": [{"id": "a\\", "dim": 1}], "states": [],
+               "constraints": [{"id": "c\\", "vars": ["a\\"], "generators": [[1]]}]}
+        lines = export_dot(parse_realization(json.dumps(doc))).splitlines()
+        assert lines[2:5] == [r'  "c\\" [label="c\\\ndim 1"];',
+                              r'  "sym:a\\" [shape=none, label="a\\:1"];',
+                              r'  "c\\" -- "sym:a\\";']

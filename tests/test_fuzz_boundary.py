@@ -9,12 +9,14 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ncl import DocumentError, InvalidRealizationError, Realization, parse_realization
+from ncl import (DocumentError, InvalidRealizationError, Realization, parse_code_document,
+                 parse_realization)
 from ncl.cli import main
-from fixtures import DECLARED_TWICE
+from fixtures import DECLARED_TWICE, example1_document
 
 SYMBOLS = ("a0", "a1", "a2")
 STATES = ("s0", "s1", "s2")
@@ -128,3 +130,29 @@ def test_cli_exit_codes_and_output_format(tmp_path, text, command, as_json):
             assert set(payload["error"]) == {"type", "message"}
     elif err:
         assert err.startswith("error:")
+
+
+# json.loads raises RecursionError on the first and ValueError (Python's
+# 4,300-digit limit on reading an int) on the second
+UNREADABLE = {
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "long-int": '{"field": 2, "symbols": [{"id": "a0", "dim": 1%s}]}' % ("0" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_json_is_a_document_error(tmp_path, name):
+    text = UNREADABLE[name]
+    for parse in (parse_realization, parse_code_document):
+        with pytest.raises(DocumentError) as e:
+            parse(text)
+        assert e.value.path == "$"
+    doc, ex1 = tmp_path / "doc.json", tmp_path / "ex1.json"
+    doc.write_text(text, encoding="utf-8")
+    ex1.write_text(example1_document(), encoding="utf-8")
+    for argv in (["analyze", str(doc)], ["verify", str(ex1), "--expect", str(doc)]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--json"])
+        assert (code, out.getvalue()) == (2, "")
+        assert json.loads(err.getvalue())["error"]["type"] == "document"
