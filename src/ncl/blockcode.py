@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, EnumerationLimitError,
                      FieldMismatchError, UnknownBlockError)
-from .fields import PrimeField, Subspace, _held, _vanishing, rank
+from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, rank
 
 DEFAULT_MAX_POINTS = 1 << 22
 
@@ -174,11 +174,13 @@ class BlockedCode:
 
 def _gathered(code: BlockedCode, index: np.ndarray) -> np.ndarray:
     """The code's basis columns at each row of the (groups, width) column
-    index, as one (groups, rows, width) stack gathered in one indexing
-    call. The index structure.total reads a zero column appended to the
-    basis, which pads a narrower group and leaves its rank unchanged."""
+    index, as one (groups, rows, width) stack in `_work_dtype(p)` gathered
+    in one indexing call. The index structure.total reads a zero column
+    appended to the basis, which pads a narrower group and leaves its
+    rank unchanged."""
     a = code.space.basis.array
-    padded = np.hstack([a, np.zeros((a.shape[0], 1), dtype=a.dtype)])
+    padded = np.zeros((a.shape[0], a.shape[1] + 1), dtype=_work_dtype(code.field.p))
+    padded[:, :-1] = a
     # gathering rows of the transpose reads whole columns; the stack is
     # a (groups, rows, width) view of the result
     return padded.T[index].transpose(0, 2, 1)

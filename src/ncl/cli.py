@@ -189,7 +189,9 @@ def _write_steps(args: argparse.Namespace, r: Realization,
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    return _write(args, docio.emit_realization(realization.dualize(_load(args.infile))))
+    r = _load(args.infile)
+    docio.check_dual_cells(r)  # write no document the readers refuse
+    return _write(args, docio.emit_realization(realization.dualize(r)))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

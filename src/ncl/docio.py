@@ -8,7 +8,8 @@ json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
 The parse checks each distinct local code once and the behavior's system
-against a cell budget, leaving the topology to validate; _dumps writes JSON.
+against a cell budget, leaving the topology to validate; check_dual_cells
+applies that budget to a dual before it is written; _dumps writes JSON.
 """
 
 from __future__ import annotations
@@ -74,6 +75,23 @@ def _matrix(field: PrimeField, rows: list[list[int]], width: int, path: str) -> 
         return _held(field, np.array(rows, dtype=np.int64).reshape(len(rows), width))
     except (ValueError, OverflowError, MemoryError) as e:
         raise DocumentError(path, f"cannot hold a {len(rows)} x {width} matrix: {e}") from None
+
+
+def _check_cells(cells: int, path: str) -> None:
+    if cells > MAX_SYSTEM_CELLS:
+        raise DocumentError(path, f"the behavior's system needs {cells} "
+                            f"cells, over the budget of {MAX_SYSTEM_CELLS}")
+
+
+def check_dual_cells(r: Realization) -> None:
+    """The parse's cell budget on the document of r's dual, read off r
+    without building the dual: a dual constraint's check rows are its
+    primal code's dim, and the document lists constraints in natural order."""
+    frame = r.topology.total_symbol_dim() + r.topology.total_state_dim()
+    checks = 0
+    for i, c in enumerate(sorted(r.topology.constraints, key=lambda c: natural_key(c.id))):
+        checks += r.code(c.id).dim
+        _check_cells(checks * frame, f"$.constraints[{i}].generators")
 
 
 def _document_head(text: str) -> tuple[dict, PrimeField]:
@@ -169,9 +187,7 @@ def parse_realization(text: str) -> Realization:
                 spaces[key] = Subspace.spanned_by(field, width, matrix)
             spaces[raw_key] = spaces[key]
         checks += width - spaces[raw_key].dim
-        if (cells := checks * frame) > MAX_SYSTEM_CELLS:
-            raise DocumentError(f"{path}.generators", f"the behavior's system needs {cells} "
-                                f"cells, over the budget of {MAX_SYSTEM_CELLS}")
+        _check_cells(checks * frame, f"{path}.generators")
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
         constraints.append(Constraint(cid, tuple(raw_vars)))

@@ -146,9 +146,15 @@ class MatrixF:
 
 def _held(field: PrimeField, a: np.ndarray,
           echelon: tuple[int, ...] | None = None) -> MatrixF:
-    """A MatrixF around an int64 array of residues that this package built,
+    """A MatrixF around an array of residues that this package built,
     taken as it is: no `% p` copy, and, given the pivots of a canonical
-    RREF basis, no canonical re-check when a Subspace takes it."""
+    RREF basis, no canonical re-check when a Subspace takes it.
+
+    Every MatrixF a caller can reach holds int64. The one narrower
+    MatrixF is the behavior's check system, in `_work_dtype(p)`, which
+    `Realization._behavior_code` hands to `kernel` and never lets out;
+    `_vanishing` wraps its input for `rref` the same way, whatever its
+    dtype, and keeps only the int64 RREF."""
     m = MatrixF.__new__(MatrixF)
     a.setflags(write=False)
     m.field = field
@@ -158,7 +164,8 @@ def _held(field: PrimeField, a: np.ndarray,
 
 
 def _work_dtype(p: int) -> type:
-    """The dtype of `ranks`' stack and of the rref `_rref_array` returns:
+    """The dtype of every elimination transient: `ranks`' stack, the rref
+    `_rref_array` returns, null rows and the behavior's check system;
     uint8 when p = 2, where a row update is an XOR, and int32 otherwise.
     Every intermediate is below p**2 <= 2**26 in magnitude, so int32 is
     exact up to MAX_FIELD."""
@@ -170,7 +177,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     rref, rank, kernel, inverse and complete_to_basis all run it. `a`
     holds residues mod p, and the rref comes back in `_work_dtype(p)`:
-    callers widen to int64 where they build a MatrixF or negate. Over
+    callers widen to int64 where they build a MatrixF for a caller. Over
     GF(2) the rows are eliminated as Python ints (`_rref_bits`). Over odd
     p the loop runs on an int32 copy, and each pivot clears its column in
     one block update of every other row with a nonzero there, so the work
@@ -319,29 +326,29 @@ def kernel(m: MatrixF) -> "Subspace":
     return _rref_kernel(m.field, a, piv)
 
 
-def _null_rows(a: np.ndarray, piv: Sequence[int]) -> np.ndarray:
-    """Null rows of a matrix in RREF with the given pivot columns, not yet
-    canonical or reduced mod p: row f is e_f minus column f on the pivots.
-    Their transpose is the quotient map modulo the row space. They are
-    int64 whatever dtype `a` has, so the negation cannot wrap."""
+def _null_rows(a: np.ndarray, piv: Sequence[int], p: int) -> np.ndarray:
+    """Null rows of a matrix of residues mod p in RREF with the given pivot
+    columns, not yet canonical: row f is e_f minus column f on the pivots,
+    as residues in `_work_dtype(p)`. Their transpose is the quotient map
+    modulo the row space. p - x negates a residue x without wrapping."""
     n = a.shape[1]
     pivset = set(piv)
     free = [f for f in range(n) if f not in pivset]
-    rows = np.zeros((len(free), n), dtype=np.int64)
+    rows = np.zeros((len(free), n), dtype=_work_dtype(p))
     rows[np.arange(len(free)), free] = 1
-    rows[:, list(piv)] = -a[:len(piv), free].T.astype(np.int64)
+    rows[:, list(piv)] = (p - a[:len(piv), free].T) % p
     return rows
 
 
 def _rref_kernel(field: PrimeField, a: np.ndarray, piv: Sequence[int]) -> "Subspace":
     """The right null space of a matrix in RREF with the given pivot columns."""
-    return _vanishing(field, _null_rows(a, piv) % field.p)
+    return _vanishing(field, _null_rows(a, piv, field.p))
 
 
 def _vanishing(field: PrimeField, a: np.ndarray, skip: int = 0) -> "Subspace":
-    """The words of the row space of the int64 residues `a` that are zero
-    on its first `skip` columns, seen on the others: the rows of one RREF
-    whose pivot is at or past `skip`, cut there, a canonical basis."""
+    """The words of the row space of the residues `a` that are zero on
+    its first `skip` columns, seen on the others: the rows of one RREF
+    whose pivot is at or past `skip`, cut there, a canonical int64 basis."""
     red, rk, piv = rref(_held(field, a))
     kept = tuple(c - skip for c in piv if c >= skip)
     basis = _held(field, red.array[rk - len(kept):rk, skip:], kept)

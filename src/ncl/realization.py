@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import PrimeField, _held, _vanishing, kernel, ranks, rref
+from .fields import PrimeField, _held, _vanishing, _work_dtype, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -367,14 +367,15 @@ class Realization:
         topo = self.topology
         old = topo.state(state_id)
         if set(replaced) != {old.left, old.right}:
-            raise ValueError(
-                f"state {state_id!r}: replace the codes of exactly its endpoints")
-        states = tuple(
-            StateVar(s.id, new_dim, s.left, s.right, s.negate_at) if s.id == state_id else s
-            for s in topo.states)
-        child_topo = Topology(topo.symbols, states, topo.constraints)
-        # a step never changes endpoints, so the components carry over
-        child_topo.__dict__["_uncut_components"] = topo._uncut_components
+            raise ValueError(f"state {state_id!r}: replace the codes of exactly its endpoints")
+        new = StateVar(state_id, new_dim, old.left, old.right, old.negate_at)
+        child_topo = Topology(topo.symbols, tuple(new if s is old else s for s in topo.states),
+                              topo.constraints)
+        # only one state's dim changes: the indexes, its entry aside, and components carry over
+        vars(child_topo).update(_symbols_by_id=topo._symbols_by_id,
+                                _constraints_by_id=topo._constraints_by_id,
+                                _states_by_id={**topo._states_by_id, state_id: new},
+                                _uncut_components=topo._uncut_components)
         child = Realization(self.field, child_topo, {**self._codes, **replaced})
         # _issues is a cached_property: assigning it fills the cache
         child._issues = tuple(issue for c in topo.constraints if c.id in replaced
@@ -388,11 +389,10 @@ class Realization:
         # each constraint's check matrix fills its own rows, in topology
         # order, at its vars' columns; constraints on one shared subspace
         # share the array, which is written into all of their rows in one
-        # indexed assignment. Every entry is a residue: no % p copy.
-        checks = [self._codes[c.id].dual().space.basis.array
-                  for c in self.topology.constraints]
+        # indexed assignment, of residues: the working dtype holds them.
+        checks = [self._codes[c.id].dual().space.basis.array for c in self.topology.constraints]
         starts = np.cumsum([0] + [h.shape[0] for h in checks])
-        system = np.zeros((int(starts[-1]), frame.total), dtype=np.int64)
+        system = np.zeros((int(starts[-1]), frame.total), dtype=_work_dtype(self.field.p))
         sharing: dict[int, list[int]] = {}
         for i, h in enumerate(checks):
             sharing.setdefault(id(h), []).append(i)

@@ -116,7 +116,7 @@ def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarr
 
 def _quotient_map(space: Subspace) -> np.ndarray:
     """N(L)^T for the subspace L (module docstring): the quotient map modulo L."""
-    return _null_rows(space.basis.array, space.pivots).T
+    return _null_rows(space.basis.array, space.pivots, space.field.p).T
 
 
 def trim_state(r: Realization, state_id: str, constraint_id: str

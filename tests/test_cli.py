@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ncl import (GF2, GF3, PrimeField, Span, SpannedGenerator, analyze, behavior, dualize,
-                 emit_realization, export_dot, generator_realization, oracle,
-                 parse_realization, product_trellis)
+from ncl import (GF2, GF3, DocumentError, PrimeField, Span, SpannedGenerator, analyze,
+                 behavior, dualize, emit_realization, export_dot, generator_realization,
+                 oracle, parse_realization, product_trellis)
 from ncl.cli import main
 from fixtures import CRITERION12_DOCUMENT, DATA, example1_document
 from helpers import gallager_checks
@@ -271,6 +271,21 @@ class TestDualAndComponents:
         assert payload["uncontrollable"] is True
         assert payload["warning"] is None
         assert {tuple(e["value"]) for e in payload["partition"]} == {(0,), (1,)}
+
+    def test_dual_over_the_cell_budget_is_refused_unwritten(self, run, tmp_path):
+        # the chain's full local codes have no check rows, so it parses; its
+        # dual's check rows are their dims, and the parse of the dual's
+        # document passes the budget at its 1,564th constraint
+        text = chain_document(1600)
+        with pytest.raises(DocumentError) as refused:
+            parse_realization(emit_realization(dualize(parse_realization(text))))
+        assert str(refused.value).startswith("$.constraints[1563].generators: ")
+        path, out_path = tmp_path / "chain.json", tmp_path / "dual.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run("dual", str(path), str(out_path), "--json")
+        assert (code, out, out_path.exists()) == (2, "", False)
+        assert json.loads(err) == {"error": {"type": "document",
+                                             "message": str(refused.value)}}
 
     def test_dual_of_dual_round_trips(self, run, ex1_path, tmp_path):
         d1 = tmp_path / "d1.json"
@@ -567,11 +582,29 @@ INVALID_DOC = ('{"field": 2,'
 # another field and long.json has another length; crit12.json is the
 # criterion-12 witness, whose components verdict is withheld; dim4000.json
 # declares one symbol whose behavior system is over the cell budget,
-# dim2000.json one whose system fits
+# dim2000.json one whose system fits; chain1600.json parses, but its dual
+# is over the budget
 ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [],'
                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
 WIDE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": %d}], "states": [],'
                    ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": []}]}\n')
+
+
+def chain_document(n: int) -> str:
+    """A GF(2) chain of n constraints, each with one dim-1 symbol and dim-1
+    states to its neighbours, and a full local code: no check rows."""
+    constraints = []
+    for i in range(n):
+        names = [f"a{i}"] + [f"s{j}" for j in (i - 1, i) if 0 <= j < n - 1]
+        constraints.append({"id": f"c{i}", "vars": names, "generators": [
+            [int(j == k) for k in range(len(names))] for j in range(len(names))]})
+    return json.dumps({
+        "field": 2, "symbols": [{"id": f"a{i}", "dim": 1} for i in range(n)],
+        "states": [{"id": f"s{i}", "dim": 1, "left": f"c{i}", "right": f"c{i + 1}"}
+                   for i in range(n - 1)],
+        "constraints": constraints}, separators=(",", ":")) + "\n"
+
+
 DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")
 
 
@@ -608,6 +641,7 @@ def transcript_files() -> dict[str, str]:
         "crit12.json": CRITERION12_DOCUMENT,
         "dim4000.json": WIDE_SYMBOL_DOC % 4000,
         "dim2000.json": WIDE_SYMBOL_DOC % 2000,
+        "chain1600.json": chain_document(1600),
     }
 
 
@@ -669,6 +703,8 @@ def transcript_argvs() -> list[list[str]]:
     rows += [["components", "crit12.json"], ["components", "crit12.json", "--json"]]
     for wide in ("dim4000.json", "dim2000.json"):
         rows += [["analyze", wide], ["analyze", wide, "--json"]]
+    rows += [["dual", "chain1600.json", "out.json"],
+             ["dual", "chain1600.json", "out.json", "--json"]]
     return rows
 
 

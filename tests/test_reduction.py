@@ -16,8 +16,10 @@ from ncl import (
     NotCycleFreeError,
     NotReducibleError,
     PrimeField,
+    Realization,
     ReductionStep,
     Subspace,
+    Topology,
     UnknownBlockError,
     brute_realized_words,
     complete_to_basis,
@@ -41,7 +43,7 @@ from ncl import (
 )
 from ncl.reduction import DUAL_MERGE, MERGE, UNOBS_TRIM, _quotient_map, _shrink
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
-from helpers import (identity, ladder_conventional_trellis, random_realization,
+from helpers import (identity, ladder_conventional_trellis, ladder_trellis, random_realization,
                      random_tree_realization)
 
 
@@ -236,6 +238,37 @@ class TestTreesFirst:
                 assert steps and not self.behavior_built(out)
                 assert is_observable(out)
                 assert next_reduction(out) is None
+
+
+class TestStepTopology:
+    """Each step's child topology takes over its parent's id indexes, with
+    the shrunk state's entry replaced, and its components."""
+
+    CARRIED = ("_symbols_by_id", "_states_by_id", "_constraints_by_id", "_uncut_components")
+
+    def test_carried_indexes_equal_fresh_ones(self, monkeypatch):
+        children = []
+        with_state = Realization._with_state
+
+        def recorded(self, *args):
+            child = with_state(self, *args)
+            children.append((self.topology, child.topology))
+            return child
+
+        monkeypatch.setattr(Realization, "_with_state", recorded)
+        rng = random.Random(1202)
+        for _ in range(3):
+            reduce_to_fixpoint(ladder_trellis(rng, GF3, 18, chain=3))
+            reduce_to_fixpoint(random_realization(rng, GF2, max_dim=3, total_cap=14,
+                                                  extra_edges=2))
+            minimize_cycle_free(ladder_conventional_trellis(rng, GF3, 24))
+        assert len(children) > 30
+        for parent, t in children:
+            fresh = Topology(t.symbols, t.states, t.constraints)
+            for name in self.CARRIED:
+                assert getattr(t, name) == getattr(fresh, name), name
+            assert t._symbols_by_id is parent._symbols_by_id
+            assert t._constraints_by_id is parent._constraints_by_id
 
 
 class TestMinimize:
