@@ -20,6 +20,7 @@ _CRITERIA = {
     10: "reduced tail-biting products: disconnected iff uncontrollable iff degenerate span",
     11: "kernel behavior equals brute-force behavior on every enumerable instance",
     12: "off tail-biting trellises: reduced, uncontrollable, trajectory graph connected",
+    13: "defect = redundant checks; unobservable dim = redundant generators (sympy rank)",
 }
 
 _PATTERN = re.compile(r"test_criterion_(\d+)")

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from ncl import (
     AnalysisReport,
@@ -319,10 +321,17 @@ def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
     unobservability trim removes, after which trims follow around the
     cycle. n // 4 short generators (spans 1, 2, 3 in turn) avoid the
     chain's cut points; some of them have a zero at one span end, which
-    leaves a merge to make.
+    leaves a merge to make. Raises ValueError, before drawing anything,
+    when no gap between the cuts fits the longest short generator.
     """
     p = field.p
     cuts = [n // (2 * chain) + (i * n) // chain for i in range(chain)]
+    short = n // 4
+    longest = min(short, 3)
+    if short and all(set(cuts).intersection((s + u) % n for u in range(longest + 1))
+                     for s in range(n)):
+        raise ValueError(f"n = {n} with chain {chain}: no {longest + 1} positions in a "
+                         f"row avoid the cuts {cuts}, so no span-{longest} generator fits")
     gens = []
     first = a = rng.randrange(1, p)
     for i in range(chain):
@@ -332,7 +341,6 @@ def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
         vec[start], vec[end] = a, b
         gens.append(SpannedGenerator(tuple(vec), Span(start, end)))
         a = (-b) % p
-    short = n // 4
     for j in range(short):
         length = 1 + j % 3
         while True:
@@ -370,6 +378,16 @@ def ladder_conventional_trellis(rng: random.Random, field: PrimeField, n: int) -
         gens.append(SpannedGenerator(tuple(vec), Span(start, start + length)))
     rng.shuffle(gens)
     return product_trellis(field, n, gens, "conventional")
+
+
+def sympy_rank(a, p: int) -> int:
+    """The rank of the residues `a` mod p, from sympy's sparse
+    DomainMatrix over GF(p), independent of ncl.fields. The entries go in
+    as GF(p) elements: fed ints, DomainMatrix reported ranks above the
+    column count."""
+    a = np.asarray(a, dtype=np.int64)
+    k = GF(p)
+    return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).to_sparse().rank()
 
 
 def gallager_checks(rng: random.Random, n: int) -> list[list[int]]:

@@ -14,6 +14,7 @@ from ncl import (
     GF2,
     GF3,
     MatrixF,
+    PrimeField,
     Subspace,
     analyze,
     behavior,
@@ -64,12 +65,14 @@ from fixtures import (
     span_words,
 )
 from helpers import (
+    gallager_checks,
     random_realization,
     random_blocked_code,
     random_spanned_generator,
     random_support_matrix,
     random_tree_realization,
     reference_trajectory_partition,
+    sympy_rank,
 )
 
 ORACLE_POINTS = 1 << 16
@@ -431,7 +434,48 @@ def test_criterion_12_general_graph_connected_yet_uncontrollable():
     assert rep.uncontrollable is None and rep.warning
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+def redundant_checks(rng, field, n, redundant):
+    """Gallager's (3,6)-regular checks on n positions with random nonzero
+    coefficients, then `redundant` rows, each a nonzero multiple of one
+    row plus another."""
+    p = field.p
+    rows = [[x * rng.randrange(1, p) for x in row] for row in gallager_checks(rng, n)]
+    for _ in range(redundant):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.randrange(1, p)
+        rows.append([(c * x + y) % p for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def test_criterion_13_redundant_checks_and_generators_counted():
+    # "A parity-check realization is uncontrollable if and only if it has
+    # redundant parity checks" (arXiv:1202.0534), counted: the defect of
+    # the Tanner graph of m checks H is m - rank(H). By duality a
+    # generator realization of m generators G is unobservable exactly by
+    # m - rank(G). The rank comes from sympy (helpers.sympy_rank).
+    # Cost cap: about 3.5 s in all on a 2-core VM. sympy's rank of the
+    # GF(3) n = 480 checks is 2-3 s of it (ncl: about 0.2 s); every other
+    # rung stays at n <= 120 and under 0.2 s.
+    rng = random.Random(131313)
+    checks = [(GF2, 120, 0), (GF2, 96, 3), (GF3, 120, 1), (GF3, 480, 2),
+              (PrimeField(5), 120, 3), (PrimeField(7), 72, 2)]
+    for field, n, redundant in checks:
+        rows = redundant_checks(rng, field, n, redundant)
+        r = parity_check_realization(field, n, rows)
+        defect = len(rows) - sympy_rank(rows, field.p)
+        assert controllability_defect(r) == defect >= redundant
+        assert is_controllable(r) == (defect == 0)
+    generators = [(GF2, 48, 2), (GF3, 72, 0), (GF3, 120, 3), (PrimeField(5), 96, 1),
+                  (PrimeField(7), 24, 3)]
+    for field, n, redundant in generators:
+        rows = redundant_checks(rng, field, n, redundant)
+        g = generator_realization(field, n, rows)
+        unobservable = len(rows) - sympy_rank(rows, field.p)
+        assert unobservable_behavior(g).dim == unobservable >= redundant
+        assert is_observable(g) == (unobservable == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
 def test_criteria_all_numbers_have_a_test(n):
     # guard: renaming a criterion test would silently drop its summary line
     import test_acceptance as me

@@ -25,8 +25,9 @@ from ncl import (
     rank,
     rref,
 )
-from ncl.fields import _rref_array, _work_dtype, ranks
-from helpers import full_space, gallager_checks, identity, inv, mul, neg, transpose, zero_space, zeros
+from ncl.fields import _SMALL_CELLS, _rref_array, _work_dtype, ranks
+from helpers import (full_space, gallager_checks, identity, inv, ladder_trellis, mul, neg, sympy_rank,
+                     transpose, zero_space, zeros)
 
 FIELDS = [GF2, GF3, PrimeField(5)]
 
@@ -192,9 +193,7 @@ def large_matrices(draw):
 def reference_rref(m: MatrixF) -> tuple[np.ndarray, tuple[int, ...]]:
     """RREF and pivots from sympy's DomainMatrix over GF(p)."""
     p = m.field.p
-    k = GF(p)
-    dm = DomainMatrix([[k(int(x)) for x in row] for row in m.array], m.shape, k)
-    red, piv = dm.rref()
+    red, piv = sympy_matrix(m.array, p).rref()
     out = np.array([[int(x) % p for x in row] for row in red.to_list()], dtype=np.int64)
     return out.reshape(m.shape), tuple(piv)
 
@@ -226,70 +225,102 @@ class TestAgainstSympy:
             assert (inv @ m.array % m.field.p).tolist() == eye.tolist()
 
 
-def gf2_matrices():
-    """Random GF(2) matrices of fixed and random shapes: no rows, no
-    columns, one row, square, tall, wide and past a 64-bit word, each
-    all-zero, sparse, half full and dense; with three or more rows, the
-    last is the sum of the first two, so the rank falls short."""
-    rng = np.random.default_rng(2718)
+def bit_row_matrices(p):
+    """Random GF(p) matrices, p = 2 or 3, of fixed and random shapes: no
+    rows, no columns, one row, square, tall, wide, past a 64-bit word and
+    on both sides of the codec switch at _SMALL_CELLS, each all-zero,
+    sparse, half full and dense; with three or more rows, the last is the
+    sum of the first two, so the rank falls short. The GF(2) cases keep
+    their ids; the GF(3) ones are prefixed gf3-."""
+    rng = np.random.default_rng(2718 if p == 2 else 3141)
     shapes = [(0, 0), (0, 6), (5, 0), (1, 1), (1, 9), (2, 2), (7, 7), (30, 8),
               (8, 30), (40, 70), (70, 40), (9, 130)]
     shapes += [(int(rng.integers(0, 40)), int(rng.integers(0, 90))) for _ in range(8)]
+    if p == 3:
+        cut = _SMALL_CELLS
+        shapes += [(16, cut // 16), (16, cut // 16 + 1), (1, cut + 9), (2, cut), (3, 200)]
     for rows, cols in shapes:
         for density in (0.0, 0.06, 0.5, 0.94):
             a = (rng.random((rows, cols)) < density).astype(np.int64)
+            if p == 3:
+                a *= rng.integers(1, 3, (rows, cols))
             if rows > 2:
-                a[-1] = a[0] ^ a[1]
-            yield pytest.param(a, id=f"{rows}x{cols}-{density}")
+                a[-1] = (a[0] + a[1]) % p
+            tag = "" if p == 2 else "gf3-"
+            yield pytest.param(p, a, id=f"{tag}{rows}x{cols}-{density}")
 
 
-def sympy_gf2(a: np.ndarray) -> DomainMatrix:
-    k = GF(2)
+def sympy_matrix(a: np.ndarray, p: int) -> DomainMatrix:
+    k = GF(p)
     return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k)
 
 
-def gf2_list(dm: DomainMatrix) -> list[list[int]]:
-    return [[int(x) % 2 for x in row] for row in dm.to_list()]
+def residue_list(dm: DomainMatrix, p: int) -> list[list[int]]:
+    return [[int(x) % p for x in row] for row in dm.to_list()]
 
 
-def tanner_systems():
+def behavior_systems():
     """The behavior system of each Tanner graph of the benchmark's tiny
-    ladder (n = 24 and 36), as the realization hands it to kernel."""
-    for n in (24, 36):
-        r = parity_check_realization(GF2, n, gallager_checks(random.Random(n), n))
+    ladder (n = 24 and 36) over GF(2), and of two GF(3) ladder trellises
+    shaped like the trellis-reduce documents, as the realization hands
+    each to kernel."""
+    graphs = [(2, f"tanner-n{n}", parity_check_realization(
+        GF2, n, gallager_checks(random.Random(n), n))) for n in (24, 36)]
+    graphs += [(3, f"gf3-trellis-n{n}", ladder_trellis(
+        random.Random(f"bit-rows:{n}"), GF3, n)) for n in (32, 48)]
+    for p, name, r in graphs:
         seen = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ncl.realization, "kernel", lambda m: seen.append(m) or kernel(m))
             r._behavior_code
-        yield pytest.param(seen[0].array, id=f"tanner-n{n}")
+        yield pytest.param(p, seen[0].array, id=name)
 
 
 class TestGF2BitRows:
-    """Over GF(2), _rref_array eliminates rows held as Python ints; it must
-    give sympy's RREF and pivots, in uint8, on any shape."""
+    """Over GF(2) and GF(3), _rref_array eliminates rows held as bit rows;
+    it must give sympy's RREF and pivots, in uint8 over GF(2) and int32
+    over GF(3), with the input's shape, on any shape. (The class keeps its
+    GF(2) name so that the ids of its GF(2) cases stay as they were.)"""
 
-    @pytest.mark.parametrize("a", [*gf2_matrices(), *tanner_systems()])
-    def test_rref_array_matches_sympy(self, a):
-        red, piv = _rref_array(a, 2)
-        want, want_piv = reference_rref(MatrixF(GF2, a))
-        assert red.dtype == np.uint8
+    @staticmethod
+    def check(a, p):
+        red, piv = _rref_array(a, p)
+        want, want_piv = reference_rref(MatrixF(PrimeField(p), a))
+        assert red.dtype == (np.uint8 if p == 2 else np.int32)
         assert red.shape == a.shape
         assert red.tolist() == want.tolist()
         assert piv == list(want_piv)
 
-    @pytest.mark.parametrize("a", gf2_matrices())
-    def test_kernel_inverse_and_completion_match_sympy(self, a):
-        m = MatrixF(GF2, a)
-        dm = sympy_gf2(a)
+    @pytest.mark.parametrize("p, a", [*bit_row_matrices(2), *bit_row_matrices(3),
+                                      *behavior_systems()])
+    def test_rref_array_matches_sympy(self, p, a):
+        self.check(a, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 100), st.sampled_from((0.1, 0.5, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gf3_shapes_match_sympy(self, rows, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, (rows, cols)) * (rng.random((rows, cols)) < density)
+        if rows > 2:
+            a[-1] = (a[0] + 2 * a[1]) % 3
+        self.check(a, 3)
+
+    @pytest.mark.parametrize("p, a", [*bit_row_matrices(2), *bit_row_matrices(3)])
+    def test_kernel_inverse_and_completion_match_sympy(self, p, a):
+        field = PrimeField(p)
+        m = MatrixF(field, a)
+        dm = sympy_matrix(a, p)
         _, piv = dm.rref()
         rows, cols = a.shape
         assert complete_to_basis(m).tolist() == [
             [int(j == i) for j in range(cols)] for i in range(cols) if i not in piv]
+        assert rank(m) == len(piv)
         null = dm.nullspace()
-        want = gf2_list(null.rref()[0]) if null.shape[0] else []
+        want = residue_list(null.rref()[0], p) if null.shape[0] else []
         assert kernel(m).basis.tolist() == want
         if rows == cols and len(piv) == rows:
-            assert inverse(m).tolist() == gf2_list(dm.inv())
+            assert inverse(m).tolist() == residue_list(dm.inv(), p)
         elif rows == cols:
             with pytest.raises(ValueError):
                 inverse(m)
@@ -329,11 +360,6 @@ class TestWorkingDtype:
         assert Subspace.spanned_by(m.field, 3, m).orthogonal().basis.array.dtype == np.int64
         assert _rref_array(m.array, p)[0].dtype == _work_dtype(p)
         assert _work_dtype(p) == (np.uint8 if p == 2 else np.int32)
-
-
-def sympy_rank(a: np.ndarray, p: int) -> int:
-    k = GF(p)
-    return DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).rank()
 
 
 class TestStackedRanks:

@@ -78,3 +78,14 @@ def test_properties_on_multi_cycle_graphs():
         seen.update(step.kind for step in steps)
     assert {"two or more cycles", "unobservable", "uncontrollable", "trim", "merge",
             "unobservability-trim"} <= {k for k, v in seen.items() if v}, seen
+
+
+def test_ladder_trellis_refuses_an_n_it_cannot_tile():
+    # chain 6 at n = 16 cuts at 1, 3, 6, 9, 11 and 14, so no 4 positions
+    # in a row are free for a span-3 short generator: refused, not retried
+    # forever, and before the first draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="span-3"):
+        ladder_trellis(rng, GF2, 16)
+    assert rng.getstate() == state
