@@ -23,8 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, EnumerationLimitError,
-                     FieldMismatchError, UnknownBlockError)
+from .errors import DimensionMismatchError, EnumerationLimitError, UnknownBlockError
 from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, rank
 
 DEFAULT_MAX_POINTS = 1 << 22

@@ -182,16 +182,14 @@ def _write_steps(args: argparse.Namespace, r: Realization,
     payload = [{"kind": s.kind, "state": s.state_id, "constraint": s.constraint_id,
                 "old_dim": s.old_dim, "new_dim": s.new_dim,
                 "basis_change": s.basis_change.tolist()} for s in steps]
-    lines = [f"{s.kind} {s.state_id}: {s.old_dim} -> {s.new_dim}"
-             + (f" at {s.constraint_id}" if s.constraint_id else "")
-             for s in steps] if args.steps else []
+    lines = [f"{d['kind']} {d['state']}: {d['old_dim']} -> {d['new_dim']}"
+             + (f" at {d['constraint']}" if d["constraint"] else "")
+             for d in payload] if args.steps else []
     return _write(args, docio.emit_realization(r), {"steps": payload}, lines)
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    r = _load(args.infile)
-    docio.check_dual_cells(r)  # write no document the readers refuse
-    return _write(args, docio.emit_realization(realization.dualize(r)))
+    return _write(args, docio.emit_realization(realization.dualize(_load(args.infile))))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -258,7 +256,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         gens = [SpannedGenerator(tuple(v), s) for v, s in zip(rows, spans)]
         r = constructions.product_trellis(field, args.n, gens, args.kind)
     text = docio.emit_realization(r)
-    docio.parse_realization(text)  # its cell budget: write no document the readers refuse
     if args.out:
         return _write(args, text)
     sys.stdout.write(text)

@@ -8,8 +8,9 @@ json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
 The parse checks each distinct local code once and the behavior's system
-against a cell budget, leaving the topology to validate; check_dual_cells
-applies that budget to a dual before it is written; _dumps writes JSON.
+against a cell budget, leaving the topology to validate; emission applies
+the same budget, so no writer makes a document the parse refuses; _dumps
+writes JSON.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ def _check_cells(cells: int, path: str) -> None:
     if cells > MAX_SYSTEM_CELLS:
         raise DocumentError(path, f"the behavior's system needs {cells} "
                             f"cells, over the budget of {MAX_SYSTEM_CELLS}")
-
-
-def check_dual_cells(r: Realization) -> None:
-    """The parse's cell budget on the document of r's dual, read off r
-    without building the dual: a dual constraint's check rows are its
-    primal code's dim, and the document lists constraints in natural order."""
-    frame = r.topology.total_symbol_dim() + r.topology.total_state_dim()
-    checks = 0
-    for i, c in enumerate(sorted(r.topology.constraints, key=lambda c: natural_key(c.id))):
-        checks += r.code(c.id).dim
-        _check_cells(checks * frame, f"$.constraints[{i}].generators")
 
 
 def _document_head(text: str) -> tuple[dict, PrimeField]:
@@ -203,8 +193,20 @@ def parse_realization(text: str) -> Realization:
 
 
 def emit_realization(r: Realization) -> str:
-    """Canonical document text for a realization."""
+    """Canonical document text for a realization.
+
+    Raises the DocumentError that the parse of the text would raise where
+    the behavior's system exceeds the cell budget.
+    """
     topo = r.topology
+    frame, checks = topo.total_symbol_dim() + topo.total_state_dim(), 0
+    constraints = []
+    for i, c in enumerate(sorted(topo.constraints, key=lambda c: natural_key(c.id))):
+        code = r.code(c.id)
+        checks += code.structure.total - code.dim
+        _check_cells(checks * frame, f"$.constraints[{i}].generators")
+        constraints.append({"id": c.id, "vars": list(c.vars),
+                            "generators": code.space.basis.tolist()})
     doc = {
         "field": r.field.p,
         "symbols": [
@@ -216,11 +218,7 @@ def emit_realization(r: Realization) -> str:
              "negate_at": s.negate_at}
             for s in sorted(topo.states, key=lambda v: natural_key(v.id))
         ],
-        "constraints": [
-            {"id": c.id, "vars": list(c.vars),
-             "generators": r.code(c.id).space.basis.tolist()}
-            for c in sorted(topo.constraints, key=lambda c: natural_key(c.id))
-        ],
+        "constraints": constraints,
     }
     return _dumps(doc) + "\n"
 

@@ -7,6 +7,7 @@ independent oracles.
 
 from __future__ import annotations
 
+import json
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -184,3 +185,18 @@ DECLARED_TWICE = ('{"field": 2, "symbols": [{"id": "a", "dim": 1}, {"id": "a", "
 
 def example1_document() -> str:
     return (DATA / "example1.json").read_text(encoding="utf-8")
+
+
+def chain_document(n: int) -> str:
+    """A GF(2) chain of n constraints, each with one dim-1 symbol and dim-1
+    states to its neighbours, and a full local code: no check rows."""
+    constraints = []
+    for i in range(n):
+        names = [f"a{i}"] + [f"s{j}" for j in (i - 1, i) if 0 <= j < n - 1]
+        constraints.append({"id": f"c{i}", "vars": names, "generators": [
+            [int(j == k) for k in range(len(names))] for j in range(len(names))]})
+    return json.dumps({
+        "field": 2, "symbols": [{"id": f"a{i}", "dim": 1} for i in range(n)],
+        "states": [{"id": f"s{i}", "dim": 1, "left": f"c{i}", "right": f"c{i + 1}"}
+                   for i in range(n - 1)],
+        "constraints": constraints}, separators=(",", ":")) + "\n"

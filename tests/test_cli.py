@@ -16,7 +16,7 @@ from ncl import (GF2, GF3, DocumentError, PrimeField, Span, SpannedGenerator, an
                  behavior, dualize, emit_realization, export_dot, generator_realization,
                  oracle, parse_realization, product_trellis)
 from ncl.cli import main
-from fixtures import CRITERION12_DOCUMENT, DATA, example1_document
+from fixtures import CRITERION12_DOCUMENT, DATA, chain_document, example1_document
 from helpers import gallager_checks
 
 EXPECTED_CODE = '{"field": 2, "generators": [[1, 1, 0], [1, 0, 1]]}\n'
@@ -588,21 +588,6 @@ ONE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": 1}], "states": [
                   ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": [[1]]}]}\n')
 WIDE_SYMBOL_DOC = ('{"field": 2, "symbols": [{"id": "a0", "dim": %d}], "states": [],'
                    ' "constraints": [{"id": "c0", "vars": ["a0"], "generators": []}]}\n')
-
-
-def chain_document(n: int) -> str:
-    """A GF(2) chain of n constraints, each with one dim-1 symbol and dim-1
-    states to its neighbours, and a full local code: no check rows."""
-    constraints = []
-    for i in range(n):
-        names = [f"a{i}"] + [f"s{j}" for j in (i - 1, i) if 0 <= j < n - 1]
-        constraints.append({"id": f"c{i}", "vars": names, "generators": [
-            [int(j == k) for k in range(len(names))] for j in range(len(names))]})
-    return json.dumps({
-        "field": 2, "symbols": [{"id": f"a{i}", "dim": 1} for i in range(n)],
-        "states": [{"id": f"s{i}", "dim": 1, "left": f"c{i}", "right": f"c{i + 1}"}
-                   for i in range(n - 1)],
-        "constraints": constraints}, separators=(",", ":")) + "\n"
 
 
 DOCS = ("ex1.json", "conv.json", "dual.json", "tb3.json", "gf11.json")

@@ -1,6 +1,7 @@
 """Document parsing/emission and DOT export."""
 
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from ncl import (
     DocumentError,
     analyze,
     behavior,
+    dualize,
     emit_realization,
     export_dot,
     natural_key,
@@ -18,7 +20,8 @@ from ncl import (
     realized_code,
 )
 from ncl import fields
-from fixtures import DECLARED_TWICE, example1, example1_document, example3
+from fixtures import DECLARED_TWICE, chain_document, example1, example1_document, example3
+from helpers import gallager_checks
 
 
 class TestNaturalKey:
@@ -61,6 +64,23 @@ class TestParseEmit:
             del s["negate_at"]
         r = parse_realization(json.dumps(doc))
         assert all(s.negate_at == "right" for s in r.topology.states)
+
+    @pytest.mark.parametrize("make, message", [
+        # the chain's full local codes have no check rows; its dual's check
+        # rows are their dims, over the budget at the 1,564th constraint
+        (lambda: dualize(parse_realization(chain_document(1600))),
+         "$.constraints[1563].generators: the behavior's system needs 15006509 "
+         "cells, over the budget of 15000000"),
+        # a (3,6)-regular Tanner graph: 3.5n check rows over a frame of 4n
+        (lambda: parity_check_realization(GF2, 1200, gallager_checks(random.Random(1200), 1200)),
+         "$.constraints[1441].generators: the behavior's system needs 15004800 "
+         "cells, over the budget of 15000000"),
+    ], ids=["chain-1600-dual", "tanner-1200"])
+    def test_emit_refuses_a_document_over_the_cell_budget(self, make, message):
+        # the error, path and message that the parse of the text would raise
+        with pytest.raises(DocumentError) as e:
+            emit_realization(make())
+        assert str(e.value) == message
 
 
 class TestParseErrors:
