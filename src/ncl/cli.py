@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -43,20 +42,13 @@ def _load(path: str) -> Realization:
 
 
 def _budget_points(args: argparse.Namespace) -> int:
-    """The enumeration budget in points: --budget, else NCL_BUDGET, else
-    the default. The one place a budget is checked to be positive."""
-    points = args.budget
-    if points is None:
-        env = os.environ.get("NCL_BUDGET")
-        if env is None:
-            return DEFAULT_MAX_POINTS
-        try:
-            points = int(env)
-        except ValueError:
-            raise ValueError(f"NCL_BUDGET must be an integer, got {env!r}") from None
-    if points <= 0:
+    """The enumeration budget in points: --budget, else the default. The
+    one place a budget is checked to be positive."""
+    if args.budget is None:
+        return DEFAULT_MAX_POINTS
+    if args.budget <= 0:
         raise ValueError("budget must be positive")
-    return points
+    return args.budget
 
 
 def _emit_json(payload: dict) -> None:

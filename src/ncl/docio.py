@@ -25,6 +25,7 @@ from .blockcode import BlockedCode, BlockStructure
 from .errors import DocumentError
 from .fields import MatrixF, PrimeField, Subspace, _held
 from .realization import (
+    RIGHT,
     Constraint,
     Realization,
     StateVar,
@@ -133,7 +134,7 @@ def parse_realization(text: str) -> Realization:
         dim = _require(entry, "dim", int, path)
         left = _require(entry, "left", str, path)
         right = _require(entry, "right", str, path)
-        negate_at = entry.get("negate_at", "right")
+        negate_at = entry.get("negate_at", RIGHT)
         if not isinstance(negate_at, str):
             raise DocumentError(f"{path}.negate_at", "expected a string")
         try:
@@ -284,10 +285,10 @@ def export_dot(r: Realization) -> str:
     for s in topo.states:
         lines.append(f"  {_quote(s.left)} -- {_quote(s.right)} "
                      f"[label={_quote(f'{s.id}:{s.dim}')}];")
+    owner = {v: c.id for c in topo.constraints for v in c.vars}
     for sym in topo.symbols:
-        owner = next(c.id for c in topo.constraints if sym.id in c.vars)
         stub = f"sym:{sym.id}"
         lines.append(f"  {_quote(stub)} [shape=none, label={_quote(f'{sym.id}:{sym.dim}')}];")
-        lines.append(f"  {_quote(owner)} -- {_quote(stub)};")
+        lines.append(f"  {_quote(owner[sym.id])} -- {_quote(stub)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

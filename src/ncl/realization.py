@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -168,12 +168,10 @@ class Topology:
     def total_state_dim(self) -> int:
         return sum(s.dim for s in self.states)
 
-    def incidences(self, order: Sequence[str] | None = None) -> list[tuple[str, str]]:
-        """(constraint, state) pairs: constraints in the given order (topology
-        order when None), each constraint's states in the order of its vars."""
-        cids = self.constraint_ids() if order is None else order
-        return [(cid, v) for cid in cids for v in self.constraint(cid).vars
-                if self.is_state(v)]
+    def incidences(self) -> list[tuple[str, str]]:
+        """(constraint, state) pairs: constraints in topology order, each
+        constraint's states in the order of its vars."""
+        return [(c.id, v) for c in self.constraints for v in c.vars if self.is_state(v)]
 
     def _components(self, cut: str | None = None) -> list[set[str]]:
         """Connected components of the constraint graph, without the state

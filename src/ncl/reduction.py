@@ -42,7 +42,6 @@ is known to be "none": the sweep takes the same steps in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -194,8 +193,7 @@ def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]
     return _shrink(r, DUAL_MERGE, state_id, np.zeros((d, 0), dtype=np.int64), keep)
 
 
-def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
-                       ) -> tuple[Realization, list[ReductionStep]]:
+def _sweep_to_fixpoint(r: Realization) -> tuple[Realization, list[ReductionStep]]:
     """The one reduction driver described in the module docstring.
 
     A visit is one trim test and one merge test. A trim leaves the
@@ -210,7 +208,7 @@ def _sweep_to_fixpoint(r: Realization, order: Sequence[str]
     So on a cycle-free topology a sweep that changes nothing ends the
     driver without building the behavior to ask is_observable.
     """
-    pairs = r.topology.incidences(order)
+    pairs = r.topology.incidences()
     steps: list[ReductionStep] = []
     clean: dict[tuple[str, str], BlockedCode] = {}
     while True:
@@ -252,26 +250,21 @@ def reduce_to_fixpoint(r: Realization) -> tuple[Realization, list[ReductionStep]
     Terminates: every step strictly shrinks the total state dimension.
     """
     r.ensure_valid()
-    return _sweep_to_fixpoint(r, r.topology.constraint_ids())
+    return _sweep_to_fixpoint(r)
 
 
-def minimize_cycle_free(r: Realization, *, constraint_order: Sequence[str] | None = None
-                        ) -> tuple[Realization, list[ReductionStep]]:
+def minimize_cycle_free(r: Realization) -> tuple[Realization, list[ReductionStep]]:
     """Reduce a cycle-free realization until every constraint is trim and proper.
 
-    The sweep of reduce_to_fixpoint, in constraint_order if given. On a
-    tree, trim and proper everywhere means minimal, hence observable, so
-    only trims and merges are taken, and the state dims match cut_dims of
-    the realized code whatever the order.
+    The sweep of reduce_to_fixpoint, in topology order. On a tree, trim
+    and proper everywhere means minimal, hence observable, so only trims
+    and merges are taken, and the state dims match cut_dims of the
+    realized code whatever the order of the topology's constraints.
     """
     r.ensure_valid()
     if not r.topology.is_cycle_free():
         raise NotCycleFreeError("minimization requires a cycle-free topology")
-    order = tuple(constraint_order) if constraint_order is not None \
-        else r.topology.constraint_ids()
-    if sorted(order) != sorted(r.topology.constraint_ids()):
-        raise ValueError("constraint_order must permute the constraint ids")
-    return _sweep_to_fixpoint(r, order)
+    return _sweep_to_fixpoint(r)
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,14 @@ def random_tree_realization(rng: random.Random, field: PrimeField, *,
                               max_dim=max_dim, total_cap=total_cap, allow_cycles=False)
 
 
+def in_constraint_order(r: Realization, order) -> Realization:
+    """r with the same codes over Topology(symbols, states, the constraints
+    in order): the order every sweep of the reduction driver follows."""
+    topo = r.topology
+    return Realization(r.field, Topology(topo.symbols, topo.states,
+                                         [topo.constraint(cid) for cid in order]), r.codes)
+
+
 def random_support_matrix(rng: random.Random, field: PrimeField,
                           m: int, n: int) -> list[list[int]]:
     """Rows over GF(p): no zero row or column, connected bipartite support."""

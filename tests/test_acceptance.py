@@ -66,6 +66,7 @@ from fixtures import (
 )
 from helpers import (
     gallager_checks,
+    in_constraint_order,
     random_realization,
     random_blocked_code,
     random_spanned_generator,
@@ -268,7 +269,7 @@ def test_criterion_06_tree_minimizer():
 
         order = list(r.topology.constraint_ids())
         rng.shuffle(order)
-        permuted, _ = minimize_cycle_free(r, constraint_order=order)
+        permuted, _ = minimize_cycle_free(in_constraint_order(r, order))
         assert {s.id: s.dim for s in permuted.topology.states} == dims
         assert realized_code(permuted) == realized_code(minimal)
         done += 1

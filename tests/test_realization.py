@@ -198,10 +198,6 @@ class TestConstructors:
         topo = example1().topology
         assert topo.incidences() == [("c0", "s0"), ("c0", "s1"), ("c1", "s1"),
                                      ("c1", "s2"), ("c2", "s2"), ("c2", "s0")]
-        assert topo.incidences(["c2", "c0"]) == [("c2", "s2"), ("c2", "s0"),
-                                                 ("c0", "s0"), ("c0", "s1")]
-        # an empty order is an order, not the default
-        assert topo.incidences([]) == []
 
     def test_cycle_free(self):
         assert not example1().topology.is_cycle_free()
