@@ -4,7 +4,11 @@ A BlockedCode is a subspace together with a partition of its ambient
 coordinates into named blocks (symbol and state variables, in this
 package). Projection keeps a subset of blocks; cross-section keeps the
 words that vanish off that subset, then drops the zeroed coordinates:
-one `fields._vanishing` call each, with the other blocks skipped.
+one `fields._vanishing` call each, with the other blocks skipped. Their
+dimensions alone are the rank of the basis's columns on the blocks and
+the dimension minus the rank off them; over GF(2) and GF(3) the
+subspace answers each from the bit rows it keeps of its basis, masked
+to the blocks' columns, and over p >= 5 `rank` runs on the sliced basis.
 
 Codes are immutable, so each one builds its dual at most once and
 keeps it. The dual's basis, the check matrix, is the orthogonal
@@ -76,14 +80,15 @@ class BlockStructure:
 
     def positions(self, block_ids: Sequence[str]) -> np.ndarray:
         """Column indices of the given blocks, in the order given."""
+        cols = [c for at, d in self._spans(block_ids) for c in range(at, at + d)]
+        return np.asarray(cols, dtype=np.intp)
+
+    def _spans(self, block_ids: Sequence[str]) -> list[tuple[int, int]]:
+        """(offset, dim) of each given block, in the order given."""
         block_ids = list(block_ids)
         if len(set(block_ids)) != len(block_ids):
             raise ValueError(f"duplicate block ids in {block_ids!r}")
-        cols: list[int] = []
-        for bid in block_ids:
-            at, d = self._entry(bid)
-            cols.extend(range(at, at + d))
-        return np.asarray(cols, dtype=np.intp)
+        return [self._entry(bid) for bid in block_ids]
 
     def restrict(self, block_ids: Sequence[str]) -> "BlockStructure":
         return BlockStructure(tuple((bid, self.dim(bid)) for bid in block_ids))
@@ -122,15 +127,21 @@ class BlockedCode:
 
     def projection_dim(self, block_ids: Sequence[str]) -> int:
         """dim of project(block_ids): the rank of the basis columns there."""
-        return self._rank_at(self.structure.positions(block_ids))
+        return self._rank_at(self.structure._spans(block_ids))
 
     def cross_section_dim(self, block_ids: Sequence[str]) -> int:
         """dim of cross_section(block_ids): dim minus the rank off those blocks."""
-        off = np.ones(self.structure.total, dtype=bool)
-        off[self.structure.positions(block_ids)] = False
-        return self.dim - self._rank_at(off)
+        return self.dim - self._rank_at(self.structure._spans(block_ids), off=True)
 
-    def _rank_at(self, cols: np.ndarray) -> int:
+    def _rank_at(self, spans: list[tuple[int, int]], off: bool = False) -> int:
+        """The rank of the basis columns in the (offset, dim) spans, or off
+        them: from the subspace's kept bit rows over GF(2) and GF(3), and
+        by `rank` of the sliced basis over p >= 5."""
+        if self.field.p <= 3:
+            return self.space._block_rank(spans, off)
+        cols = np.full(self.structure.total, off)
+        for at, d in spans:
+            cols[at:at + d] = not off
         return rank(_held(self.field, self.space.basis.array[:, cols]))
 
     def cross_section(self, block_ids: Sequence[str]) -> "BlockedCode":

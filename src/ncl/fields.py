@@ -19,7 +19,11 @@ one stack and eliminated in one loop over its columns; it serves the
 many small rank tests behind analyze's verdicts, which would otherwise
 be one Python-level elimination each. A single matrix stays on the 2-D
 loop: `ranks` gives no RREF or pivots, and a stack of one costs more
-(about 0.08 against 0.05 ms on a 6x10 GF(3) matrix).
+(about 0.08 against 0.05 ms on a 6x10 GF(3) matrix). Over GF(2) and
+GF(3) a rank needs only the forward pass of the bit-row loop
+(`_pivot_rows`), and the rank of a column block of a subspace's basis,
+which the reduction driver asks at every visit, is that pass on the bit
+rows the subspace keeps, masked to the block (`Subspace._block_rank`).
 
 Inputs are validated at the public boundary only. `MatrixF(...)` reduces
 what it is given mod p, and `Subspace(...)` checks that its basis is in
@@ -227,9 +231,12 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 # Bit rows: a row over GF(2) or GF(3) is the pair (ones, twos) of Python
 # ints whose bits mark its entries equal to 1 and equal to 2; column j is
 # bit `width - 1 - j`, so a row's lowest nonzero column is its highest set
-# bit. A matrix of up to _SMALL_CELLS cells is read as one binary numeral
-# per mask and cut into rows by shifts; a larger one row by row from
-# np.packbits. Best-of-7 times of `_rref_array` on random dense
+# bit, and a column block is a mask ANDed into both ints. The width is the
+# column count for a matrix of up to _SMALL_CELLS cells, read as one binary
+# numeral per mask and cut into rows by shifts; a larger one is read row
+# by row from np.packbits, which pads the width to whole bytes with zero
+# columns, so a mask is shifted by the rows' width, not the column
+# count. Best-of-7 times of `_rref_array` on random dense
 # matrices, GF(2) then GF(3), numeral codec against packbits: 3x20 17 and
 # 24 against 27 and 44 us; 10x24 41 and 69 against 52 and 95 us; 16x40 62
 # and 175 against 53 and 183 us; 20x50 97 and 290 against 102 and 253 us.
@@ -300,25 +307,22 @@ def _from_bit_rows(rows: list[tuple[int, int]], shape: tuple[int, int], p: int
     return m.reshape(shape).astype(_work_dtype(p), copy=False)
 
 
-def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The nonzero bit rows of the RREF of a nonempty matrix of residues
-    mod p <= 3, in pivot order, and the pivot columns.
+def _pivot_rows(rows: Iterable[tuple[int, int]], p: int) -> dict[int, tuple[int, int]]:
+    """The forward pass of the bit-row elimination mod p <= 3: the rows
+    kept as pivots, by the bit length of their lead; their count is the
+    rank.
 
-    One Gauss-Jordan loop serves both fields; only the row arithmetic
-    differs. Over GF(2) twos stays 0 and adding a row is one XOR of its
-    ones (word-packed rows as in M4RI: Albrecht, Bard and Hart, ACM TOMS
-    2010). Over GF(3) x + y is t = (x1|y2) ^ (x2|y1), then ((x2|y2) ^ t,
-    (x1|y1) ^ t), and -y is y with its masks swapped, so subtracting a
-    row is adding it swapped (bitslicing: Boothby and Bradshaw,
-    arXiv:0901.1413). Each row is reduced at its lowest nonzero column
-    against the rows kept so far, until that column is a new pivot, kept
-    with lead 1 (swapped if its lead is 2), or the row is zero; the kept
-    rows are then back-reduced from the highest pivot column down. An
-    RREF is unique, so the rows and pivots are those of any other
-    Gauss-Jordan order.
+    Each row is reduced at its lowest nonzero column against the rows
+    kept so far, until that column is a new pivot, kept with lead 1
+    (swapped if its lead is 2), or the row is zero. Only the row
+    arithmetic differs between the fields. Over GF(2) twos stays 0 and
+    adding a row is one XOR of its ones (word-packed rows as in M4RI:
+    Albrecht, Bard and Hart, ACM TOMS 2010). Over GF(3) x + y is
+    t = (x1|y2) ^ (x2|y1), then ((x2|y2) ^ t, (x1|y1) ^ t), and -y is y
+    with its masks swapped, so subtracting a row is adding it swapped
+    (bitslicing: Boothby and Bradshaw, arXiv:0901.1413).
     """
-    rows, width = _bit_rows(a, p)
-    kept: dict[int, tuple[int, int]] = {}  # by the bit length of the lead
+    kept: dict[int, tuple[int, int]] = {}
     for x1, x2 in rows:
         while x := x1 | x2:
             b = x.bit_length()
@@ -334,6 +338,19 @@ def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
                 y1, y2 = y2, y1
             t = (x1 | y2) ^ (x2 | y1)
             x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    return kept
+
+
+def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The nonzero bit rows of the RREF of a nonempty matrix of residues
+    mod p <= 3, in pivot order, and the pivot columns.
+
+    `_pivot_rows` keeps the pivot rows; they are then back-reduced from
+    the highest pivot column down. An RREF is unique, so the rows and
+    pivots are those of any other Gauss-Jordan order.
+    """
+    rows, width = _bit_rows(a, p)
+    kept = _pivot_rows(rows, p)
     # a kept row has no bit above its lead, so once the rows of the later
     # pivot columns (lower bits) are reduced, adding one in clears just
     # its lead bit
@@ -414,10 +431,11 @@ def rref(m: MatrixF) -> tuple[MatrixF, int, tuple[int, ...]]:
 
 
 def rank(m: MatrixF) -> int:
-    """The rank; over GF(2) and GF(3) the bit rows are never unpacked."""
+    """The rank; over GF(2) and GF(3) the pivot count of the forward pass
+    on bit rows, which are never back-reduced or unpacked."""
     a, p = m.array, m.field.p
     if p <= 3 and a.shape[0] >= 2 and a.shape[1]:
-        return len(_bit_rref(a, p)[1])
+        return len(_pivot_rows(_bit_rows(a, p)[0], p))
     return len(_rref_array(a, p)[1])
 
 
@@ -488,10 +506,11 @@ class Subspace:
 
     Equality is representation equality: two subspaces are equal exactly
     when their canonical bases are identical. The orthogonal complement
-    is kept in a slot on the first `orthogonal()` call.
+    is kept in a slot on the first `orthogonal()` call, and over GF(2)
+    and GF(3) the basis's bit rows on the first `_block_rank` call.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_orthogonal")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_orthogonal", "_bits")
 
     def __init__(self, field: PrimeField, ambient: int, basis: MatrixF) -> None:
         if basis.field != field:
@@ -518,6 +537,7 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._orthogonal: Subspace | None = None
+        self._bits: tuple[list[tuple[int, int]], int] | None = None
 
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":
@@ -568,6 +588,25 @@ class Subspace:
         if self._orthogonal is None:
             self._orthogonal = _rref_kernel(self.field, self.basis.array, self.pivots)
         return self._orthogonal
+
+    def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:
+        """The rank of the basis columns in the (offset, width) column
+        spans, or with off=True of the columns outside them; p <= 3.
+
+        The basis's bit rows are built on the first call and kept; each
+        call ANDs them with the spans' column mask, placed by the rows'
+        width, and counts the pivots of the forward pass alone.
+        """
+        if self._bits is None:
+            a = self.basis.array
+            self._bits = _bit_rows(a, self.field.p) if a.size else ([], self.ambient)
+        rows, width = self._bits
+        mask = 0
+        for at, d in spans:
+            mask |= (1 << d) - 1 << width - at - d
+        if off:
+            mask = ~mask
+        return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in rows], self.field.p))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

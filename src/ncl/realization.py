@@ -477,15 +477,17 @@ def is_controllable(r: Realization) -> bool:
 def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     """Trim check for one constraint at one of its states, with witness.
 
-    One RREF of the code's basis columns at the state gives both: trim
-    means its rank is the state's dim, and otherwise the witness is the
+    Trim means the code's projection onto the state is the whole state
+    space: `projection_dim` equals the state's dim. Only on a failure is
+    the basis's block at the state brought to RREF, for the witness: the
     first standard basis vector of the state space that the row space
-    misses: e_i lies in it exactly when i is a pivot whose row is e_i.
+    misses, as e_i lies in it exactly when i is a pivot whose row is e_i.
     """
     d = r._incident_dim(constraint_id, state_id)
-    red, rk, piv = rref(_held(r.field, _block(r.code(constraint_id), state_id)))
-    if rk == d:
+    code = r.code(constraint_id)
+    if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
+    red, _, piv = rref(_held(r.field, _block(code, state_id)))
     units = {j for j, row in zip(piv, red.array) if np.count_nonzero(row) == 1}
     i = min(set(range(d)) - units)
     return TrimVerdict(False, constraint_id, state_id, tuple(int(k == i) for k in range(d)))

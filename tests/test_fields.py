@@ -326,6 +326,49 @@ class TestGF2BitRows:
                 inverse(m)
 
 
+def block_rank_cases():
+    """Each bit_row_matrices case with column spans cut from it: a few
+    disjoint spans and one of zero width."""
+    for case in [*bit_row_matrices(2), *bit_row_matrices(3)]:
+        p, a = case.values
+        n = a.shape[1]
+        rng = np.random.default_rng(a.size + 7 * p)
+        cuts = sorted(rng.integers(0, n + 1, 6).tolist())
+        spans = [(lo, hi - lo) for lo, hi in zip(cuts[0::2], cuts[1::2])]
+        spans.insert(int(rng.integers(0, 4)), (int(rng.integers(0, n + 1)), 0))
+        yield pytest.param(p, a, spans, id=case.id)
+
+
+class TestBlockRank:
+    """Subspace._block_rank masks the bit rows it keeps of its basis; it
+    must give sympy's rank of the basis's columns in the spans, and with
+    off=True of the other columns, for these spans and for no spans. The
+    cases reach both row codecs (test_cases_reach_both_codecs), no
+    columns and the zero subspace."""
+
+    @pytest.mark.parametrize("p, a, spans", block_rank_cases())
+    def test_matches_sympy_rank_of_the_sliced_basis(self, p, a, spans):
+        field = PrimeField(p)
+        space = Subspace.spanned_by(field, a.shape[1], MatrixF(field, a))
+        inside = np.zeros(a.shape[1], dtype=bool)
+        for at, d in spans:
+            inside[at:at + d] = True
+        basis = space.basis.array
+        assert space._block_rank(spans) == sympy_rank(basis[:, inside], p)
+        assert space._block_rank(spans, off=True) == sympy_rank(basis[:, ~inside], p)
+        assert space._block_rank([]) == 0
+        assert space._block_rank([], off=True) == sympy_rank(basis, p)
+
+    def test_cases_reach_both_codecs(self):
+        shapes = set()
+        for p, a, _ in (case.values for case in block_rank_cases()):
+            dim = Subspace.spanned_by(PrimeField(p), a.shape[1], MatrixF(PrimeField(p), a)).dim
+            shapes.add((p, dim == 0, dim * a.shape[1] > _SMALL_CELLS, a.shape[1] % 8 == 0))
+        assert {(p, True) for p in (2, 3)} <= {s[:2] for s in shapes}
+        assert {(p, False, big, whole) for p in (2, 3) for big in (False, True)
+                for whole in (False, True)} <= shapes
+
+
 class TestWorkingDtype:
     P = 8191
 

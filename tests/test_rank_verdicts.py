@@ -26,6 +26,7 @@ from ncl import (
     ProperVerdict,
     Realization,
     TrimVerdict,
+    UnknownBlockError,
     analyze,
     behavior,
     dual_merge_unobservable,
@@ -48,6 +49,7 @@ from ncl import (
     unobservable_behavior,
     validate,
 )
+from ncl.fields import _SMALL_CELLS
 from fixtures import example1
 from helpers import (
     gallager_checks,
@@ -168,6 +170,22 @@ def test_projection_and_cross_section_dims(field):
             for chosen in itertools.permutations(ids, k):
                 assert code.projection_dim(chosen) == code.project(chosen).dim
                 assert code.cross_section_dim(chosen) == code.cross_section(chosen).dim
+        for dims in (code.projection_dim, code.cross_section_dim):
+            with pytest.raises(UnknownBlockError):
+                dims([*ids, "nope"])
+            with pytest.raises(ValueError, match="duplicate"):
+                dims([ids[0], ids[0]])
+    # a behavior past the small codec, whose width is no whole number of
+    # bytes: over GF(2) and GF(3) its bit rows come from np.packbits,
+    # padded with zero columns, and the column masks must not read them
+    checks = random_support_matrix(random.Random(f"blocked-dims-wide:{field.p}"), field, 6, 20)
+    code = behavior(parity_check_realization(field, 20, checks))
+    assert code.dim * code.structure.total > _SMALL_CELLS and code.structure.total % 8
+    ids = code.structure.ids()
+    for _ in range(40):
+        chosen = rng.sample(ids, rng.randint(0, len(ids)))
+        assert code.projection_dim(chosen) == code.project(chosen).dim
+        assert code.cross_section_dim(chosen) == code.cross_section(chosen).dim
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
