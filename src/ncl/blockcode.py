@@ -33,6 +33,14 @@ from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, rank
 DEFAULT_MAX_POINTS = 1 << 22
 
 
+def _trusted(cls: type, **fields) -> object:
+    """Frozen dataclass `cls` with `fields` set, no checks run: for checked values."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Ordered (block id, dimension) pairs defining a coordinate frame."""

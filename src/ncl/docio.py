@@ -7,33 +7,26 @@ generators in reduced echelon form, explicit negate_at, indented as
 json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
-The parse checks each distinct local code once and the behavior's system
-against a cell budget, leaving the topology to validate; emission applies
-the same budget, so no writer makes a document the parse refuses; _dumps
-writes JSON.
+The parse checks each field once, where it reads it, and builds on it with
+no second pass; emission applies its cell budget, so no writer makes a
+document the parse refuses. _dumps writes JSON.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import islice
 from typing import Any
 
 import numpy as np
 
-from .blockcode import BlockedCode, BlockStructure
+from .blockcode import BlockedCode, BlockStructure, _trusted
 from .errors import DocumentError
 from .fields import MatrixF, PrimeField, Subspace, _held
-from .realization import (
-    RIGHT,
-    Constraint,
-    Realization,
-    StateVar,
-    SymbolVar,
-    Topology,
-)
+from .realization import RIGHT, Constraint, Realization, StateVar, SymbolVar, Topology
 
-_CHUNKS = re.compile(r"\d+|\D+")
+_DIGIT_RUNS = re.compile(r"(\d+)").split
 
 # Cells of the behavior's system: each local code's check rows (width less dim)
 # times the frame's total dim; a (3,6)-regular Tanner graph of n = 960 has 12.9M.
@@ -42,21 +35,27 @@ MAX_SYSTEM_CELLS = 15_000_000
 
 def natural_key(text: str) -> tuple:
     """Sort key treating digit runs as numbers: a2 before a10."""
-    return tuple((0, int(c)) if c.isdecimal() else (1, c)
-                 for c in _CHUNKS.findall(text))
+    return tuple((0, int(c)) if c.isdecimal() else (1, c) for c in _DIGIT_RUNS(text) if c)
+
+
+def _id_order(item: Any) -> list:
+    """natural_key(item.id)'s order, cheaper: text, number, text...; "" first."""
+    parts = _DIGIT_RUNS(item.id)
+    parts[1::2] = map(int, parts[1::2])
+    return parts
 
 
 def _require(obj: Any, key: str, kind: type, path: str) -> Any:
-    if not isinstance(obj, dict):
+    """obj[key], of the type `kind` exactly, as json.loads gives it: a bool is no int."""
+    value = obj.get(key) if type(obj) is dict else None
+    if type(value) is kind:
+        return value
+    if type(obj) is not dict:
         raise DocumentError(path, "expected an object")
     if key not in obj:
         raise DocumentError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise DocumentError(f"{path}.{key}", "expected an integer")
-    if not isinstance(value, kind):
-        raise DocumentError(f"{path}.{key}", f"expected {kind.__name__}")
-    return value
+    raise DocumentError(f"{path}.{key}", "expected an integer" if kind is int
+                        and type(value) is bool else f"expected {kind.__name__}")
 
 
 def _int_rows(raw: list, path: str, p: int) -> list[list[int]]:
@@ -104,46 +103,35 @@ def parse_realization(text: str) -> Realization:
     """Read and validate a realization document.
 
     Raises DocumentError with a JSON-path location for malformed input,
-    at the second declaration of a variable id, whose dim would be
-    ambiguous, and where the behavior's system would exceed the cell
-    budget. Each distinct (width, raw generator rows) is converted and
-    checked once, and constraints with equal residue rows get codes on
-    one shared subspace, so each distinct local code is eliminated, and
-    its check matrix computed, once. What is left to validate is the
-    topology; ids are preserved for its messages.
+    at a second declaration of an id, a var listed undeclared or twice,
+    and where the behavior's system would exceed the cell budget. Each
+    distinct (width, raw generator rows) is checked once, and equal
+    residue rows share one subspace, eliminated once. With every id, var
+    and dim checked, `blockcode._trusted` builds blocks and constraints,
+    and the findings left are duplicate ids (a constraint may take a
+    var's id) and the graph's.
     """
     doc, field = _document_head(text)
     dim_of: dict[str, int] = {}  # symbols and states share one namespace
-    symbols = []
-    for i, entry in enumerate(_require(doc, "symbols", list, "$")):
-        path = f"$.symbols[{i}]"
-        sid = _require(entry, "id", str, path)
-        dim = _require(entry, "dim", int, path)
-        try:
-            symbols.append(SymbolVar(sid, dim))
-        except ValueError as e:
-            raise DocumentError(path, str(e)) from None
-        if sid in dim_of:
-            raise DocumentError(path, f"id {sid!r} declared twice")
-        dim_of[sid] = dim
-
-    states = []
-    for i, entry in enumerate(_require(doc, "states", list, "$")):
-        path = f"$.states[{i}]"
-        sid = _require(entry, "id", str, path)
-        dim = _require(entry, "dim", int, path)
-        left = _require(entry, "left", str, path)
-        right = _require(entry, "right", str, path)
-        negate_at = entry.get("negate_at", RIGHT)
-        if not isinstance(negate_at, str):
-            raise DocumentError(f"{path}.negate_at", "expected a string")
-        try:
-            states.append(StateVar(sid, dim, left, right, negate_at))
-        except ValueError as e:
-            raise DocumentError(path, str(e)) from None
-        if sid in dim_of:
-            raise DocumentError(path, f"id {sid!r} declared twice")
-        dim_of[sid] = dim
+    symbols, states = [], []
+    for name, declared in (("symbols", symbols), ("states", states)):
+        for i, entry in enumerate(_require(doc, name, list, "$")):
+            path = f"$.{name}[{i}]"
+            sid = _require(entry, "id", str, path)
+            dim = _require(entry, "dim", int, path)
+            if declared is states:
+                ends = (_require(entry, "left", str, path), _require(entry, "right", str, path),
+                        entry.get("negate_at", RIGHT))
+                if not isinstance(ends[2], str):
+                    raise DocumentError(f"{path}.negate_at", "expected a string")
+            try:
+                declared.append(StateVar(sid, dim, *ends) if declared is states
+                                else SymbolVar(sid, dim))
+            except ValueError as e:
+                raise DocumentError(path, str(e)) from None
+            if sid in dim_of:
+                raise DocumentError(path, f"id {sid!r} declared twice")
+            dim_of[sid] = dim
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
@@ -154,24 +142,24 @@ def parse_realization(text: str) -> Realization:
         path = f"$.constraints[{i}]"
         cid = _require(entry, "id", str, path)
         raw_vars = _require(entry, "vars", list, path)
+        listed: dict[str, int] = {}  # each var's dim, in order: k vars cost O(k)
         for j, v in enumerate(raw_vars):
             if not isinstance(v, str):
                 raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
             if v not in dim_of:
                 raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
-            if v in raw_vars[:j]:
+            if v in listed:
                 raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
-        blocks = tuple([(v, dim_of[v]) for v in raw_vars])
+            listed[v] = dim_of[v]
+        width = sum(listed.values())
         raw = _require(entry, "generators", list, path)
-        width = sum(d for _, d in blocks)
         raw_key = (width, repr(raw))
         if raw_key not in spaces:
             rows = _int_rows(raw, f"{path}.generators", field.p)
             for j, row in enumerate(rows):
                 if len(row) != width:
-                    raise DocumentError(
-                        f"{path}.generators[{j}]",
-                        f"row length {len(row)} != total var dim {width}")
+                    raise DocumentError(f"{path}.generators[{j}]",
+                                        f"row length {len(row)} != total var dim {width}")
             key = (width, tuple(map(tuple, rows)))
             if key not in spaces:
                 matrix = _matrix(field, rows, width, f"{path}.generators")
@@ -181,15 +169,16 @@ def parse_realization(text: str) -> Realization:
         _check_cells(checks * frame, f"{path}.generators")
         if cid in codes:
             raise DocumentError(path, f"constraint id {cid!r} declared twice")
-        constraints.append(Constraint(cid, tuple(raw_vars)))
-        codes[cid] = BlockedCode(BlockStructure(blocks), spaces[raw_key])
+        constraints.append(_trusted(Constraint, id=cid, vars=tuple(listed)))
+        structure = _trusted(BlockStructure, blocks=tuple(listed.items()), total=width)
+        codes[cid] = BlockedCode(structure, spaces[raw_key])
 
-    symbols.sort(key=lambda v: natural_key(v.id))
-    states.sort(key=lambda v: natural_key(v.id))
-    constraints.sort(key=lambda c: natural_key(c.id))
+    symbols.sort(key=_id_order)
+    states.sort(key=_id_order)
+    constraints.sort(key=_id_order)
     topo = Topology(tuple(symbols), tuple(states), tuple(constraints))
     r = Realization(field, topo, codes)
-    r._issues = tuple(topo.issues())  # codes checked above; fills the cached_property
+    r._issues = tuple(topo._duplicate_ids() + topo._graph_issues())  # fills the cached_property
     return r
 
 
@@ -202,7 +191,7 @@ def emit_realization(r: Realization) -> str:
     topo = r.topology
     frame, checks = topo.total_symbol_dim() + topo.total_state_dim(), 0
     constraints = []
-    for i, c in enumerate(sorted(topo.constraints, key=lambda c: natural_key(c.id))):
+    for i, c in enumerate(sorted(topo.constraints, key=_id_order)):
         code = r.code(c.id)
         checks += code.structure.total - code.dim
         _check_cells(checks * frame, f"$.constraints[{i}].generators")
@@ -212,12 +201,12 @@ def emit_realization(r: Realization) -> str:
         "field": r.field.p,
         "symbols": [
             {"id": s.id, "dim": s.dim}
-            for s in sorted(topo.symbols, key=lambda v: natural_key(v.id))
+            for s in sorted(topo.symbols, key=_id_order)
         ],
         "states": [
             {"id": s.id, "dim": s.dim, "left": s.left, "right": s.right,
              "negate_at": s.negate_at}
-            for s in sorted(topo.states, key=lambda v: natural_key(v.id))
+            for s in sorted(topo.states, key=_id_order)
         ],
         "constraints": constraints,
     }
@@ -227,25 +216,51 @@ def emit_realization(r: Realization) -> str:
 _encode = json.encoder.encode_basestring_ascii
 # how json.dumps writes the scalars that documents and results hold
 _SCALARS = {str: _encode, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-            type(None): {None: "null"}.__getitem__}
+            type(None): {None: "null"}.__getitem__, float: json.dumps}
+# "[", plain scalars' texts a line each (no ensure_ascii text has a newline), "]"
+_scalar_lines = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
-def _dumps(obj: Any, nl: str = "\n") -> str:
-    """json.dumps(obj, indent=2): one str.join per container, its scalars
-    formatted inline. Floats, keys that are not strings (as json.dumps
-    writes them in {k: 0}) and what json.dumps rejects with TypeError
-    take json.dumps's own path."""
+def _dumps(obj: Any) -> str:
+    """json.dumps(obj, indent=2); on a value it rejects, json.dumps raises its own TypeError."""
+    try:
+        return _write(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2)
+
+
+def _write(obj: Any, nl: str) -> str:
+    """One str.join per container; a list of over 8 items as a `_texts` column."""
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
-        parts = [f(v) if (f := _SCALARS.get(type(v))) else _dumps(v, inner) for v in obj]
+        parts = (_texts(obj, inner) if len(obj) > 8 else
+                 [f(v) if (f := _SCALARS.get(type(v))) else _write(v, inner) for v in obj])
         return f"[{inner}{f',{inner}'.join(parts)}{nl}]" if parts else "[]"
     if isinstance(obj, dict):
         parts = [(_encode(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
-                 + (f(v) if (f := _SCALARS.get(type(v))) else _dumps(v, inner))
+                 + (f(v) if (f := _SCALARS.get(type(v))) else _write(v, inner))
                  for k, v in obj.items()]
         return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}" if parts else "{}"
     f = _SCALARS.get(type(obj))
     return f(obj) if f else json.dumps(obj)
+
+
+def _texts(values: list, nl: str) -> list[str]:
+    """Each value's text at the indent `nl`: plain scalars in one encoder call; lists'
+    items, and each key's values in dicts of the same keys, a column a level in."""
+    types = set(map(type, values))
+    if types <= _SCALARS.keys():
+        return _scalar_lines(values)[1:-1].split("\n") if values else []
+    inner = nl + "  "
+    if types <= {list, tuple}:
+        items = iter(_texts([x for v in values for x in v], inner))
+        return [f"[{inner}{f',{inner}'.join(islice(items, len(v)))}{nl}]" if v else "[]"
+                for v in values]
+    keys = values[0]
+    if types == {dict} and keys and len({*map(tuple, values)}) == 1 and {*map(type, keys)} <= {str}:
+        row = "{" + ",".join(f"{inner}{_encode(k).replace('%', '%%')}: %s" for k in keys) + nl + "}"
+        return list(map(row.__mod__, zip(*[_texts([v[k] for v in values], inner) for k in keys])))
+    return [f(v) if (f := _SCALARS.get(type(v))) else _write(v, nl) for v in values]
 
 
 def parse_code_document(text: str) -> BlockedCode:

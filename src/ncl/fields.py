@@ -414,7 +414,7 @@ def ranks(mats: Sequence[np.ndarray] | np.ndarray, p: int) -> np.ndarray:
         hit[at, rows] = False
         pivot_row[at] = rows
         bs, rs = hit.nonzero()
-        if bs.size:
+        if bs.size and c + 1 < ncols:  # no column is left to update after the last
             piv = m[bs, pivot_row[bs], c:]
             if p == 2:
                 m[bs, rs, c:] ^= piv

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blockcode import BlockedCode, BlockStructure, _gathered
+from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
 from .fields import PrimeField, _held, _vanishing, _work_dtype, kernel, ranks, rref
 
@@ -217,6 +217,24 @@ class Topology:
 
     def issues(self) -> list[ValidationIssue]:
         """Structural findings; empty means the topology is sound."""
+        found = self._duplicate_ids()
+        known_vars = {s.id for s in self.symbols} | {s.id for s in self.states}
+        for c in self.constraints:
+            local: set[str] = set()
+            for v in c.vars:
+                if v not in known_vars:
+                    found.append(ValidationIssue(
+                        "unknown-id", f"constraint {c.id!r} lists undeclared variable {v!r}",
+                        (c.id, v)))
+                elif v in local:
+                    found.append(ValidationIssue(
+                        "normality", f"constraint {c.id!r} lists variable {v!r} twice",
+                        (c.id, v)))
+                local.add(v)
+        return found + self._graph_issues()
+
+    def _duplicate_ids(self) -> list[ValidationIssue]:
+        """Each id declared again, across symbols, states and constraints."""
         found: list[ValidationIssue] = []
         seen_ids: set[str] = set()
         for group in (self.symbols, self.states, self.constraints):
@@ -225,23 +243,16 @@ class Topology:
                     found.append(ValidationIssue(
                         "duplicate-id", f"id {item.id!r} declared more than once", (item.id,)))
                 seen_ids.add(item.id)
+        return found
 
-        known_vars = {s.id for s in self.symbols} | {s.id for s in self.states}
-        uses: dict[str, list[str]] = {v: [] for v in known_vars}
+    def _graph_issues(self) -> list[ValidationIssue]:
+        """Symbol and state use, endpoints, self-loops, connectivity: no id findings."""
+        found: list[ValidationIssue] = []
+        uses: dict[str, list[str]] = {v.id: [] for v in (*self.symbols, *self.states)}
         for c in self.constraints:
-            local: set[str] = set()
             for v in c.vars:
-                if v not in known_vars:
-                    found.append(ValidationIssue(
-                        "unknown-id", f"constraint {c.id!r} lists undeclared variable {v!r}",
-                        (c.id, v)))
-                    continue
-                if v in local:
-                    found.append(ValidationIssue(
-                        "normality", f"constraint {c.id!r} lists variable {v!r} twice",
-                        (c.id, v)))
-                local.add(v)
-                uses[v].append(c.id)
+                if v in uses:
+                    uses[v].append(c.id)
 
         for s in self.symbols:
             if len(uses[s.id]) != 1:
@@ -249,23 +260,17 @@ class Topology:
                     "normality",
                     f"symbol {s.id!r} must be involved in exactly one constraint, "
                     f"found {len(uses[s.id])}", (s.id, *uses[s.id])))
-        cids = {c.id for c in self.constraints}
+        cids = self._constraints_by_id
         for s in self.states:
             if s.left == s.right:
                 found.append(ValidationIssue(
                     "self-loop", f"state {s.id!r} has both endpoints at {s.left!r}",
                     (s.id, s.left)))
                 continue
-            endpoint_issue = False
-            for end in (s.left, s.right):
-                if end not in cids:
-                    found.append(ValidationIssue(
-                        "unknown-id", f"state {s.id!r} endpoint {end!r} is not a constraint",
-                        (s.id, end)))
-                    endpoint_issue = True
-            if endpoint_issue:
-                continue
-            if sorted(uses[s.id]) != sorted((s.left, s.right)):
+            missing = [end for end in (s.left, s.right) if end not in cids]
+            found += [ValidationIssue("unknown-id", f"state {s.id!r} endpoint {end!r} is not "
+                                      "a constraint", (s.id, end)) for end in missing]
+            if not missing and uses[s.id] not in ([s.left, s.right], [s.right, s.left]):
                 found.append(ValidationIssue(
                     "normality",
                     f"state {s.id!r} must be involved in exactly its two endpoints "
@@ -367,13 +372,13 @@ class Realization:
         if set(replaced) != {old.left, old.right}:
             raise ValueError(f"state {state_id!r}: replace the codes of exactly its endpoints")
         new = StateVar(state_id, new_dim, old.left, old.right, old.negate_at)
-        child_topo = Topology(topo.symbols, tuple(new if s is old else s for s in topo.states),
-                              topo.constraints)
         # only one state's dim changes: the indexes, its entry aside, and components carry over
-        vars(child_topo).update(_symbols_by_id=topo._symbols_by_id,
-                                _constraints_by_id=topo._constraints_by_id,
-                                _states_by_id={**topo._states_by_id, state_id: new},
-                                _uncut_components=topo._uncut_components)
+        child_topo = _trusted(
+            Topology, symbols=topo.symbols, constraints=topo.constraints,
+            states=tuple(new if s is old else s for s in topo.states),
+            _symbols_by_id=topo._symbols_by_id, _constraints_by_id=topo._constraints_by_id,
+            _states_by_id={**topo._states_by_id, state_id: new},
+            _uncut_components=topo._uncut_components)
         child = Realization(self.field, child_topo, {**self._codes, **replaced})
         # _issues is a cached_property: assigning it fills the cache
         child._issues = tuple(issue for c in topo.constraints if c.id in replaced
@@ -612,27 +617,17 @@ class AnalysisReport:
         return sum(d for _, d in self.constraint_dims)
 
     def to_dict(self) -> dict:
-        def trim_dict(t: TrimVerdict) -> dict:
-            out = {"state": t.state_id, "ok": t.ok}
-            if t.missing is not None:
-                out["missing_value"] = list(t.missing)
-            return out
-
-        def proper_dict(v: ProperVerdict) -> dict:
-            out = {"ok": v.ok}
-            if not v.ok:
-                out["state"] = v.state_id
-                out["codeword"] = list(v.codeword)
-            return out
-
         return {
             "field": self.field_order,
             "symbols": [{"id": i, "dim": d} for i, d in self.symbol_dims],
             "states": [{"id": i, "dim": d} for i, d in self.state_dims],
             "constraints": [
                 {"id": c.id, "dim": c.dim,
-                 "trim": [trim_dict(t) for t in c.trim],
-                 "proper": proper_dict(c.proper)}
+                 "trim": [{"state": t.state_id, "ok": t.ok} if t.missing is None else
+                          {"state": t.state_id, "ok": t.ok, "missing_value": list(t.missing)}
+                          for t in c.trim],
+                 "proper": {"ok": c.proper.ok} if c.proper.ok else {"ok": c.proper.ok,
+                     "state": c.proper.state_id, "codeword": list(c.proper.codeword)}}
                 for c in self.constraints
             ],
             "total_symbol_dim": self.total_symbol_dim,
@@ -671,11 +666,11 @@ def analyze(r: Realization) -> AnalysisReport:
     realized = b.projection_dim(topo.symbol_ids())
     unobs = b.dim - realized
     defect = controllability_defect(r)
-    # per constraint: its code's subspace, and each block's dim and whether it is a state
-    key_of = {cid: (id(code.space), tuple((d, v in topo._states_by_id)
-                                          for v, d in code.structure.blocks))
-              for cid, code in r._codes.items()}
-    distinct = {key: r._codes[cid] for cid, key in key_of.items()}
+    # a constraint's key: its code's subspace and, per var, (dim, is a state)
+    kind = {v.id: (v.dim, False) for v in topo.symbols} | {v.id: (v.dim, True) for v in topo.states}
+    keys = [(id(r._codes[c.id].space), tuple(map(kind.__getitem__, c.vars)))
+            for c in topo.constraints]
+    distinct = {key: r._codes[c.id] for key, c in zip(keys, topo.constraints)}
     blocks, dims = [], []
     for (_, layout), code in distinct.items():
         g, h = code.space.basis.array, code.dual().space.basis.array
@@ -686,17 +681,19 @@ def analyze(r: Realization) -> AnalysisReport:
                 dims += (d, d)
             at += d
     full = iter((ranks(blocks, r.field.p) == dims).tolist())
-    # each key's (trim, proper) rank verdicts, state by state
-    oks = {key: list(islice(full, 2 * sum(s for _, s in key[1]))) for key in distinct}
+    # each key's trim verdicts, state by state, proper verdict, state flags and dim
+    verdicts = {}
+    for (space, layout), code in distinct.items():
+        ok = list(islice(full, 2 * sum(s for _, s in layout)))
+        verdicts[space, layout] = (ok[0::2], all(ok[1::2]), [s for _, s in layout], code.dim)
     reports = []
-    for c in topo.constraints:
-        ok = oks[key_of[c.id]]
-        states = [v for v in c.vars if topo.is_state(v)]
+    for c, key in zip(topo.constraints, keys):
+        trim_ok, proper_ok, flags, dim = verdicts[key]
         trims = tuple(TrimVerdict(True, c.id, v) if t else is_trim(r, c.id, v)
-                      for v, t in zip(states, ok[0::2]))
-        proper = ProperVerdict(True, c.id) if all(ok[1::2]) else is_proper(r, c.id)
-        reports.append(ConstraintReport(c.id, r.code(c.id).dim, trims, proper))
-    trim_proper = all(cr.fully_trim and cr.proper.ok for cr in reports)
+                      for v, t in zip(compress(c.vars, flags), trim_ok))
+        proper = ProperVerdict(True, c.id) if proper_ok else is_proper(r, c.id)
+        reports.append(ConstraintReport(c.id, dim, trims, proper))
+    trim_proper = all(all(trim_ok) and proper_ok for trim_ok, proper_ok, _, _ in verdicts.values())
     cycle_free = topo.is_cycle_free()
     state_trim = is_state_trim(r)
     branch_trim = is_branch_trim(r)
@@ -706,7 +703,7 @@ def analyze(r: Realization) -> AnalysisReport:
         field_order=r.field.p,
         symbol_dims=tuple((s.id, s.dim) for s in topo.symbols),
         state_dims=tuple((s.id, s.dim) for s in topo.states),
-        constraint_dims=tuple((c.id, r.code(c.id).dim) for c in topo.constraints),
+        constraint_dims=tuple((cr.id, cr.dim) for cr in reports),
         behavior_dim=b.dim,
         realized_dim=realized,
         unobservable_dim=unobs,

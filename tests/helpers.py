@@ -4,6 +4,7 @@ shared across the test modules."""
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 from sympy import GF
@@ -41,7 +42,7 @@ from ncl import (
     product_trellis,
     reduce_unobservable,
 )
-from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require, natural_key
+from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
 from ncl.fields import ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.realization import _block
@@ -574,6 +575,17 @@ def reference_is_proper(r: Realization, cid: str) -> ProperVerdict:
             word[at:at + section.ambient] = section.basis.row(0)
             return ProperVerdict(False, cid, v, tuple(int(x) for x in word))
     return ProperVerdict(True, cid)
+
+
+# docio.natural_key verbatim as it was while the parse sorted by it: the
+# reference for natural_key's output and for the order docio._id_order gives
+_CHUNKS = re.compile(r"\d+|\D+")
+
+
+def natural_key(text: str) -> tuple:
+    """Sort key treating digit runs as numbers: a2 before a10."""
+    return tuple((0, int(c)) if c.isdecimal() else (1, c)
+                 for c in _CHUNKS.findall(text))
 
 
 def reference_parse_realization(text: str) -> Realization:

@@ -2,8 +2,13 @@
 
 import json
 import random
+import string
+import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncl import (
     GF2,
@@ -20,8 +25,15 @@ from ncl import (
     realized_code,
 )
 from ncl import fields
+from ncl.docio import _id_order
 from fixtures import DECLARED_TWICE, chain_document, example1, example1_document, example3
 from helpers import gallager_checks
+from helpers import natural_key as reference_natural_key
+
+# ASCII letters and digits, two separators, an Arabic-Indic three (a decimal
+# digit, so a digit run) and a superscript two (a digit but not decimal: text)
+id_texts = st.text(st.sampled_from(string.ascii_letters + string.digits + "@_\u0663\u00b2"),
+                   max_size=8)
 
 
 class TestNaturalKey:
@@ -31,6 +43,24 @@ class TestNaturalKey:
 
     def test_mixed_chunks(self):
         assert natural_key("s12x3") == ((1, "s"), (0, 12), (1, "x"), (0, 3))
+
+    @settings(max_examples=500, deadline=None)
+    @given(id_texts)
+    def test_key_is_the_reference_key(self, text):
+        assert natural_key(text) == reference_natural_key(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(id_texts, max_size=12))
+    def test_parse_order_is_natural_key_order_ties_included(self, texts):
+        # a stable sort keeps tied ids (a01 and a1) in input order, so equal
+        # lists mean equal orders and equal ties
+        items = [SimpleNamespace(id=t) for t in texts]
+        assert (sorted(items, key=_id_order)
+                == sorted(items, key=lambda v: reference_natural_key(v.id)))
+        for a in items:
+            for b in items:
+                assert ((_id_order(a) < _id_order(b))
+                        == (reference_natural_key(a.id) < reference_natural_key(b.id)))
 
 
 class TestParseEmit:
@@ -130,6 +160,27 @@ class TestParseErrors:
         self.check('{"field": 2, "symbols": [{"id": "a1", "dim": 0}], "states": [],'
                    ' "constraints": [{"id": "c0", "vars": ["a1", "a1"],'
                    ' "generators": []}]}', "$.constraints[0].vars[1]", "listed twice")
+
+    def test_a_constraint_of_40000_vars_parses_in_linear_time(self):
+        # one constraint over k symbols of dim 0: checking each var against the
+        # ones before it took 21.5 s at k = 40,000 on a 2-vCPU VM; one lookup per
+        # var in the vars seen so far keeps the whole parse near 0.3 s there
+        k = 40_000
+        ids = [f"a{i}" for i in range(k)]
+        doc = {"field": 2, "symbols": [{"id": v, "dim": 0} for v in ids], "states": [],
+               "constraints": [{"id": "c0", "vars": ids, "generators": []}]}
+        text = json.dumps(doc)
+        seconds = []
+        for _ in range(2):  # the faster of two, so one stall of a shared host does not fail it
+            start = time.process_time()
+            r = parse_realization(text)
+            seconds.append(time.process_time() - start)
+        assert min(seconds) < 1.0
+        assert r.topology.constraint("c0").vars == tuple(ids)
+        doc["constraints"][0]["vars"] = ids + ["a7"]
+        with pytest.raises(DocumentError) as e:
+            parse_realization(json.dumps(doc))
+        assert str(e.value) == f"$.constraints[0].vars[{k}]: variable 'a7' listed twice"
 
     def test_row_width(self):
         self.check('{"field": 2, "symbols": [{"id": "a0", "dim": 2}], "states": [],'

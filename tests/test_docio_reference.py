@@ -16,12 +16,18 @@ from hypothesis import strategies as st
 
 from ncl import (
     GF2,
+    BlockedCode,
+    BlockStructure,
+    Constraint,
     DocumentError,
     PrimeField,
+    Realization,
+    Topology,
     analyze,
     emit_realization,
     parity_check_realization,
     parse_realization,
+    validate,
 )
 from ncl.cli import main
 from ncl.docio import MAX_SYSTEM_CELLS, _dumps
@@ -151,6 +157,27 @@ def assert_parses_like_reference(text: str) -> None:
     assert got._issues == want._issues
     spaces = [{id(r.code(c.id).space) for c in r.topology.constraints} for r in (got, want)]
     assert len(spaces[0]) == len(spaces[1])
+    assert_trusted_is_public(got)
+
+
+def assert_trusted_is_public(r) -> None:
+    """What the parse builds with no __post_init__ (blockcode._trusted) is
+    what the public constructors build of the same values: each code's
+    block structure, each constraint, and the findings of a realization
+    built anew of them. Reprs are compared too, so that a value equal to
+    the normalized one (True for 1) does not pass."""
+    topo = r.topology
+    constraints = tuple(Constraint(c.id, c.vars) for c in topo.constraints)
+    assert (constraints, repr(constraints)) == (topo.constraints, repr(topo.constraints))
+    codes = {}
+    for c in topo.constraints:
+        code = r.code(c.id)
+        structure = BlockStructure(code.structure.blocks)
+        assert (structure, repr(structure), structure.total) == (
+            code.structure, repr(code.structure), code.structure.total)
+        codes[c.id] = BlockedCode(structure, code.space)
+    fresh = Realization(r.field, Topology(topo.symbols, topo.states, constraints), codes)
+    assert r._issues == tuple(validate(fresh))
 
 
 def scrambled(r, rng: random.Random) -> str:
@@ -199,6 +226,15 @@ def test_parse_matches_reference_on_tanner_and_ladder_documents():
 @given(documents)
 def test_parse_matches_reference_on_the_fuzz_corpus(text):
     assert_parses_like_reference(text)
+
+
+def test_a_constraint_that_takes_a_var_id_is_a_duplicate_id():
+    # the parse checks constraint ids against each other and var ids against
+    # each other; across the two only the topology's findings see a clash
+    doc = {"field": 2, "symbols": [{"id": "x", "dim": 1}], "states": [],
+           "constraints": [{"id": "x", "vars": ["x"], "generators": [[1]]}]}
+    assert_parses_like_reference(json.dumps(doc))
+    assert [i.tag for i in parse_realization(json.dumps(doc))._issues] == ["duplicate-id"]
 
 
 def test_equal_residue_rows_share_one_space():
