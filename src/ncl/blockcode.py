@@ -11,12 +11,12 @@ subspace answers each from the bit rows it keeps of its basis, masked
 to the blocks' columns, and over p >= 5 `rank` runs on the sliced basis.
 
 Codes are immutable, so each one builds its dual at most once and
-keeps it. The dual's basis, the check matrix, is the orthogonal
-complement that the code's subspace computes once and keeps, so codes
-on one shared subspace (every constraint with the same generator rows
-in a parsed document) share one check matrix. A realization derived
-from another shares the codes it keeps, and with them their check
-matrices.
+keeps it. Its subspace keeps check rows read off its RREF basis with no
+elimination; the check matrix, the dual's basis, is those rows in RREF.
+Codes on one shared subspace (every constraint with the same generator
+rows in a parsed document), or kept by a derived realization, share
+both. A realization's unobservable behavior is solved from the rows,
+and its behavior from the check matrices.
 """
 
 from __future__ import annotations

@@ -158,8 +158,8 @@ def _held(field: PrimeField, a: np.ndarray,
     RREF basis, no canonical re-check when a Subspace takes it.
 
     Every MatrixF a caller can reach holds int64. The one narrower
-    MatrixF is the behavior's check system, in `_work_dtype(p)`, which
-    `Realization._behavior_code` hands to `kernel` and never lets out;
+    MatrixF is a realization's check system or its state columns, in
+    `_work_dtype(p)`, which it hands to `kernel` and never lets out;
     `_vanishing` wraps its input for `rref` the same way, whatever its
     dtype, and keeps only the int64 RREF."""
     m = MatrixF.__new__(MatrixF)
@@ -172,7 +172,7 @@ def _held(field: PrimeField, a: np.ndarray,
 
 def _work_dtype(p: int) -> type:
     """The dtype of every elimination transient: `ranks`' stack, the rref
-    `_rref_array` returns, null rows and the behavior's check system;
+    `_rref_array` returns, null rows (kept check rows too), check systems;
     uint8 when p = 2, where a row update is an XOR, and int32 otherwise.
     Every intermediate is below p**2 <= 2**26 in magnitude, so int32 is
     exact up to MAX_FIELD."""
@@ -442,7 +442,7 @@ def rank(m: MatrixF) -> int:
 def kernel(m: MatrixF) -> "Subspace":
     """The right null space {x : m @ x = 0}, as a row-vector subspace."""
     a, piv = _rref_array(m.array, m.field.p)
-    return _rref_kernel(m.field, a, piv)
+    return _vanishing(m.field, _null_rows(a, piv, m.field.p))
 
 
 def _null_rows(a: np.ndarray, piv: Sequence[int], p: int) -> np.ndarray:
@@ -457,11 +457,6 @@ def _null_rows(a: np.ndarray, piv: Sequence[int], p: int) -> np.ndarray:
     rows[np.arange(len(free)), free] = 1
     rows[:, list(piv)] = (p - a[:len(piv), free].T) % p
     return rows
-
-
-def _rref_kernel(field: PrimeField, a: np.ndarray, piv: Sequence[int]) -> "Subspace":
-    """The right null space of a matrix in RREF with the given pivot columns."""
-    return _vanishing(field, _null_rows(a, piv, field.p))
 
 
 def _vanishing(field: PrimeField, a: np.ndarray, skip: int = 0) -> "Subspace":
@@ -505,12 +500,12 @@ class Subspace:
     """A subspace of F^n held as a canonical RREF basis with no zero rows.
 
     Equality is representation equality: two subspaces are equal exactly
-    when their canonical bases are identical. The orthogonal complement
-    is kept in a slot on the first `orthogonal()` call, and over GF(2)
-    and GF(3) the basis's bit rows on the first `_block_rank` call.
+    when their canonical bases are identical. Slots keep what a first call
+    derives: the check rows, the orthogonal complement, and over GF(2) and
+    GF(3) the basis's bit rows (`_block_rank`).
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_orthogonal", "_bits")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_checks", "_orthogonal", "_bits")
 
     def __init__(self, field: PrimeField, ambient: int, basis: MatrixF) -> None:
         if basis.field != field:
@@ -536,6 +531,7 @@ class Subspace:
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
+        self._checks: np.ndarray | None = None
         self._orthogonal: Subspace | None = None
         self._bits: tuple[list[tuple[int, int]], int] | None = None
 
@@ -578,15 +574,18 @@ class Subspace:
         checks = np.vstack([self.orthogonal().basis.array, other.orthogonal().basis.array])
         return kernel(_held(self.field, checks))
 
-    def orthogonal(self) -> "Subspace":
-        """All vectors with zero dot product against every basis row.
+    def _check_rows(self) -> np.ndarray:
+        """The null rows of the RREF basis (`_null_rows`), read off it with no
+        elimination: they span the orthogonal complement, not canonically."""
+        if self._checks is None:
+            self._checks = _null_rows(self.basis.array, self.pivots, self.field.p)
+        return self._checks
 
-        The basis is already in RREF, so its null space is read off it
-        without eliminating it again; it is built on the first call and
-        kept.
-        """
+    def orthogonal(self) -> "Subspace":
+        """All vectors with zero dot product against every basis row: the
+        check rows brought to RREF, on the first call, and kept."""
         if self._orthogonal is None:
-            self._orthogonal = _rref_kernel(self.field, self.basis.array, self.pivots)
+            self._orthogonal = _vanishing(self.field, self._check_rows())
         return self._orthogonal
 
     def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import PrimeField, _held, _vanishing, _work_dtype, kernel, ranks, rref
+from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -187,21 +187,15 @@ class Topology:
         return comps
 
     @cached_property
-    def _frame_columns(self) -> tuple[BlockStructure, np.ndarray, np.ndarray]:
-        """The behavior's frame, symbols then states, and the frame columns
-        of each constraint's vars and of each state, one row each, padded
-        with the column index frame.total."""
+    def _frame_columns(self) -> tuple[BlockStructure, np.ndarray]:
+        """The behavior's frame, symbols then states, and the frame columns of
+        each constraint's vars, one row each, padded with the index frame.total."""
         frame = BlockStructure(tuple((v.id, v.dim) for v in (*self.symbols, *self.states)))
         where = {v: range(at, at + d) for v, (at, d) in frame._offsets.items()}
-
-        def padded(groups: list) -> np.ndarray:
-            cols = [[j for v in g for j in where[v]] for g in groups]
-            width = max(map(len, cols), default=0)
-            return np.array([c + [frame.total] * (width - len(c)) for c in cols],
-                            dtype=np.intp).reshape(len(cols), width)
-
-        return (frame, padded([c.vars for c in self.constraints]),
-                padded([[s.id] for s in self.states]))
+        cols = [[j for v in c.vars for j in where[v]] for c in self.constraints]
+        width = max(map(len, cols), default=0)
+        return frame, np.array([c + [frame.total] * (width - len(c)) for c in cols],
+                               dtype=np.intp).reshape(len(cols), width)
 
     @cached_property
     def _uncut_components(self) -> list[set[str]]:
@@ -385,15 +379,12 @@ class Realization:
                               for issue in child._code_issues(c.id))
         return child
 
-    @cached_property
-    def _behavior_code(self) -> BlockedCode:
+    def _check_system(self, checks_of) -> np.ndarray:
+        """Each constraint's checks_of(its subspace) at its vars' frame columns,
+        in topology order; a shared subspace's rows in one assignment. Not kept."""
         self.ensure_valid()
-        frame, cols, _ = self.topology._frame_columns
-        # each constraint's check matrix fills its own rows, in topology
-        # order, at its vars' columns; constraints on one shared subspace
-        # share the array, which is written into all of their rows in one
-        # indexed assignment, of residues: the working dtype holds them.
-        checks = [self._codes[c.id].dual().space.basis.array for c in self.topology.constraints]
+        frame, cols = self.topology._frame_columns
+        checks = [checks_of(self._codes[c.id].space) for c in self.topology.constraints]
         starts = np.cumsum([0] + [h.shape[0] for h in checks])
         system = np.zeros((int(starts[-1]), frame.total), dtype=_work_dtype(self.field.p))
         sharing: dict[int, list[int]] = {}
@@ -401,9 +392,25 @@ class Realization:
             sharing.setdefault(id(h), []).append(i)
         for at in sharing.values():
             h = checks[at[0]]
-            rows = starts[at, None] + np.arange(h.shape[0])
-            system[rows[:, :, None], cols[at, None, :h.shape[1]]] = h
-        return BlockedCode(frame, kernel(_held(self.field, system)))
+            if len(at) == 1:  # a row slice costs less than a broadcast index
+                system[starts[at[0]]:starts[at[0]] + len(h), cols[at[0], :h.shape[1]]] = h
+            else:
+                rows = starts[at, None] + np.arange(h.shape[0])
+                system[rows[:, :, None], cols[at, None, :h.shape[1]]] = h
+        return system
+
+    @cached_property
+    def _behavior_code(self) -> BlockedCode:
+        # canonical check matrices: on Tanner graphs their distinct leads eliminate faster
+        system = self._check_system(lambda space: space.orthogonal().basis.array)
+        return BlockedCode(self.topology._frame_columns[0], kernel(_held(self.field, system)))
+
+    @cached_property
+    def _unobservable_code(self) -> BlockedCode:
+        """U, the kernel of the state columns alone, which follow the symbols'."""
+        states = self._check_system(Subspace._check_rows)[:, self.topology.total_symbol_dim():]
+        return BlockedCode(BlockStructure(tuple((s.id, s.dim) for s in self.topology.states)),
+                           kernel(_held(self.field, states)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Realization):
@@ -460,13 +467,13 @@ def realized_code(r: Realization) -> BlockedCode:
 
 
 def unobservable_behavior(r: Realization) -> BlockedCode:
-    """State assignments s with (0, s) in the behavior, as a code on states."""
-    return r._behavior_code.cross_section(list(r.topology.state_ids()))
+    """The s with (0, s) in the behavior: the kernel of the check system's state columns."""
+    return r._unobservable_code
 
 
 def is_observable(r: Realization) -> bool:
-    """No nonzero trajectory has all-zero symbols: a rank test on the behavior."""
-    return r._behavior_code.cross_section_dim(r.topology.state_ids()) == 0
+    """No nonzero trajectory has all-zero symbols: unobservable_behavior has dim 0."""
+    return r._unobservable_code.dim == 0
 
 
 def controllability_defect(r: Realization) -> int:
@@ -526,9 +533,12 @@ def _block(code: BlockedCode, var_id: str) -> np.ndarray:
 
 
 def is_state_trim(r: Realization) -> bool:
-    """The behavior projects onto every state space: one stacked rank call."""
-    stack = _gathered(r._behavior_code, r.topology._frame_columns[2])
-    return bool((ranks(stack, r.field.p) == [s.dim for s in r.topology.states]).all())
+    """The behavior projects onto every state space: one stacked rank call on
+    the states' column runs, which end the frame, padded with the index total."""
+    b, dims = r._behavior_code, np.array([s.dim for s in r.topology.states], dtype=np.intp)
+    at, width = b.structure.total - dims[::-1].cumsum()[::-1], np.arange(dims.max(initial=0))
+    stack = _gathered(b, np.where(width < dims[:, None], at[:, None] + width, b.structure.total))
+    return bool((ranks(stack, r.field.p) == dims).all())
 
 
 def is_branch_trim(r: Realization) -> bool:

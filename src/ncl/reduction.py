@@ -29,7 +29,8 @@ trim if it fails, then one merge test on the code that is there now,
 and a merge if that finds a nonzero cross-section. When a whole sweep
 changes nothing, an unobservable realization loses one unobservable
 direction and the sweep starts again; a cycle-free one is observable by
-then, so the behavior is built only on graphs with a cycle.
+then. The driver never builds the behavior: the question and the trim
+read one kept kernel, U, of the check system's state columns alone.
 next_reduction names the first move of that sweep.
 
 An incidence is tested again only after its constraint's code changed.
@@ -187,7 +188,9 @@ def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]
     to choose L.
     """
     r.ensure_valid()
-    state_id, line = _unobservable_direction(dualize(r))
+    if is_observable(dual := dualize(r)):  # controllable iff the dual is observable
+        raise NotReducibleError("realization is controllable; nothing to merge")
+    state_id, line = _unobservable_direction(dual)
     d = line.ambient
     keep = np.delete(np.eye(d, dtype=np.int64), list(line.pivots), axis=1)
     return _shrink(r, DUAL_MERGE, state_id, np.zeros((d, 0), dtype=np.int64), keep)
@@ -198,36 +201,44 @@ def _sweep_to_fixpoint(r: Realization) -> tuple[Realization, list[ReductionStep]
 
     A visit is one trim test and one merge test. A trim leaves the
     constraint trim at that state and a merge leaves it trim and proper
-    there, so nothing is left to re-test. clean maps an incidence to the
-    code object last found irreducible there; codes are immutable and a
-    step swaps in new objects.
+    there, so nothing is left to re-test. dirty holds the incidences to
+    visit: every one at first, then ends[s] after each step on a state s.
 
     Trees first: "On a finite cycle-free graph, a linear realization is
     minimal if and only if every constraint code is both trim and
     proper" (arXiv:1202.0534), and a minimal realization is observable.
     So on a cycle-free topology a sweep that changes nothing ends the
-    driver without building the behavior to ask is_observable.
+    driver without asking is_observable. Elsewhere it asks the kernel U
+    that reduce_unobservable then reads, and never builds the behavior.
     """
     pairs = r.topology.incidences()
+    at: dict[str, list[tuple[str, str]]] = {}
+    for pair in pairs:
+        at.setdefault(pair[0], []).append(pair)
+    ends = {s.id: at[s.left] + at[s.right] for s in r.topology.states}
     steps: list[ReductionStep] = []
-    clean: dict[tuple[str, str], BlockedCode] = {}
+    dirty = set(pairs)
     while True:
         taken = len(steps)
-        for cid, sid in pairs:
-            if clean.get((cid, sid)) is r.code(cid):
+        for pair in pairs:
+            if pair not in dirty:
                 continue
+            cid, sid = pair
             if not is_trim(r, cid, sid).ok:
                 r, step = trim_state(r, sid, cid)
                 steps.append(step)
+                dirty.update(ends[sid])
             if r.code(cid).cross_section_dim([sid]) > 0:
                 r, step = merge_state(r, sid, cid)
                 steps.append(step)
-            clean[cid, sid] = r.code(cid)
+                dirty.update(ends[sid])
+            dirty.discard(pair)
         if len(steps) == taken:
             if r.topology.is_cycle_free() or is_observable(r):
                 return r, steps
             r, step = reduce_unobservable(r)
             steps.append(step)
+            dirty.update(ends[step.state_id])
 
 
 def next_reduction(r: Realization) -> tuple[str, str, str] | None:

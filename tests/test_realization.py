@@ -44,7 +44,8 @@ from ncl import (
     unobservable_behavior,
     validate,
 )
-from fixtures import EX1_WORDS, conventional_improper, example1, example3
+from fixtures import (EX1_WORDS, conventional_improper, criterion12_witness, example1,
+                      example2, example3, example3_dual_product)
 from helpers import (
     random_realization,
     random_tail_biting_product,
@@ -318,6 +319,24 @@ class TestBehavior:
                     assert b.space.basis.array.dtype == np.int64
                     assert not b.space.basis.array.flags.writeable
 
+    def test_unobservable_behavior_agrees_with_the_behavior(self):
+        """U, the kernel of the check system's state columns, is the
+        behavior's cross-section on the states, for a realization and
+        its dual."""
+        rng = random.Random("unobservable-from-state-columns")
+        fields = (GF2, GF3, PrimeField(5), PrimeField(7))
+        cases = [random_realization(rng, fields[k % 4], extra_edges=1 + k % 3)
+                 for k in range(600)]
+        cases += [example2(), example3_dual_product(), criterion12_witness()]
+        unobservable = 0
+        for r in cases:
+            for x in (r, dualize(r)):
+                u = unobservable_behavior(x)
+                assert u == behavior(x).cross_section(x.topology.state_ids())
+                assert is_observable(x) == (analyze(x).unobservable_dim == 0)
+                unobservable += u.dim > 0
+        assert unobservable > 200
+
     def test_example1_dimensions(self):
         r = example1()
         assert behavior(r).dim == 3
@@ -351,13 +370,14 @@ class TestCheckMatrixCache:
         behavior(r)
         child, step = trim_state(r, "s2", "c2")
         calls = []
-        original = Subspace.orthogonal
+        original = Subspace._check_rows
 
         def counted(space):
-            calls.append(space)
+            if space._checks is None:  # computed here, not read from the slot
+                calls.append(space)
             return original(space)
 
-        monkeypatch.setattr(Subspace, "orthogonal", counted)
+        monkeypatch.setattr(Subspace, "_check_rows", counted)
         behavior(child)
         state = child.topology.state("s2")
         replaced = [child.code(state.left).space, child.code(state.right).space]

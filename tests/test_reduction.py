@@ -21,6 +21,7 @@ from ncl import (
     Subspace,
     Topology,
     UnknownBlockError,
+    behavior,
     brute_realized_words,
     complete_to_basis,
     controllability_defect,
@@ -31,6 +32,7 @@ from ncl import (
     is_observable,
     is_proper,
     is_trim,
+    kernel,
     merge_state,
     minimize_cycle_free,
     next_reduction,
@@ -41,10 +43,12 @@ from ncl import (
     unobservable_behavior,
     validate,
 )
+import ncl.realization
+import ncl.reduction
 from ncl.reduction import DUAL_MERGE, MERGE, UNOBS_TRIM, _quotient_map, _shrink
 from fixtures import EX1_WORDS, conventional_improper, example1, example3
 from helpers import (identity, in_constraint_order, ladder_conventional_trellis, ladder_trellis,
-                     random_realization, random_tree_realization)
+                     random_realization, random_tail_biting_product, random_tree_realization)
 
 
 def state_dims(r):
@@ -167,6 +171,13 @@ class TestDualMerge:
         with pytest.raises(NotReducibleError):
             dual_merge_unobservable(example1())
 
+    def test_refusals_name_what_is_missing(self):
+        with pytest.raises(NotReducibleError, match="^realization is controllable; nothing to merge$"):
+            dual_merge_unobservable(example1())
+        observable = reduce_unobservable(example1())[0]
+        with pytest.raises(NotReducibleError, match="^realization is observable; nothing to trim$"):
+            reduce_unobservable(observable)
+
     def test_step_matches_dual_trim_dims(self):
         r = dualize(example1())
         out, step = dual_merge_unobservable(r)
@@ -204,6 +215,49 @@ class TestFixpoint:
                 for v in c.vars:
                     if out.topology.is_state(v):
                         assert is_trim(out, c.id, v).ok
+
+
+class TestDriverBuildsNoBehavior:
+    """The driver asks is_observable of U, the kernel of the check system's
+    state columns, and its unobservability trim reads that same kernel:
+    every kernel the realization module runs while it reduces a graph with
+    a cycle is total_state_dim columns wide, and the steps are those that
+    the behavior's cross-section on the states gives."""
+
+    @staticmethod
+    def cases():
+        for field in (GF2, GF3, PrimeField(5)):
+            for n in (32, 40, 48):
+                yield ladder_trellis(random.Random(f"no-behavior:{n}"), field, n)
+        rng = random.Random("no-behavior")
+        for k in range(60):
+            yield random_tail_biting_product(rng, (GF2, GF3, PrimeField(5))[k % 3])
+
+    @staticmethod
+    def from_the_behavior(monkeypatch, r):
+        """reduce_to_fixpoint with U read off the whole behavior B."""
+        with monkeypatch.context() as m:
+            m.setattr(ncl.reduction, "is_observable", lambda x: behavior(x).cross_section_dim(
+                x.topology.state_ids()) == 0)
+            m.setattr(ncl.reduction, "unobservable_behavior", lambda x: behavior(x).cross_section(
+                x.topology.state_ids()))
+            return reduce_to_fixpoint(r)
+
+    def test_only_state_column_kernels(self, monkeypatch):
+        unobs_trims = 0
+        for r in self.cases():
+            want, want_steps = self.from_the_behavior(monkeypatch, r)
+            widths, asked = [], []
+            with monkeypatch.context() as m:
+                m.setattr(ncl.realization, "kernel", lambda a: widths.append(a.cols) or kernel(a))
+                asked_of = ncl.reduction.is_observable
+                m.setattr(ncl.reduction, "is_observable",
+                          lambda x: asked.append(x.topology.total_state_dim()) or asked_of(x))
+                out, steps = reduce_to_fixpoint(r)
+            assert widths == asked
+            assert (out, steps) == (want, want_steps)
+            unobs_trims += sum(s.kind == UNOBS_TRIM for s in steps)
+        assert unobs_trims >= 12
 
 
 class TestTreesFirst:
