@@ -1,9 +1,12 @@
 """Brute-force reference checks.
 
-Everything here re-derives its answers by testing every one of the
-|F|^N global assignments against every parity row of every constraint,
-the rows found by list arithmetic rather than the matrix machinery the
-main path uses. The test is table-driven (brute_behavior), bounded by
+Everything here re-derives its answers from every parity row of every
+constraint, the rows found by list arithmetic rather than the matrix
+machinery the main path uses, and accounts for all |F|^N global
+assignments. The behavior is found by a join (brute_behavior): each
+assignment is a leading half and a trailing half, and it satisfies the
+checks exactly when the halves' syndromes cancel, so sorting one side's
+syndromes finds each other half's partners directly. It is bounded by
 an explicit budget on the assignments and in memory by a fixed chunk
 whatever that budget is.
 """
@@ -25,21 +28,21 @@ def _nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Right null space of the row list, by plain-integer elimination."""
     m = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
-    rank = 0
+    placed = 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        piv = next((i for i in range(placed, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
+        m[placed], m[piv] = m[piv], m[placed]
+        inv = pow(m[placed][col], p - 2, p)
+        m[placed] = [(x * inv) % p for x in m[placed]]
         for i in range(len(m)):
-            if i != rank and m[i][col]:
+            if i != placed and m[i][col]:
                 f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[placed])]
         pivots.append(col)
-        rank += 1
-        if rank == len(m):
+        placed += 1
+        if placed == len(m):
             break
     basis = []
     for free_col in (c for c in range(ncols) if c not in pivots):
@@ -82,18 +85,28 @@ def _syndrome_table(rows: np.ndarray, p: int) -> np.ndarray:
     return table % p
 
 
+def _keys(syndromes: np.ndarray, p: int) -> np.ndarray:
+    """Each row of residues mod p as one exact key, its bytes: one byte
+    per residue up to p = 256, two above (p <= 2**13)."""
+    cells = np.ascontiguousarray(syndromes, np.uint8 if p <= 256 else np.uint16)
+    return cells.view(np.dtype((np.void, cells.shape[1] * cells.itemsize))).ravel()
+
+
 def brute_behavior(r: Realization, max_points: int = DEFAULT_MAX_POINTS
                    ) -> list[tuple[int, ...]]:
     """Every satisfying global assignment, symbols first, ascending order.
 
     An assignment is a high part (the leading coordinates) followed by a
-    low part (the trailing ones, at most _CHUNK values of them). Its
-    syndrome is the high part's plus the low part's, so it satisfies
-    every parity row exactly when the low part's syndrome equals the
-    negated high part's. The low parts' syndromes are tabled once; each
-    chunk of high parts is compared with every row of the table, on
-    every parity row, at most _CHUNK pairs at a time, and the pairs that
-    match are emitted high part first, low part next: ascending order.
+    low part (the trailing ones: about half of them, and at most _CHUNK
+    values). Its syndrome is the high part's plus the low part's, so it
+    satisfies every parity row exactly when the low part's syndrome
+    equals the negated high part's. The low parts' syndromes are tabled
+    once and sorted by an exact key, their residues as bytes; for each
+    chunk of at most _CHUNK high parts, a binary search of the negated
+    syndromes' keys finds each high part's run of matching low parts.
+    High parts ascend, and the stable sort keeps each run's low parts
+    ascending, so the matches come out in ascending order, turned into
+    words at most _CHUNK at a time.
     """
     r.ensure_valid()
     p = r.field.p
@@ -116,19 +129,32 @@ def brute_behavior(r: Realization, max_points: int = DEFAULT_MAX_POINTS
                 at += d
             parity_rows.append(row)
 
-    checks = np.array(parity_rows, dtype=np.int64).reshape(len(parity_rows), total).T
+    # no parity row: the zero row, which every assignment satisfies, keeps a key one byte wide
+    rows = parity_rows or [[0] * total]
+    checks = np.array(rows, dtype=np.int64).reshape(len(rows), total).T
     low = 0
-    while low < total and p ** (low + 1) <= _CHUNK:
+    while low < (total + 1) // 2 and p ** (low + 1) <= _CHUNK:
         low += 1
     high = total - low
-    low_syndromes = _syndrome_table(checks[high:], p)
-    per_chunk = _CHUNK // p ** low
+    low_keys = _keys(_syndrome_table(checks[high:], p).T, p)
+    order = np.argsort(low_keys, kind="stable")  # equal keys keep their lows ascending
+    low_keys = low_keys[order]
     out: list[tuple[int, ...]] = []
-    for start in range(0, p ** high, per_chunk):
-        heads = np.arange(start, min(start + per_chunk, p ** high), dtype=np.int64)
-        wanted = (-(_digits(heads, high, p) @ checks[:high]) % p).astype(np.int32)
-        hi, lo = np.nonzero((low_syndromes[:, None, :] == wanted.T[:, :, None]).all(axis=0))
-        out.extend(map(tuple, _digits(heads[hi] * p ** low + lo, total, p).tolist()))
+    for start in range(0, p ** high, _CHUNK):
+        heads = np.arange(start, min(start + _CHUNK, p ** high), dtype=np.int64)
+        wanted = _keys(-(_digits(heads, high, p) @ checks[:high]) % p, p)
+        first = np.searchsorted(low_keys, wanted, "left")
+        counts = np.searchsorted(low_keys, wanted, "right") - first
+        ends = np.cumsum(counts)
+        # the chunk's n-th match is head h, the first whose run ends past n,
+        # with the low order[first[h] + n - (ends[h] - counts[h])]
+        skip = first + counts - ends
+        matches = int(ends[-1])
+        for at in range(0, matches, _CHUNK):
+            n = np.arange(at, min(at + _CHUNK, matches), dtype=np.int64)
+            h = np.searchsorted(ends, n, "right")
+            vals = heads[h] * p ** low + order[n + skip[h]]
+            out.extend(map(tuple, _digits(vals, total, p).tolist()))
     return out
 
 

@@ -121,6 +121,10 @@ class Topology:
         return {s.id: s for s in self.states}
 
     @cached_property
+    def _state_index(self) -> dict[str, int]:
+        return {s.id: i for i, s in enumerate(self.states)}
+
+    @cached_property
     def _constraints_by_id(self) -> dict[str, Constraint]:
         return {c.id: c for c in self.constraints}
 
@@ -366,13 +370,14 @@ class Realization:
         if set(replaced) != {old.left, old.right}:
             raise ValueError(f"state {state_id!r}: replace the codes of exactly its endpoints")
         new = StateVar(state_id, new_dim, old.left, old.right, old.negate_at)
+        states = list(topo.states)
+        states[topo._state_index[state_id]] = new
         # only one state's dim changes: the indexes, its entry aside, and components carry over
         child_topo = _trusted(
-            Topology, symbols=topo.symbols, constraints=topo.constraints,
-            states=tuple(new if s is old else s for s in topo.states),
+            Topology, symbols=topo.symbols, constraints=topo.constraints, states=tuple(states),
             _symbols_by_id=topo._symbols_by_id, _constraints_by_id=topo._constraints_by_id,
             _states_by_id={**topo._states_by_id, state_id: new},
-            _uncut_components=topo._uncut_components)
+            _state_index=topo._state_index, _uncut_components=topo._uncut_components)
         child = Realization(self.field, child_topo, {**self._codes, **replaced})
         # _issues is a cached_property: assigning it fills the cache
         child._issues = tuple(issue for c in topo.constraints if c.id in replaced

@@ -30,6 +30,7 @@ from ncl import (
     dualize,
     product_trellis,
 )
+from ncl import oracle
 from ncl.oracle import _CHUNK
 from fixtures import EX1_DUAL_WORDS, EX1_WORDS, example1
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
 )
 
 GF5, GF7 = PrimeField(5), PrimeField(7)
+GF257, GF8191 = PrimeField(257), PrimeField(8191)
 # the largest total dimension drawn per field: 2^15, 3^10, 5^7 and 7^6
 # assignments, so the bigger instances take several chunks of high parts
 _TOTAL_CAP = {2: 15, 3: 10, 5: 7, 7: 6}
@@ -87,6 +89,45 @@ def _reference_instances() -> list[tuple[str, Realization]]:
         if _total(r) <= cap:
             out.append((kind, r))
     return out
+
+
+def _no_parity_rows(field: PrimeField, n: int) -> Realization:
+    """n symbols on a chain of n constraints joined by n - 1 states of dim
+    1, every code the whole space: no parity row at all, so each of the
+    p^(2n - 1) assignments is in the behavior."""
+    symbols = tuple(SymbolVar(f"a{k}", 1) for k in range(n))
+    states = tuple(StateVar(f"s{k}", 1, f"c{k}", f"c{k + 1}") for k in range(n - 1))
+    cons = tuple(Constraint(f"c{k}", (f"s{k - 1}",) * (k > 0) + (f"a{k}",)
+                            + (f"s{k}",) * (k < n - 1)) for k in range(n))
+    codes = {c.id: BlockedCode.from_rows(field, BlockStructure((v, 1) for v in c.vars),
+                                         np.eye(len(c.vars), dtype=np.int64)) for c in cons}
+    return Realization(field, Topology(symbols, states, cons), codes)
+
+
+def _total_22() -> Realization:
+    """A GF(2) instance of total 22 whose behavior has 16 assignments."""
+    symbols = tuple(SymbolVar(f"a{k}", 1) for k in range(20))
+    states = (StateVar("s0", 2, "c0", "c1"),)
+    cons = (Constraint("c0", tuple(f"a{k}" for k in range(10)) + ("s0",)),
+            Constraint("c1", ("s0",) + tuple(f"a{k}" for k in range(10, 20))))
+    rng = np.random.default_rng(7)
+    codes = {c.id: BlockedCode.from_rows(
+        GF2, BlockStructure(tuple((v, 2 if v == "s0" else 1) for v in c.vars)),
+        rng.integers(0, 2, (3, 12))) for c in cons}
+    return Realization(GF2, Topology(symbols, states, cons), codes)
+
+
+def _digits_sizes(monkeypatch) -> list[int]:
+    """The number of values each later oracle._digits call converts."""
+    sizes: list[int] = []
+    real = oracle._digits
+
+    def spy(vals, width, p):
+        sizes.append(len(vals))
+        return real(vals, width, p)
+
+    monkeypatch.setattr(oracle, "_digits", spy)
+    return sizes
 
 
 class TestBruteBehavior:
@@ -179,22 +220,45 @@ class TestAgainstReferenceLoop:
         r = Realization(GF5, Topology(symbols, states, cons), codes)
         assert brute_behavior(r) == reference_brute_behavior(r) == [()]
 
+    @pytest.mark.parametrize("field, cap", [(GF257, 2), (GF8191, 1)])
+    def test_two_byte_keys(self, field, cap):
+        # residues up to p - 1 > 255: a one-byte key would let 256 meet 0
+        rng = random.Random(field.p)
+        instances = [random_realization(rng, field, total_cap=cap, extra_edges=k % 2)
+                     for k in range(12)]
+        assert any(_total(r) == cap and 0 < len(brute_behavior(r)) < field.p ** cap
+                   for r in instances)
+        for r in instances:
+            assert brute_behavior(r) == reference_brute_behavior(r)
+
+    @pytest.mark.parametrize("field, n", [(GF2, 6), (GF3, 4)])
+    def test_no_parity_row_over_several_head_chunks(self, field, n, monkeypatch):
+        r = _no_parity_rows(field, n)
+        want = reference_brute_behavior(r)
+        assert len(want) == field.p ** (2 * n - 1)
+        assert brute_behavior(r) == want
+        # at a chunk of 2^13, several chunks of high parts would take 2^27 assignments
+        monkeypatch.setattr(oracle, "_CHUNK", 16)
+        sizes = _digits_sizes(monkeypatch)
+        assert brute_behavior(r) == want
+        assert sizes.count(16) > 2 and max(sizes) == 16
+
+    def test_chunks_of_8_split_head_chunks_and_match_blocks(self, monkeypatch):
+        instances = _reference_instances()[::4]
+        want = [reference_brute_behavior(r) for _, r in instances]
+        monkeypatch.setattr(oracle, "_CHUNK", 8)
+        sizes = _digits_sizes(monkeypatch)
+        assert [brute_behavior(r) for _, r in instances] == want
+        assert max(sizes) == 8 and sizes.count(8) > len(instances)
+
 
 def test_peak_memory_is_bounded_by_the_chunk():
     """A GF(2) instance of total 22, scanned under a budget of 2^22: the
-    scan's peak traced allocation stays below 2 MB. The chunked loop it
-    replaced peaked at 4.4 MB on the same instance (measured with
-    tracemalloc, numpy 2.4), its 8192 x 22 int64 words and their
-    quotients."""
-    symbols = tuple(SymbolVar(f"a{k}", 1) for k in range(20))
-    states = (StateVar("s0", 2, "c0", "c1"),)
-    cons = (Constraint("c0", tuple(f"a{k}" for k in range(10)) + ("s0",)),
-            Constraint("c1", ("s0",) + tuple(f"a{k}" for k in range(10, 20))))
-    rng = np.random.default_rng(7)
-    codes = {c.id: BlockedCode.from_rows(
-        GF2, BlockStructure(tuple((v, 2 if v == "s0" else 1) for v in c.vars)),
-        rng.integers(0, 2, (3, 12))) for c in cons}
-    r = Realization(GF2, Topology(symbols, states, cons), codes)
+    join's peak traced allocation stays below 2 MB. It peaks at 0.67 MB;
+    the pairwise comparison it replaced peaked at 1.19 MB and the chunked
+    loop before that at 4.4 MB, its 8192 x 22 int64 words and their
+    quotients (tracemalloc, numpy 2.4)."""
+    r = _total_22()
     tracemalloc.start()
     try:
         words = brute_behavior(r, 1 << 22)
@@ -204,6 +268,19 @@ def test_peak_memory_is_bounded_by_the_chunk():
     assert len(words) == 16
     assert set(words) == set(behavior(r).enumerate())
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("instance, count", [
+    (lambda: _no_parity_rows(GF2, 8), 1 << 15),
+    (_total_22, 16),
+], ids=["no parity row", "total 22"])
+def test_digits_converts_at_most_a_chunk(instance, count, monkeypatch):
+    """Every assignment matches on the first instance, 16 of 2^22 on the
+    second; either way no conversion takes more than _CHUNK values."""
+    r = instance()
+    sizes = _digits_sizes(monkeypatch)
+    assert len(brute_behavior(r, 1 << 22)) == count
+    assert 0 < max(sizes) <= _CHUNK
 
 
 class TestCheckRealizes:

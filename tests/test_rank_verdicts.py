@@ -421,6 +421,11 @@ def test_derived_realizations_validate_as_fresh_ones():
             assert "_issues" in vars(derived)
             fresh = Realization(derived.field, derived.topology, derived.codes)
             assert validate(derived) == validate(fresh) == []
+            # the indexes carried into the child are the ones a fresh topology computes
+            topo = derived.topology
+            again = ncl.realization.Topology(topo.symbols, topo.states, topo.constraints)
+            assert (topo._states_by_id, topo._state_index) == (again._states_by_id,
+                                                                again._state_index)
             kinds[kind] += 1
     assert set(kinds) == {"trim", "merge", "unobservability-trim"}
 
