@@ -32,7 +32,13 @@ read off one RREF, which is already both, by `_vanishing(field, a,
 skip)`: the words of the row space of the residues `a` that are zero on
 the first `skip` columns. With skip = 0 that is a span (every kernel,
 complement, sum and projection), and with other columns first a
-cross-section or the endpoint code of a reduction step.
+cross-section or the endpoint code of a reduction step. Over GF(2) and
+GF(3) a reduction step takes the same words off kept bit rows instead:
+a trim's or a merge's L is reduced bit rows that are never written
+(`Subspace._block_maps`), and each of its two endpoint codes is the
+RREF bit rows of its mapped rows (`_stepped`), written once as the
+int64 basis and kept as the new subspace's bit rows (`_kept_space`), so
+the next block rank or step on it packs nothing.
 """
 
 from __future__ import annotations
@@ -350,10 +356,18 @@ def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
     pivots are those of any other Gauss-Jordan order.
     """
     rows, width = _bit_rows(a, p)
-    kept = _pivot_rows(rows, p)
-    # a kept row has no bit above its lead, so once the rows of the later
-    # pivot columns (lower bits) are reduced, adding one in clears just
-    # its lead bit
+    kept = _back_reduced(_pivot_rows(rows, p), p)
+    leads = sorted(kept, reverse=True)
+    return [kept[b] for b in leads], [width - b for b in leads]
+
+
+def _back_reduced(kept: dict[int, tuple[int, int]], p: int) -> dict[int, tuple[int, int]]:
+    """Pivot rows of `_pivot_rows` back-reduced in place, from the highest
+    pivot column down, into the rows of an RREF. Any of them whose leads
+    lie at or past a column will do: such a row has no bit before its
+    lead, so it meets no pivot outside them."""
+    # once the rows of the later pivot columns (lower bits) are reduced,
+    # adding one in clears just its lead bit
     later = 0
     for b in sorted(kept):
         x1, x2 = kept[b]
@@ -371,8 +385,29 @@ def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
             x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
         kept[b] = (x1, x2)
         later |= 1 << b - 1
+    return kept
+
+
+def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], width: int,
+                ambient: int) -> "Subspace":
+    """The subspace of F^ambient spanned by pivot rows of `_pivot_rows`
+    (or a part of them closed under later pivots, `_back_reduced`) whose
+    `width` bits are the ambient columns then zero columns: their RREF,
+    written once as the int64 basis and kept as the subspace's bit rows,
+    placed at the width `_bit_rows` gives its basis."""
+    p = field.p
+    kept = _back_reduced(kept, p)
     leads = sorted(kept, reverse=True)
-    return [kept[b] for b in leads], [width - b for b in leads]
+    full = ambient if len(leads) * ambient <= _SMALL_CELLS else 8 * ((ambient + 7) // 8)
+    rows = [kept[b] for b in leads]
+    if full > width:
+        rows = [(x1 << full - width, x2 << full - width) for x1, x2 in rows]
+    elif full < width:
+        rows = [(x1 >> width - full, x2 >> width - full) for x1, x2 in rows]
+    basis = _from_bit_rows(rows, (len(rows), ambient), p).astype(np.int64)
+    space = Subspace(field, ambient, _held(field, basis, tuple(width - b for b in leads)))
+    space._bits = (rows, full)
+    return space
 
 
 def ranks(mats: Sequence[np.ndarray] | np.ndarray, p: int) -> np.ndarray:
@@ -588,24 +623,69 @@ class Subspace:
             self._orthogonal = _vanishing(self.field, self._check_rows())
         return self._orthogonal
 
+    def _bit_basis(self) -> tuple[list[tuple[int, int]], int]:
+        """The basis's bit rows and their width (`_bit_rows`), built on the
+        first call and kept; p <= 3. An endpoint code that a reduction
+        step derives arrives with them (`_kept_space`)."""
+        if self._bits is None:
+            a = self.basis.array
+            self._bits = _bit_rows(a, self.field.p) if a.size else ([], self.ambient)
+        return self._bits
+
     def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:
         """The rank of the basis columns in the (offset, width) column
         spans, or with off=True of the columns outside them; p <= 3.
 
-        The basis's bit rows are built on the first call and kept; each
-        call ANDs them with the spans' column mask, placed by the rows'
-        width, and counts the pivots of the forward pass alone.
+        Each call ANDs the kept bit rows with the spans' column mask,
+        placed by the rows' width, and counts the pivots of the forward
+        pass alone.
         """
-        if self._bits is None:
-            a = self.basis.array
-            self._bits = _bit_rows(a, self.field.p) if a.size else ([], self.ambient)
-        rows, width = self._bits
+        rows, width = self._bit_basis()
         mask = 0
         for at, d in spans:
             mask |= (1 << d) - 1 << width - at - d
         if off:
             mask = ~mask
         return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in rows], self.field.p))
+
+    def _block_maps(self, at: int, d: int, cross: bool = False
+                    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """The pivots of L and N(L)^T (`_quotient_map`), for L the
+        projection onto the columns [at, at + d), or with cross=True the
+        cross-section there: the words zero off them, seen on them. They
+        are what a trim or a merge reads off L.
+
+        Over p >= 5 L is `_vanishing` of the sliced basis, as
+        `BlockedCode.project` and `cross_section` take it. Over GF(2) and
+        GF(3) L's RREF rows come off the kept bit rows and are never written
+        as a basis: the rows masked to the block for a projection, and for
+        a cross-section the rows with the block rotated to the end, whose
+        pivot rows with a lead in the block are the words.
+        """
+        field, p = self.field, self.field.p
+        if p > 3:
+            a = self.basis.array
+            if cross:
+                rotated = np.hstack([a[:, :at], a[:, at + d:], a[:, at:at + d]])
+                space = _vanishing(field, rotated, self.ambient - d)
+            else:
+                space = _vanishing(field, a[:, at:at + d])
+            return space.pivots, _quotient_map(space)
+        rows, width = self._bit_basis()
+        tail = width - at - d
+        block = (1 << d) - 1
+        if cross:
+            low = (1 << tail) - 1
+            kept = _pivot_rows([((x1 >> tail + d << tail | x1 & low) << d | x1 >> tail & block,
+                                 (x2 >> tail + d << tail | x2 & low) << d | x2 >> tail & block)
+                                for x1, x2 in rows], p)
+            kept = {b: row for b, row in kept.items() if b <= d}
+        else:
+            kept = _pivot_rows([(x1 >> tail & block, x2 >> tail & block) for x1, x2 in rows], p)
+        kept = _back_reduced(kept, p)
+        leads = sorted(kept, reverse=True)
+        pivots = tuple(d - b for b in leads)
+        return pivots, _quotient_rows([kept[b] for b in leads], pivots, d, d, p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -615,3 +695,94 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"<subspace dim {self.dim} of {self.field!r}^{self.ambient}>"
+
+
+def _quotient_map(space: Subspace) -> np.ndarray:
+    """N(L)^T for the subspace L, the quotient map modulo L, read off L's
+    RREF rows: row f of N(L) is e_f minus column f of L on the pivots
+    (`_null_rows`); over GF(2) and GF(3) off its kept bit rows."""
+    p = space.field.p
+    if p > 3:
+        return _null_rows(space.basis.array, space.pivots, p).T
+    rows, width = space._bit_basis()
+    return _quotient_rows(rows, space.pivots, width, space.ambient, p)
+
+
+def _quotient_rows(rows: list[tuple[int, int]], pivots: tuple[int, ...], width: int,
+                   ambient: int, p: int) -> np.ndarray:
+    """N(L)^T for the subspace L of F^ambient, p <= 3, whose RREF bit rows,
+    `width` bits wide, have these pivot columns: the identity on the free
+    columns, and at pivot c the negated row of c on them, where -1 is
+    p - 1 and -2 is 1."""
+    taken = set(pivots)
+    free = [c for c in range(ambient) if c not in taken]
+    q = [[int(c == f) for f in free] for c in range(ambient)]
+    at = [width - 1 - f for f in free]
+    for (x1, x2), c in zip(rows, pivots):
+        q[c] = [(p - 1) * (x1 >> s & 1) + (x2 >> s & 1) for s in at]
+    return np.array(q, dtype=np.int64).reshape(ambient, len(free))
+
+
+def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
+             ) -> list[Subspace]:
+    """For each (subspace, at) in `ends`, the words whose value v on the
+    columns [at, at + d) has v @ f = 0, with v rewritten as v @ x, for
+    residues (d, k) f and (d, new_dim) x: the endpoint codes of one
+    reduction step (`reduction._shrink`).
+
+    They are the words of [v f | the word with v rewritten as v x] that
+    are zero on v f. Over p >= 5 that is one `_vanishing` call per end.
+    Over GF(2) and GF(3) the rows of [f | x] are read once as bit rows;
+    each kept bit row of an end gets v f | v x as the sum of those rows at
+    v's nonzero digits (a digit 2 adds the row negated, its masks
+    swapped), is put back together by shifts, and the pivot rows whose
+    lead lies past v f are the words.
+    """
+    d, new_dim = x.shape
+    field = ends[0][0].field
+    p = field.p
+    if p > 3:
+        out = []
+        for space, at in ends:
+            g = space.basis.array
+            v = g[:, at:at + d]
+            both = np.hstack([(v @ f) % p, g[:, :at], (v @ x) % p, g[:, at + d:]])
+            out.append(_vanishing(field, both, f.shape[1]))
+        return out
+    maps = []  # the rows of [f | x] as bit rows
+    for row in map(list.__add__, f.tolist(), x.tolist()):
+        z1 = z2 = 0
+        for v in row:
+            z1, z2 = z1 << 1 | (v == 1), z2 << 1 | (v == 2)
+        maps.append((z1, z2))
+    block, mapped = (1 << d) - 1, (1 << new_dim) - 1
+    out = []
+    for space, at in ends:
+        rows, width = space._bit_basis()
+        tail = width - at - d
+        low = (1 << tail) - 1
+        words = []
+        for x1, x2 in rows:
+            v1, v2 = x1 >> tail & block, x2 >> tail & block
+            y1 = y2 = 0
+            while v := v1 | v2:
+                h = v.bit_length()
+                z1, z2 = maps[d - h]
+                if v2 >> h - 1:
+                    z1, z2 = z2, z1
+                    v2 ^= 1 << h - 1
+                else:
+                    v1 ^= 1 << h - 1
+                if p == 2:
+                    y1 ^= z1
+                    continue
+                t = (y1 | z2) ^ (y2 | z1)
+                y1, y2 = (y2 | z2) ^ t, (y1 | z1) ^ t
+            words.append(((((y1 >> new_dim) << at | x1 >> tail + d) << new_dim | y1 & mapped)
+                          << tail | x1 & low,
+                          (((y2 >> new_dim) << at | x2 >> tail + d) << new_dim | y2 & mapped)
+                          << tail | x2 & low))
+        past = width - d + new_dim
+        out.append(_kept_space(field, {b: row for b, row in _pivot_rows(words, p).items()
+                                       if b <= past}, past, space.ambient - d + new_dim))
+    return out

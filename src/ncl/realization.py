@@ -128,6 +128,10 @@ class Topology:
     def _constraints_by_id(self) -> dict[str, Constraint]:
         return {c.id: c for c in self.constraints}
 
+    @cached_property
+    def _constraint_index(self) -> dict[str, int]:
+        return {c.id: i for i, c in enumerate(self.constraints)}
+
     def symbol_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.symbols)
 
@@ -377,11 +381,13 @@ class Realization:
             Topology, symbols=topo.symbols, constraints=topo.constraints, states=tuple(states),
             _symbols_by_id=topo._symbols_by_id, _constraints_by_id=topo._constraints_by_id,
             _states_by_id={**topo._states_by_id, state_id: new},
-            _state_index=topo._state_index, _uncut_components=topo._uncut_components)
+            _state_index=topo._state_index, _constraint_index=topo._constraint_index,
+            _uncut_components=topo._uncut_components)
         child = Realization(self.field, child_topo, {**self._codes, **replaced})
-        # _issues is a cached_property: assigning it fills the cache
-        child._issues = tuple(issue for c in topo.constraints if c.id in replaced
-                              for issue in child._code_issues(c.id))
+        # _issues is a cached_property: assigning it fills the cache, in
+        # topology order as a fresh realization lists its findings
+        ends = sorted(replaced, key=topo._constraint_index.__getitem__)
+        child._issues = tuple(issue for cid in ends for issue in child._code_issues(cid))
         return child
 
     def _check_system(self, checks_of) -> np.ndarray:

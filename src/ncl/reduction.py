@@ -4,13 +4,20 @@ Each reduction shrinks one state space in place, preserves the realized
 code, and reports the coordinate map it applied. All of them take one
 step: given a state s and matrices F and X, each of the two codes at the
 ends of s keeps the words whose value v at s has v F = 0, and rewrites
-that value as v X. That is one fields._vanishing call: the words of
-[v F | the code with v rewritten as v X] that are zero on v F. F and X
-are read off a subspace L of the state space held in RREF, with pivot
-columns pi and free columns phi: row f of N(L) (fields._null_rows) is
-e_f minus column f of L on the pivots, and N(L)^T is the quotient map
-modulo L. To restrict to L is F = N(L)^T and X = I[:, pi]; to quotient
-by L is F with no columns and X = N(L)^T.
+that value as v X. Those are the words of [v F | the code with v
+rewritten as v X] that are zero on v F (fields._stepped): over p >= 5
+one fields._vanishing call per end, and over GF(2) and GF(3) the ends'
+kept bit rows, each mapped by adding the rows of [F | X] at the
+nonzero digits of its v, then reduced. F and X are read off a subspace
+L of the state space held in RREF, with pivot columns pi and free
+columns phi: row f of N(L) is e_f minus column f of L on the pivots, and
+N(L)^T is the quotient map modulo L, read off L's RREF rows
+(fields._quotient_map; its kept bit rows over GF(2) and GF(3)). To
+restrict to L is F = N(L)^T and X = I[:, pi]; to quotient by L is F
+with no columns and X = N(L)^T. A trim's and a merge's L, the constraint code's
+projection or cross-section at the state, is read as its pivots and
+N(L)^T alone (Subspace._block_maps), over GF(2) and GF(3) off the code's
+kept bit rows.
 
 - trim: restrict to a constraint's projection onto the state.
 - merge: quotient by a constraint's cross-section on the state.
@@ -52,7 +59,7 @@ from .errors import (
     NotCycleFreeError,
     NotReducibleError,
 )
-from .fields import MatrixF, Subspace, _null_rows, _vanishing, rank
+from .fields import MatrixF, Subspace, _quotient_map, _stepped, _vanishing, rank
 from .realization import (
     Realization,
     Topology,
@@ -96,51 +103,44 @@ def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarr
             constraint_id: str | None = None) -> tuple[Realization, ReductionStep]:
     """The one step of every move (module docstring): at both ends of the
     state, keep the words whose value v there has v @ f = 0 and rewrite v
-    as v @ x, an (old_dim, new_dim) matrix whose transpose is the step's
-    basis change."""
-    field, p = r.field, r.field.p
+    as v @ x, for residue matrices f and x, x (old_dim, new_dim) and its
+    transpose the step's basis change."""
     state = r.topology.state(state_id)
     d, new_dim = x.shape
+    codes = [r.code(cid) for cid in (state.left, state.right)]
+    spaces = _stepped([(code.space, code.structure.offset(state_id)) for code in codes], f, x)
     replaced = {}
-    for cid in (state.left, state.right):
-        code = r.code(cid)
-        g = code.space.basis.array
-        at = code.structure.offset(state_id)
-        v = g[:, at:at + d]
-        both = np.hstack([(v @ f) % p, g[:, :at], (v @ x) % p, g[:, at + d:]])
+    for cid, code, space in zip((state.left, state.right), codes, spaces):
         blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
-        replaced[cid] = BlockedCode(BlockStructure(blocks), _vanishing(field, both, f.shape[1]))
-    step = ReductionStep(kind, state_id, d, new_dim, MatrixF(field, x.T), constraint_id)
+        replaced[cid] = BlockedCode(BlockStructure(blocks), space)
+    step = ReductionStep(kind, state_id, d, new_dim, MatrixF(r.field, x.T), constraint_id)
     return r._with_state(state_id, new_dim, replaced), step
-
-
-def _quotient_map(space: Subspace) -> np.ndarray:
-    """N(L)^T for the subspace L (module docstring): the quotient map modulo L."""
-    return _null_rows(space.basis.array, space.pivots, space.field.p).T
 
 
 def trim_state(r: Realization, state_id: str, constraint_id: str
                ) -> tuple[Realization, ReductionStep]:
     """Restrict one state space to the given constraint's projection onto it."""
     d = r._incident_dim(constraint_id, state_id)
-    proj = r.code(constraint_id).project([state_id]).space
-    if proj.dim == d:
+    code = r.code(constraint_id)
+    pivots, quotient = code.space._block_maps(code.structure.offset(state_id), d)
+    if len(pivots) == d:
         raise NotReducibleError(
             f"constraint {constraint_id!r} is already trim at state {state_id!r}")
-    selector = np.eye(d, dtype=np.int64)[:, list(proj.pivots)]
-    return _shrink(r, TRIM, state_id, _quotient_map(proj), selector, constraint_id)
+    selector = np.eye(d, dtype=np.int64)[:, list(pivots)]
+    return _shrink(r, TRIM, state_id, quotient, selector, constraint_id)
 
 
 def merge_state(r: Realization, state_id: str, constraint_id: str
                 ) -> tuple[Realization, ReductionStep]:
     """Quotient one state space by the given constraint's cross-section on it."""
     d = r._incident_dim(constraint_id, state_id)
-    section = r.code(constraint_id).cross_section([state_id]).space
-    if section.dim == 0:
+    code = r.code(constraint_id)
+    pivots, quotient = code.space._block_maps(code.structure.offset(state_id), d, cross=True)
+    if not pivots:
         raise NotReducibleError(
             f"constraint {constraint_id!r} is already proper at state {state_id!r}")
-    return _shrink(r, MERGE, state_id, np.zeros((d, 0), dtype=np.int64),
-                   _quotient_map(section), constraint_id)
+    return _shrink(r, MERGE, state_id, np.zeros((d, 0), dtype=np.int64), quotient,
+                   constraint_id)
 
 
 def _unobservable_direction(r: Realization) -> tuple[str, Subspace]:

@@ -25,6 +25,7 @@ from ncl import (
     PrimeField,
     ProperVerdict,
     Realization,
+    Subspace,
     TrimVerdict,
     UnknownBlockError,
     analyze,
@@ -380,15 +381,15 @@ def test_fixpoint_retests_an_incidence_only_after_its_code_changed(monkeypatch):
 
 def test_fixpoint_projects_once_per_trim(monkeypatch):
     calls = Counter()
-    project = BlockedCode.project
+    block_maps = Subspace._block_maps
 
-    def counting(code, block_ids):
-        calls["project"] += 1
-        return project(code, block_ids)
+    def counting(space, at, d, cross=False):
+        calls["section" if cross else "project"] += 1
+        return block_maps(space, at, d, cross)
 
-    # the trim test reads its verdict and witness off one RREF; only the
-    # trim itself builds the projection
-    monkeypatch.setattr(BlockedCode, "project", counting)
+    # the trim test reads its verdict off the kept bit rows; only the trim
+    # itself reads the projection, its L
+    monkeypatch.setattr(Subspace, "_block_maps", counting)
     for r in ladder_trellises():
         calls.clear()
         _, steps = reduce_to_fixpoint(r)
@@ -424,8 +425,8 @@ def test_derived_realizations_validate_as_fresh_ones():
             # the indexes carried into the child are the ones a fresh topology computes
             topo = derived.topology
             again = ncl.realization.Topology(topo.symbols, topo.states, topo.constraints)
-            assert (topo._states_by_id, topo._state_index) == (again._states_by_id,
-                                                                again._state_index)
+            assert (topo._states_by_id, topo._state_index, topo._constraint_index) == (
+                again._states_by_id, again._state_index, again._constraint_index)
             kinds[kind] += 1
     assert set(kinds) == {"trim", "merge", "unobservability-trim"}
 
@@ -443,6 +444,20 @@ def test_derived_realization_reports_a_replaced_code_with_wrong_dims():
     assert [(i.tag, i.ids) for i in issues] == [("dim-mismatch", (state.right,))]
     with pytest.raises(ValueError):
         r._with_state(state.id, step.new_dim, {state.left: trimmed.code(state.left)})
+
+
+def test_derived_realization_lists_both_findings_in_topology_order():
+    r = example1()
+    state = r.topology.state("s0")
+    # s0 runs from the last constraint to the first, and neither code shrinks with it
+    order = r.topology.constraint_ids()
+    assert order.index(state.left) > order.index(state.right)
+    derived = r._with_state(state.id, 0, {state.left: r.code(state.left),
+                                          state.right: r.code(state.right)})
+    fresh = Realization(derived.field, derived.topology, derived.codes)
+    assert validate(derived) == validate(fresh)
+    assert [(i.tag, i.ids) for i in validate(derived)] == [("dim-mismatch", (state.right,)),
+                                                          ("dim-mismatch", (state.left,))]
 
 
 def assert_dual_merges_match_reference(cases, monkeypatch):

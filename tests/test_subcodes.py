@@ -1,7 +1,9 @@
 """Every subcode the package derives comes from fields._vanishing.
 
 Spans, projections, cross-sections, the proper witness and the endpoint
-codes of each reduction step are all one call of it. Here it is checked
+codes of each reduction step over p >= 5 are all one call of it; over
+GF(2) and GF(3) a step reduces kept bit rows instead, and
+tests/test_bit_steps.py checks those too. Here it is checked
 against brute-force enumeration, and each of those subcodes against the
 construction it replaced (tests/helpers.py): a left kernel, a product
 with its coefficients and a second span, or a null space of the check
