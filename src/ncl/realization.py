@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks, rref
+from .fields import PrimeField, _held, _vanishing, _work_dtype, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -391,11 +390,11 @@ class Realization:
         return child
 
     def _check_system(self, checks_of) -> np.ndarray:
-        """Each constraint's checks_of(its subspace) at its vars' frame columns,
-        in topology order; a shared subspace's rows in one assignment. Not kept."""
+        """Each constraint c's checks_of(c, its subspace) at its vars' frame columns,
+        in topology order; the rows of one array in one assignment. Not kept."""
         self.ensure_valid()
         frame, cols = self.topology._frame_columns
-        checks = [checks_of(self._codes[c.id].space) for c in self.topology.constraints]
+        checks = [checks_of(c, self._codes[c.id].space) for c in self.topology.constraints]
         starts = np.cumsum([0] + [h.shape[0] for h in checks])
         system = np.zeros((int(starts[-1]), frame.total), dtype=_work_dtype(self.field.p))
         sharing: dict[int, list[int]] = {}
@@ -413,15 +412,31 @@ class Realization:
     @cached_property
     def _behavior_code(self) -> BlockedCode:
         # canonical check matrices: on Tanner graphs their distinct leads eliminate faster
-        system = self._check_system(lambda space: space.orthogonal().basis.array)
+        system = self._check_system(lambda c, space: space.orthogonal().basis.array)
         return BlockedCode(self.topology._frame_columns[0], kernel(_held(self.field, system)))
 
     @cached_property
     def _unobservable_code(self) -> BlockedCode:
-        """U, the kernel of the state columns alone, which follow the symbols'."""
-        states = self._check_system(Subspace._check_rows)[:, self.topology.total_symbol_dim():]
+        """U, the s with (0, s) in the behavior: the state kernel of the check rows."""
+        return self._state_kernel(lambda c, space: space._check_rows())
+
+    def _state_kernel(self, checks_of) -> BlockedCode:
+        """The kernel of the state columns, after the symbols', of _check_system(checks_of)."""
+        states = self._check_system(checks_of)[:, self.topology.total_symbol_dim():]
         return BlockedCode(BlockStructure(tuple((s.id, s.dim) for s in self.topology.states)),
                            kernel(_held(self.field, states)))
+
+    def _signed(self, c: Constraint, rows: np.ndarray) -> np.ndarray:
+        """rows on c's vars, each state block negated where c is the state's negate_at
+        end: the dual's sign rule. rows itself over GF(2) or where no block flips."""
+        p, topo, at, out = self.field.p, self.topology, 0, rows
+        for v in c.vars:
+            d = topo.var_dim(v)
+            if p > 2 and d and topo.is_state(v) and topo.state(v).negate_constraint == c.id:
+                out = out.copy() if out is rows else out
+                out[:, at:at + d] = (p - out[:, at:at + d]) % p
+            at += d
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Realization):
@@ -519,17 +534,16 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
     """Proper check for one constraint, with an offending codeword if any.
 
-    Proper at a state means the code's cross-section there is zero. The
-    witness is the first canonical generator of the first nonzero one, in
-    the order of the vars: a word of the subcode merge_state quotients by.
+    Proper at a state means `cross_section_dim` there is zero. Only at the
+    first state where it is not, in the order of the vars, is the
+    cross-section built, for the witness: its first canonical generator,
+    a word of the subcode merge_state quotients by.
     """
     r.ensure_valid()
     code = r.code(constraint_id)
     for v in r.topology.constraint(constraint_id).vars:
-        if not r.topology.is_state(v):
-            continue
-        section = code.cross_section([v]).space
-        if section.dim:
+        if r.topology.is_state(v) and code.cross_section_dim([v]):
+            section = code.cross_section([v]).space
             word = np.zeros(code.structure.total, dtype=np.int64)
             at = code.structure.offset(v)
             word[at:at + section.ambient] = section.basis.row(0)
@@ -571,21 +585,14 @@ def dualize(r: Realization) -> Realization:
     identity. dualize(dualize(r)) has constraint codes equal to r's.
     """
     r.ensure_valid()
-    topo = r.topology
-    p = r.field.p
     new_codes: dict[str, BlockedCode] = {}
-    for c in topo.constraints:
+    for c in r.topology.constraints:
         dual = r.code(c.id).dual()
-        scale = np.ones(dual.structure.total, dtype=np.int64)
-        for v in c.vars:
-            if topo.is_state(v) and topo.state(v).negate_constraint == c.id:
-                at = dual.structure.offset(v)
-                scale[at:at + topo.var_dim(v)] = p - 1
-        if (scale != 1).any():
-            rows = (dual.space.basis.array * scale) % p
+        rows = r._signed(c, dual.space.basis.array)
+        if rows is not dual.space.basis.array:
             dual = BlockedCode(dual.structure, _vanishing(r.field, rows))
         new_codes[c.id] = dual
-    return Realization(r.field, topo, new_codes)
+    return Realization(r.field, r.topology, new_codes)
 
 
 @dataclass(frozen=True)
@@ -673,13 +680,13 @@ class AnalysisReport:
 def analyze(r: Realization) -> AnalysisReport:
     """Compute the full report: dimensions, predicates, and witnesses.
 
-    Every local verdict is a block-column rank: trim at state s when the
-    code's generator matrix has full column rank on s, proper when its
-    check matrix does. Both depend only on the code's subspace and where
-    its states sit, so each distinct pair is ranked once, all in one
-    stacked rank call; the state-trim and branch-trim tests of the
-    behavior are one call each. is_trim and is_proper run only where a
-    rank falls short, to build the witness.
+    A code is trim at state s when `projection_dim` there is s's dim, and
+    proper when every `cross_section_dim` at its states is zero: the
+    tests is_trim, is_proper and the reduction driver ask. Both depend
+    only on the code's subspace and where its states sit, so each
+    distinct pair is asked once; the state-trim and branch-trim tests of
+    the behavior are one stacked rank call each. is_trim and is_proper
+    run only where a verdict fails, to build the witness.
     """
     r.ensure_valid()
     topo = r.topology
@@ -689,32 +696,19 @@ def analyze(r: Realization) -> AnalysisReport:
     defect = controllability_defect(r)
     # a constraint's key: its code's subspace and, per var, (dim, is a state)
     kind = {v.id: (v.dim, False) for v in topo.symbols} | {v.id: (v.dim, True) for v in topo.states}
-    keys = [(id(r._codes[c.id].space), tuple(map(kind.__getitem__, c.vars)))
-            for c in topo.constraints]
-    distinct = {key: r._codes[c.id] for key, c in zip(keys, topo.constraints)}
-    blocks, dims = [], []
-    for (_, layout), code in distinct.items():
-        g, h = code.space.basis.array, code.dual().space.basis.array
-        at = 0
-        for d, is_state in layout:
-            if is_state:
-                blocks += (g[:, at:at + d], h[:, at:at + d])
-                dims += (d, d)
-            at += d
-    full = iter((ranks(blocks, r.field.p) == dims).tolist())
-    # each key's trim verdicts, state by state, proper verdict, state flags and dim
-    verdicts = {}
-    for (space, layout), code in distinct.items():
-        ok = list(islice(full, 2 * sum(s for _, s in layout)))
-        verdicts[space, layout] = (ok[0::2], all(ok[1::2]), [s for _, s in layout], code.dim)
-    reports = []
-    for c, key in zip(topo.constraints, keys):
-        trim_ok, proper_ok, flags, dim = verdicts[key]
+    verdicts, reports = {}, []
+    for c in topo.constraints:
+        code, states = r._codes[c.id], [v for v in c.vars if kind[v][1]]
+        key = (id(code.space), tuple(map(kind.__getitem__, c.vars)))
+        if key not in verdicts:  # its trim verdicts, state by state, and its proper verdict
+            verdicts[key] = ([code.projection_dim([v]) == kind[v][0] for v in states],
+                             all(code.cross_section_dim([v]) == 0 for v in states))
+        trim_ok, proper_ok = verdicts[key]
         trims = tuple(TrimVerdict(True, c.id, v) if t else is_trim(r, c.id, v)
-                      for v, t in zip(compress(c.vars, flags), trim_ok))
+                      for v, t in zip(states, trim_ok))
         proper = ProperVerdict(True, c.id) if proper_ok else is_proper(r, c.id)
-        reports.append(ConstraintReport(c.id, dim, trims, proper))
-    trim_proper = all(all(trim_ok) and proper_ok for trim_ok, proper_ok, _, _ in verdicts.values())
+        reports.append(ConstraintReport(c.id, code.dim, trims, proper))
+    trim_proper = all(all(trim_ok) and proper_ok for trim_ok, proper_ok in verdicts.values())
     cycle_free = topo.is_cycle_free()
     state_trim = is_state_trim(r)
     branch_trim = is_branch_trim(r)

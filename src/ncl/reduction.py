@@ -27,7 +27,9 @@ kept bit rows.
 - dual merge: the unobservability trim of the dual realization, seen on
   the primal; it lowers the controllability defect. It is the quotient
   by the coordinate line e_j, j the pivot of the line chosen on the
-  dual: F has no columns and X = I[:, phi].
+  dual: F has no columns and X = I[:, phi]. The dual is never built: its
+  check rows span the primal's generator rows under its sign rule, so
+  its unobservable behavior is the kernel of those rows' state columns.
 
 reduce_to_fixpoint and minimize_cycle_free share one driver. It sweeps
 the (constraint, state) incidences, constraints in order and each one's
@@ -63,7 +65,6 @@ from .fields import MatrixF, Subspace, _quotient_map, _stepped, _vanishing, rank
 from .realization import (
     Realization,
     Topology,
-    dualize,
     is_observable,
     is_trim,
     unobservable_behavior,
@@ -143,15 +144,15 @@ def merge_state(r: Realization, state_id: str, constraint_id: str
                    constraint_id)
 
 
-def _unobservable_direction(r: Realization) -> tuple[str, Subspace]:
-    """Pick the state and the line of it that the unobservability trim cuts.
+def _unobservable_direction(r: Realization, unobs: BlockedCode) -> tuple[str, Subspace]:
+    """Pick the state and the line of it that an unobservability trim cuts,
+    from unobs: r's unobservable behavior, or for a dual merge its dual's.
 
     Returns (state_id, L) with L the line spanned by the chosen
     trajectory's value there; its RREF row has one pivot j. Deterministic:
-    first canonical generator of the unobservable behavior, then the
-    first state (topology order) where it is nonzero.
+    first canonical generator of unobs, then the first state (topology
+    order) where it is nonzero.
     """
-    unobs = unobservable_behavior(r)
     if unobs.dim == 0:
         raise NotReducibleError("realization is observable; nothing to trim")
     trajectory = unobs.space.basis.array[0]
@@ -172,7 +173,7 @@ def reduce_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     the realized code is unchanged.
     """
     r.ensure_valid()
-    state_id, line = _unobservable_direction(r)
+    state_id, line = _unobservable_direction(r, unobservable_behavior(r))
     e_j = np.eye(line.ambient, dtype=np.int64)[:, list(line.pivots)]
     return _shrink(r, UNOBS_TRIM, state_id, e_j, _quotient_map(line))
 
@@ -184,13 +185,13 @@ def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]
     That trim keeps the dual words whose value w has w_j = 0 and maps w
     to w N(L)^T, with L the dual's chosen line and j its pivot. The
     orthogonal of its result keeps every primal word and drops the
-    coordinate j of its value, X = I[:, phi], so the dual is built only
-    to choose L.
+    coordinate j of its value, X = I[:, phi]. L comes from the dual's U:
+    the state kernel of r's generator rows under the dual's sign rule.
     """
-    r.ensure_valid()
-    if is_observable(dual := dualize(r)):  # controllable iff the dual is observable
+    unobs = r._state_kernel(lambda c, space: r._signed(c, space.basis.array))
+    if unobs.dim == 0:  # controllable iff the dual is observable
         raise NotReducibleError("realization is controllable; nothing to merge")
-    state_id, line = _unobservable_direction(dual)
+    state_id, line = _unobservable_direction(r, unobs)
     d = line.ambient
     keep = np.delete(np.eye(d, dtype=np.int64), list(line.pivots), axis=1)
     return _shrink(r, DUAL_MERGE, state_id, np.zeros((d, 0), dtype=np.int64), keep)

@@ -41,6 +41,7 @@ from ncl import (
     kernel,
     product_trellis,
     reduce_unobservable,
+    unobservable_behavior,
 )
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
 from ncl.fields import ranks
@@ -92,7 +93,7 @@ def reference_dual_merge(r: Realization) -> tuple[Realization, ReductionStep]:
     """The dual merge as the composition that defines it: the
     unobservability trim of the dual realization, dualized back."""
     rd = dualize(r)
-    state_id, line = _unobservable_direction(rd)
+    state_id, line = _unobservable_direction(rd, unobservable_behavior(rd))
     trimmed, _ = reduce_unobservable(rd)
     # G[1:] of the basis G = [g; complete_to_basis(g)] that the trim cuts g from
     rest = complete_to_basis(line.basis)

@@ -279,23 +279,29 @@ def test_analyze_matches_the_per_incidence_reference():
 def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
     """A parsed (3,6)-regular Tanner graph with n = 240 has two local codes:
     a variable node's three states and a check node's six give 9 trim
-    and 9 proper blocks, where one per incidence would be 2,880."""
-    batches = []
+    and 9 proper block ranks, where one per incidence would be 2,880."""
+    batches, local = [], Counter()
 
     def counted(mats, p):
         batches.append((isinstance(mats, list), len(mats)))
         return ranks(mats, p)
 
-    ranks = ncl.realization.ranks
+    def counted_rank_at(code, spans, off=False):
+        local[id(code.space)] += 1
+        return rank_at(code, spans, off)
+
+    ranks, rank_at = ncl.realization.ranks, BlockedCode._rank_at
     n = 240
     r = parse_realization(emit_realization(
         parity_check_realization(GF2, n, gallager_checks(random.Random(15), n))))
     monkeypatch.setattr(ncl.realization, "ranks", counted)
+    monkeypatch.setattr(BlockedCode, "_rank_at", counted_rank_at)
     report = analyze(r)
-    local = sum(size for is_list, size in batches if is_list)
-    assert 0 < local <= 18
-    # the behavior's state-trim and branch-trim stacks, one call each
-    assert sorted(size for is_list, size in batches if not is_list) == [n // 2 * 3, 3 * n]
+    spaces = {id(r.code(cid).space) for cid in r.topology.constraint_ids()}
+    assert len(spaces) == 2
+    assert 0 < sum(local[space] for space in spaces) <= 18
+    # the only stacked ranks are the behavior's state-trim and branch-trim stacks
+    assert sorted(batches) == [(False, n // 2 * 3), (False, 3 * n)]
     assert report.to_dict() == reference_analyze(r).to_dict()
 
 
@@ -462,28 +468,30 @@ def test_derived_realization_lists_both_findings_in_topology_order():
 
 def assert_dual_merges_match_reference(cases, monkeypatch):
     """dual_merge_unobservable equals the dual trim dualized back, builds
-    one dual per call, and keeps every code off the merged state; returns
-    how many cases it applied to."""
+    no dual code, and keeps every code off the merged state; returns how
+    many cases it applied to."""
     calls = Counter()
-    dualize_once = ncl.reduction.dualize
+    dual = BlockedCode.dual
 
-    def counting(r):
-        calls["dualize"] += 1
-        return dualize_once(r)
+    def counting(code):
+        calls["dual"] += 1
+        return dual(code)
 
-    monkeypatch.setattr(ncl.reduction, "dualize", counting)
+    monkeypatch.setattr(BlockedCode, "dual", counting)
     applied = 0
     for r in cases:
-        calls.clear()
         try:
             want = reference_dual_merge(r)
         except NotReducibleError:
+            calls.clear()
             with pytest.raises(NotReducibleError):
                 dual_merge_unobservable(r)
+            assert calls["dual"] == 0
             continue
+        calls.clear()
         out, step = dual_merge_unobservable(r)
+        assert calls["dual"] == 0
         assert (out, step) == want
-        assert calls["dualize"] == 1
         state = r.topology.state(step.state_id)
         for c in r.topology.constraints:
             if c.id not in (state.left, state.right):

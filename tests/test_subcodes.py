@@ -138,12 +138,24 @@ def test_every_move_matches_the_three_pass_reference(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
-def test_proper_witness_matches_the_check_matrix_reference(field):
+def test_proper_witness_matches_the_check_matrix_reference(field, monkeypatch):
+    """is_proper's verdict comes from cross_section_dim, and it builds one
+    cross-section, for the witness, only where the constraint is improper."""
+    calls = Counter()
+    cross_section = BlockedCode.cross_section
+
+    def counting(code, block_ids):
+        calls["cross-section"] += 1
+        return cross_section(code, block_ids)
+
+    monkeypatch.setattr(BlockedCode, "cross_section", counting)
     rng = random.Random(f"proper:{field.p}")
     seen = Counter()
     for r in families(field, rng):
         for cid in r.topology.constraint_ids():
+            calls.clear()
             verdict = is_proper(r, cid)
+            assert calls["cross-section"] == (0 if verdict.ok else 1)
             assert verdict == reference_is_proper(r, cid)
             seen[verdict.ok] += 1
     assert seen[True] and seen[False], seen
