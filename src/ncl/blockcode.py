@@ -6,17 +6,16 @@ package). Projection keeps a subset of blocks; cross-section keeps the
 words that vanish off that subset, then drops the zeroed coordinates:
 one `fields._vanishing` call each, with the other blocks skipped. Their
 dimensions alone are the rank of the basis's columns on the blocks and
-the dimension minus the rank off them; over GF(2) and GF(3) the
-subspace answers each from the bit rows it keeps of its basis, masked
-to the blocks' columns, and over p >= 5 `rank` runs on the sliced basis.
+the dimension minus the rank off them, which the subspace answers for
+every field (`Subspace._block_rank`).
 
-Codes are immutable, so each one builds its dual at most once and
-keeps it. Its subspace keeps check rows read off its RREF basis with no
-elimination; the check matrix, the dual's basis, is those rows in RREF.
-Codes on one shared subspace (every constraint with the same generator
-rows in a parsed document), or kept by a derived realization, share
-both. A realization's unobservable behavior is solved from the rows,
-and its behavior from the check matrices.
+Codes and subspaces are immutable, so a subspace keeps check rows read
+off its RREF basis with no elimination, and builds the check matrix,
+the dual's basis, at most once: those rows in RREF. Codes on one shared
+subspace (every constraint with the same generator rows in a parsed
+document), or kept by a derived realization, share both. A
+realization's unobservable behavior is solved from the rows, and its
+behavior from the check matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationLimitError, UnknownBlockError
-from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, rank
+from .fields import PrimeField, Subspace, _vanishing, _work_dtype
 
 DEFAULT_MAX_POINTS = 1 << 22
 
@@ -105,7 +104,7 @@ class BlockStructure:
 class BlockedCode:
     """A linear code whose ambient coordinates are grouped into blocks."""
 
-    __slots__ = ("structure", "space", "_dual")
+    __slots__ = ("structure", "space")
 
     def __init__(self, structure: BlockStructure, space: Subspace) -> None:
         if space.ambient != structure.total:
@@ -113,7 +112,6 @@ class BlockedCode:
                 f"space ambient {space.ambient} != structure total {structure.total}")
         self.structure = structure
         self.space = space
-        self._dual: BlockedCode | None = None
 
     @classmethod
     def from_rows(cls, field: PrimeField, structure: BlockStructure, rows) -> "BlockedCode":
@@ -135,22 +133,11 @@ class BlockedCode:
 
     def projection_dim(self, block_ids: Sequence[str]) -> int:
         """dim of project(block_ids): the rank of the basis columns there."""
-        return self._rank_at(self.structure._spans(block_ids))
+        return self.space._block_rank(self.structure._spans(block_ids))
 
     def cross_section_dim(self, block_ids: Sequence[str]) -> int:
         """dim of cross_section(block_ids): dim minus the rank off those blocks."""
-        return self.dim - self._rank_at(self.structure._spans(block_ids), off=True)
-
-    def _rank_at(self, spans: list[tuple[int, int]], off: bool = False) -> int:
-        """The rank of the basis columns in the (offset, dim) spans, or off
-        them: from the subspace's kept bit rows over GF(2) and GF(3), and
-        by `rank` of the sliced basis over p >= 5."""
-        if self.field.p <= 3:
-            return self.space._block_rank(spans, off)
-        cols = np.full(self.structure.total, off)
-        for at, d in spans:
-            cols[at:at + d] = not off
-        return rank(_held(self.field, self.space.basis.array[:, cols]))
+        return self.dim - self.space._block_rank(self.structure._spans(block_ids), off=True)
 
     def cross_section(self, block_ids: Sequence[str]) -> "BlockedCode":
         """Subcode vanishing off the given blocks, seen on those blocks."""
@@ -161,11 +148,9 @@ class BlockedCode:
                            _vanishing(self.field, self.space.basis.array[:, cols], len(drop)))
 
     def dual(self) -> "BlockedCode":
-        """The orthogonal code on the same blocks, built on the first call
-        and kept: its basis is this code's check matrix."""
-        if self._dual is None:
-            self._dual = BlockedCode(self.structure, self.space.orthogonal())
-        return self._dual
+        """The orthogonal code on the same blocks: its basis is this code's
+        check matrix, which the subspace builds on the first call and keeps."""
+        return BlockedCode(self.structure, self.space.orthogonal())
 
     def enumerate(self, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[tuple[int, ...]]:
         """All codewords, most significant coefficient first."""

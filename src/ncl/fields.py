@@ -21,9 +21,13 @@ be one Python-level elimination each. A single matrix stays on the 2-D
 loop: `ranks` gives no RREF or pivots, and a stack of one costs more
 (about 0.08 against 0.05 ms on a 6x10 GF(3) matrix). Over GF(2) and
 GF(3) a rank needs only the forward pass of the bit-row loop
-(`_pivot_rows`), and the rank of a column block of a subspace's basis,
-which the reduction driver asks at every visit, is that pass on the bit
-rows the subspace keeps, masked to the block (`Subspace._block_rank`).
+(`_pivot_rows`); its pivot rows, back-reduced by `_rref_rows`, are the
+RREF. The rank of a column block of a subspace's basis, which analyze
+and the reduction driver ask at every visit, is `Subspace._block_rank`
+for every field: that pass on the bit rows the subspace keeps, masked
+to the block, over GF(2) and GF(3), and `rank` of the sliced basis over
+p >= 5. The engine is chosen in this module alone: in `_rref_array`
+and `rank`, and in `_block_rank`, `_block_maps` and `_stepped`.
 
 Inputs are validated at the public boundary only. `MatrixF(...)` reduces
 what it is given mod p, and `Subspace(...)` checks that its basis is in
@@ -33,12 +37,13 @@ skip)`: the words of the row space of the residues `a` that are zero on
 the first `skip` columns. With skip = 0 that is a span (every kernel,
 complement, sum and projection), and with other columns first a
 cross-section or the endpoint code of a reduction step. Over GF(2) and
-GF(3) a reduction step takes the same words off kept bit rows instead:
-a trim's or a merge's L is reduced bit rows that are never written
-(`Subspace._block_maps`), and each of its two endpoint codes is the
-RREF bit rows of its mapped rows (`_stepped`), written once as the
-int64 basis and kept as the new subspace's bit rows (`_kept_space`), so
-the next block rank or step on it packs nothing.
+GF(3) a reduction step takes the same words off kept bit rows instead,
+each exactly as wide as the subspace's ambient: a trim's or a merge's L
+is reduced bit rows that are never written (`Subspace._block_maps`),
+and each of its two endpoint codes is the RREF bit rows of its mapped
+rows (`_stepped`), written once as the int64 basis and kept as the new
+subspace's bit rows (`_kept_space`), so the next block rank or step on
+it packs nothing.
 """
 
 from __future__ import annotations
@@ -192,17 +197,18 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     p >= 5. `a` holds residues mod p, and the rref comes back in
     `_work_dtype(p)`: callers widen to int64 where they build a MatrixF
     for a caller. Over GF(2) and GF(3) the rows are eliminated as bit
-    rows (`_bit_rref`), the one loop for both fields. A matrix with fewer
-    than two rows or no columns skips the packing: it is its own RREF
-    once its lead is 1, and negating a GF(3) row turns a lead of 2 into
-    1. Over p >= 5 the loop runs on an int32 copy, and each pivot clears
-    its column in one block update of every other row with a nonzero
-    there, so the work per pivot is a few numpy calls, not one per row.
+    rows (`_pivot_rows`, then `_rref_rows`), the one loop for both
+    fields. A matrix with fewer than two rows or no columns skips the
+    packing: it is its own RREF once its lead is 1, and negating a GF(3)
+    row turns a lead of 2 into 1. Over p >= 5 the loop runs on an int32
+    copy, and each pivot clears its column in one block update of every
+    other row with a nonzero there, so the work per pivot is a few numpy
+    calls, not one per row.
     """
     nrows, ncols = a.shape
     if p <= 3:
         if nrows >= 2 and ncols:
-            rows, pivots = _bit_rref(a, p)
+            rows, pivots = _rref_rows(_pivot_rows(_bit_rows(a, p), p), ncols, p)
             return _from_bit_rows(rows, a.shape, p), pivots
         m = a.astype(_work_dtype(p))
         pivots = m[0].nonzero()[0][:1].tolist() if m.size else []
@@ -235,40 +241,41 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 # Bit rows: a row over GF(2) or GF(3) is the pair (ones, twos) of Python
-# ints whose bits mark its entries equal to 1 and equal to 2; column j is
-# bit `width - 1 - j`, so a row's lowest nonzero column is its highest set
-# bit, and a column block is a mask ANDed into both ints. The width is the
-# column count for a matrix of up to _SMALL_CELLS cells, read as one binary
+# ints whose bits mark its entries equal to 1 and equal to 2; column j of
+# an ncols-column matrix is bit `ncols - 1 - j`, so a row's lowest nonzero
+# column is its highest set bit, and a column block is a mask ANDed into
+# both ints. A matrix of up to _SMALL_CELLS cells is read as one binary
 # numeral per mask and cut into rows by shifts; a larger one is read row
-# by row from np.packbits, which pads the width to whole bytes with zero
-# columns, so a mask is shifted by the rows' width, not the column
-# count. Best-of-7 times of `_rref_array` on random dense
-# matrices, GF(2) then GF(3), numeral codec against packbits: 3x20 17 and
-# 24 against 27 and 44 us; 10x24 41 and 69 against 52 and 95 us; 16x40 62
-# and 175 against 53 and 183 us; 20x50 97 and 290 against 102 and 253 us.
-# On an 840x960 GF(2) behavior system the numeral codec took 60 ms
-# against 4.5 ms, as every shift copies the whole numeral.
+# by row from np.packbits, each row shifted right past the zero columns
+# that pad it to whole bytes, so both codecs give the same rows. Best-of-7
+# times of `_rref_array` on random dense matrices, GF(2) then GF(3),
+# numeral codec against packbits: 3x20 17 and 24 against 27 and 44 us;
+# 10x24 41 and 69 against 52 and 95 us; 16x40 62 and 175 against 53 and
+# 183 us; 20x50 97 and 290 against 102 and 253 us. On an 840x960 GF(2)
+# behavior system the numeral codec took 60 ms against 4.5 ms, as every
+# shift copies the whole numeral.
 _SMALL_CELLS = 512
 _ONES = bytes.maketrans(b"\0\1\2", b"010")
 _TWOS = bytes.maketrans(b"\0\1\2", b"001")
 _DIGITS = bytes.maketrans(b"012", b"\0\1\2")
 
 
-def _bit_rows(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], int]:
+def _bit_rows(a: np.ndarray, p: int) -> list[tuple[int, int]]:
     """The nonzero rows of a nonempty matrix of residues mod p <= 3 as bit
-    rows, with their width in bits. A small matrix is cut at its nonzero
-    rows only, so the mostly-zero tall ones that section codes give cost
-    one step per nonzero row."""
+    rows. A small matrix is cut at its nonzero rows only, so the
+    mostly-zero tall ones that section codes give cost one step per
+    nonzero row."""
     nrows, ncols = a.shape
     if nrows * ncols > _SMALL_CELLS:
         step = (ncols + 7) // 8
+        pad = 8 * step - ncols
 
         def masks(v: int) -> list[int]:
             packed = np.packbits(a == v, axis=1).tobytes()
-            return [int.from_bytes(packed[at:at + step], "big")
+            return [int.from_bytes(packed[at:at + step], "big") >> pad
                     for at in range(0, nrows * step, step)]
         rows = zip(masks(1), masks(2) if p == 3 else [0] * nrows)
-        return [(x1, x2) for x1, x2 in rows if x1 | x2], 8 * step
+        return [(x1, x2) for x1, x2 in rows if x1 | x2]
     text = a.astype(np.uint8).tobytes()
     full = (1 << ncols) - 1
     ones = int(text.translate(_ONES), 2)
@@ -279,21 +286,22 @@ def _bit_rows(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], int]:
         s = (x.bit_length() - 1) // ncols * ncols
         rows.append((ones >> s & full, twos >> s & full))
         x &= (1 << s) - 1
-    return rows, ncols
+    return rows
 
 
 def _from_bit_rows(rows: list[tuple[int, int]], shape: tuple[int, int], p: int
                    ) -> np.ndarray:
-    """The bit rows `_bit_rows` gives for this shape as a matrix in
-    `_work_dtype(p)`, zero rows appended up to the shape."""
+    """Bit rows of a matrix of this shape as a matrix in `_work_dtype(p)`,
+    zero rows appended up to the shape."""
     nrows, ncols = shape
     if nrows * ncols > _SMALL_CELLS:
         m = np.zeros(shape, dtype=_work_dtype(p))
         if rows:
             step = (ncols + 7) // 8
+            pad = 8 * step - ncols
 
             def bits(k: int) -> np.ndarray:
-                packed = b"".join([row[k].to_bytes(step, "big") for row in rows])
+                packed = b"".join([(row[k] << pad).to_bytes(step, "big") for row in rows])
                 return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(-1, step),
                                      axis=1, count=ncols)
             m[:len(rows)] = bits(0)
@@ -347,27 +355,17 @@ def _pivot_rows(rows: Iterable[tuple[int, int]], p: int) -> dict[int, tuple[int,
     return kept
 
 
-def _bit_rref(a: np.ndarray, p: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The nonzero bit rows of the RREF of a nonempty matrix of residues
-    mod p <= 3, in pivot order, and the pivot columns.
+def _rref_rows(kept: dict[int, tuple[int, int]], width: int, p: int
+               ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The RREF bit rows, in pivot order, and the pivot columns of pivot
+    rows of `_pivot_rows` on `width` columns, or of a part of them closed
+    under later pivots: such a row has no bit before its lead, so it
+    meets no pivot outside them. An RREF is unique, so these are the rows
+    and pivots of any other Gauss-Jordan order.
 
-    `_pivot_rows` keeps the pivot rows; they are then back-reduced from
-    the highest pivot column down. An RREF is unique, so the rows and
-    pivots are those of any other Gauss-Jordan order.
-    """
-    rows, width = _bit_rows(a, p)
-    kept = _back_reduced(_pivot_rows(rows, p), p)
-    leads = sorted(kept, reverse=True)
-    return [kept[b] for b in leads], [width - b for b in leads]
-
-
-def _back_reduced(kept: dict[int, tuple[int, int]], p: int) -> dict[int, tuple[int, int]]:
-    """Pivot rows of `_pivot_rows` back-reduced in place, from the highest
-    pivot column down, into the rows of an RREF. Any of them whose leads
-    lie at or past a column will do: such a row has no bit before its
-    lead, so it meets no pivot outside them."""
-    # once the rows of the later pivot columns (lower bits) are reduced,
-    # adding one in clears just its lead bit
+    The rows are back-reduced from the highest pivot column down: once
+    the rows of the later pivot columns (lower bits) are reduced, adding
+    one in clears just its lead bit."""
     later = 0
     for b in sorted(kept):
         x1, x2 = kept[b]
@@ -385,28 +383,20 @@ def _back_reduced(kept: dict[int, tuple[int, int]], p: int) -> dict[int, tuple[i
             x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
         kept[b] = (x1, x2)
         later |= 1 << b - 1
-    return kept
-
-
-def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], width: int,
-                ambient: int) -> "Subspace":
-    """The subspace of F^ambient spanned by pivot rows of `_pivot_rows`
-    (or a part of them closed under later pivots, `_back_reduced`) whose
-    `width` bits are the ambient columns then zero columns: their RREF,
-    written once as the int64 basis and kept as the subspace's bit rows,
-    placed at the width `_bit_rows` gives its basis."""
-    p = field.p
-    kept = _back_reduced(kept, p)
     leads = sorted(kept, reverse=True)
-    full = ambient if len(leads) * ambient <= _SMALL_CELLS else 8 * ((ambient + 7) // 8)
-    rows = [kept[b] for b in leads]
-    if full > width:
-        rows = [(x1 << full - width, x2 << full - width) for x1, x2 in rows]
-    elif full < width:
-        rows = [(x1 >> width - full, x2 >> width - full) for x1, x2 in rows]
-    basis = _from_bit_rows(rows, (len(rows), ambient), p).astype(np.int64)
-    space = Subspace(field, ambient, _held(field, basis, tuple(width - b for b in leads)))
-    space._bits = (rows, full)
+    return [kept[b] for b in leads], [width - b for b in leads]
+
+
+def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], ambient: int
+                ) -> "Subspace":
+    """The subspace of F^ambient spanned by pivot rows of `_pivot_rows`
+    on its columns, or a part of them closed under later pivots: their
+    RREF (`_rref_rows`), written once as the int64 basis and kept as the
+    subspace's bit rows."""
+    rows, pivots = _rref_rows(kept, ambient, field.p)
+    basis = _from_bit_rows(rows, (len(rows), ambient), field.p).astype(np.int64)
+    space = Subspace(field, ambient, _held(field, basis, tuple(pivots)))
+    space._bits = rows
     return space
 
 
@@ -470,7 +460,7 @@ def rank(m: MatrixF) -> int:
     on bit rows, which are never back-reduced or unpacked."""
     a, p = m.array, m.field.p
     if p <= 3 and a.shape[0] >= 2 and a.shape[1]:
-        return len(_pivot_rows(_bit_rows(a, p)[0], p))
+        return len(_pivot_rows(_bit_rows(a, p), p))
     return len(_rref_array(a, p)[1])
 
 
@@ -568,7 +558,7 @@ class Subspace:
         self.pivots = pivots
         self._checks: np.ndarray | None = None
         self._orthogonal: Subspace | None = None
-        self._bits: tuple[list[tuple[int, int]], int] | None = None
+        self._bits: list[tuple[int, int]] | None = None
 
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":
@@ -623,30 +613,35 @@ class Subspace:
             self._orthogonal = _vanishing(self.field, self._check_rows())
         return self._orthogonal
 
-    def _bit_basis(self) -> tuple[list[tuple[int, int]], int]:
-        """The basis's bit rows and their width (`_bit_rows`), built on the
-        first call and kept; p <= 3. An endpoint code that a reduction
-        step derives arrives with them (`_kept_space`)."""
+    def _bit_basis(self) -> list[tuple[int, int]]:
+        """The basis's bit rows (`_bit_rows`), built on the first call and
+        kept; p <= 3. An endpoint code that a reduction step derives
+        arrives with them (`_kept_space`)."""
         if self._bits is None:
             a = self.basis.array
-            self._bits = _bit_rows(a, self.field.p) if a.size else ([], self.ambient)
+            self._bits = _bit_rows(a, self.field.p) if a.size else []
         return self._bits
 
     def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:
         """The rank of the basis columns in the (offset, width) column
-        spans, or with off=True of the columns outside them; p <= 3.
+        spans, or with off=True of the columns outside them.
 
-        Each call ANDs the kept bit rows with the spans' column mask,
-        placed by the rows' width, and counts the pivots of the forward
-        pass alone.
+        Over GF(2) and GF(3) each call ANDs the kept bit rows with the
+        spans' column mask and counts the pivots of the forward pass
+        alone; over p >= 5 it is `rank` of the sliced basis.
         """
-        rows, width = self._bit_basis()
+        p, n = self.field.p, self.ambient
+        if p > 3:
+            cols = np.full(n, off)
+            for at, d in spans:
+                cols[at:at + d] = not off
+            return rank(_held(self.field, self.basis.array[:, cols]))
         mask = 0
         for at, d in spans:
-            mask |= (1 << d) - 1 << width - at - d
+            mask |= (1 << d) - 1 << n - at - d
         if off:
             mask = ~mask
-        return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in rows], self.field.p))
+        return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in self._bit_basis()], p))
 
     def _block_maps(self, at: int, d: int, cross: bool = False
                     ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -671,8 +666,8 @@ class Subspace:
             else:
                 space = _vanishing(field, a[:, at:at + d])
             return space.pivots, _quotient_map(space)
-        rows, width = self._bit_basis()
-        tail = width - at - d
+        rows = self._bit_basis()
+        tail = self.ambient - at - d
         block = (1 << d) - 1
         if cross:
             low = (1 << tail) - 1
@@ -682,10 +677,8 @@ class Subspace:
             kept = {b: row for b, row in kept.items() if b <= d}
         else:
             kept = _pivot_rows([(x1 >> tail & block, x2 >> tail & block) for x1, x2 in rows], p)
-        kept = _back_reduced(kept, p)
-        leads = sorted(kept, reverse=True)
-        pivots = tuple(d - b for b in leads)
-        return pivots, _quotient_rows([kept[b] for b in leads], pivots, d, d, p)
+        rows, pivots = _rref_rows(kept, d, p)
+        return tuple(pivots), _quotient_rows(rows, pivots, d, p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -700,24 +693,20 @@ class Subspace:
 def _quotient_map(space: Subspace) -> np.ndarray:
     """N(L)^T for the subspace L, the quotient map modulo L, read off L's
     RREF rows: row f of N(L) is e_f minus column f of L on the pivots
-    (`_null_rows`); over GF(2) and GF(3) off its kept bit rows."""
-    p = space.field.p
-    if p > 3:
-        return _null_rows(space.basis.array, space.pivots, p).T
-    rows, width = space._bit_basis()
-    return _quotient_rows(rows, space.pivots, width, space.ambient, p)
+    (`_null_rows`)."""
+    return _null_rows(space.basis.array, space.pivots, space.field.p).T
 
 
-def _quotient_rows(rows: list[tuple[int, int]], pivots: tuple[int, ...], width: int,
-                   ambient: int, p: int) -> np.ndarray:
-    """N(L)^T for the subspace L of F^ambient, p <= 3, whose RREF bit rows,
-    `width` bits wide, have these pivot columns: the identity on the free
+def _quotient_rows(rows: list[tuple[int, int]], pivots: Sequence[int], ambient: int,
+                   p: int) -> np.ndarray:
+    """`_quotient_map` of the subspace L of F^ambient, p <= 3, whose RREF
+    bit rows have these pivot columns, as int64: the identity on the free
     columns, and at pivot c the negated row of c on them, where -1 is
     p - 1 and -2 is 1."""
     taken = set(pivots)
     free = [c for c in range(ambient) if c not in taken]
     q = [[int(c == f) for f in free] for c in range(ambient)]
-    at = [width - 1 - f for f in free]
+    at = [ambient - 1 - f for f in free]
     for (x1, x2), c in zip(rows, pivots):
         q[c] = [(p - 1) * (x1 >> s & 1) + (x2 >> s & 1) for s in at]
     return np.array(q, dtype=np.int64).reshape(ambient, len(free))
@@ -758,11 +747,10 @@ def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
     block, mapped = (1 << d) - 1, (1 << new_dim) - 1
     out = []
     for space, at in ends:
-        rows, width = space._bit_basis()
-        tail = width - at - d
+        tail = space.ambient - at - d
         low = (1 << tail) - 1
         words = []
-        for x1, x2 in rows:
+        for x1, x2 in space._bit_basis():
             v1, v2 = x1 >> tail & block, x2 >> tail & block
             y1 = y2 = 0
             while v := v1 | v2:
@@ -782,7 +770,7 @@ def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
                           << tail | x1 & low,
                           (((y2 >> new_dim) << at | x2 >> tail + d) << new_dim | y2 & mapped)
                           << tail | x2 & low))
-        past = width - d + new_dim
+        past = space.ambient - d + new_dim
         out.append(_kept_space(field, {b: row for b, row in _pivot_rows(words, p).items()
-                                       if b <= past}, past, space.ambient - d + new_dim))
+                                       if b <= past}, past))
     return out

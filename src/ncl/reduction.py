@@ -12,12 +12,12 @@ nonzero digits of its v, then reduced. F and X are read off a subspace
 L of the state space held in RREF, with pivot columns pi and free
 columns phi: row f of N(L) is e_f minus column f of L on the pivots, and
 N(L)^T is the quotient map modulo L, read off L's RREF rows
-(fields._quotient_map; its kept bit rows over GF(2) and GF(3)). To
-restrict to L is F = N(L)^T and X = I[:, pi]; to quotient by L is F
-with no columns and X = N(L)^T. A trim's and a merge's L, the constraint code's
-projection or cross-section at the state, is read as its pivots and
-N(L)^T alone (Subspace._block_maps), over GF(2) and GF(3) off the code's
-kept bit rows.
+(fields._quotient_map). To restrict to L is F = N(L)^T and X = I[:, pi];
+to quotient by L is F with no columns and X = N(L)^T. A trim's and a
+merge's L, the constraint code's projection or cross-section at the
+state, is read as its pivots and N(L)^T alone (Subspace._block_maps),
+over GF(2) and GF(3) off the code's kept bit rows (fields._rref_rows),
+and the test for either is a block rank (Subspace._block_rank).
 
 - trim: restrict to a constraint's projection onto the state.
 - merge: quotient by a constraint's cross-section on the state.

@@ -6,10 +6,10 @@ kept rows of both endpoint codes (`fields._stepped`). Here every move,
 and every step under random maps, is checked against the three-pass
 reference of tests/helpers.py, and every subspace a step derives
 arrives with the bit rows `_bit_rows` reads off its basis afresh, so
-`_block_rank` stays exact. The instances cover what the shifts must get right: codes past
-`_SMALL_CELLS`, whose rows are padded to whole bytes, widths that are
-not multiples of 8, states going to dim 0, dim-0 endpoint codes, and
-GF(3) words whose lead is 2.
+`_block_rank` stays exact. The instances cover what the shifts must get
+right: codes past `_SMALL_CELLS`, whose rows are read through
+np.packbits, widths that are not multiples of 8, states going to dim 0,
+dim-0 endpoint codes, and GF(3) words whose lead is 2.
 """
 
 import random
@@ -58,7 +58,7 @@ def assert_rows_kept(space):
     answers block ranks from them as `rank` of the sliced basis does."""
     a = space.basis.array
     assert space._bits is not None
-    assert space._bits == (_bit_rows(a, space.field.p) if a.size else ([], space.ambient))
+    assert space._bits == (_bit_rows(a, space.field.p) if a.size else [])
     n = space.ambient
     for spans in ([(0, n // 2)], [(n // 3, n - n // 3)]):
         cols = np.zeros(n, dtype=bool)

@@ -25,7 +25,7 @@ from ncl import (
     rank,
     rref,
 )
-from ncl.fields import _SMALL_CELLS, _rref_array, _work_dtype, ranks
+from ncl.fields import _SMALL_CELLS, _bit_rows, _from_bit_rows, _rref_array, _work_dtype, ranks
 from helpers import (full_space, gallager_checks, identity, inv, ladder_trellis, mul, neg, sympy_rank,
                      transpose, zero_space, zeros)
 
@@ -326,9 +326,26 @@ class TestGF2BitRows:
                 inverse(m)
 
 
+@pytest.mark.parametrize("p, a", [case for case in [*bit_row_matrices(2), *bit_row_matrices(3)]
+                                  if case.values[1].size])
+def test_bit_rows_are_as_wide_as_the_matrix(p, a):
+    """Under both codecs, either side of _SMALL_CELLS, a bit row of an
+    ncols-column matrix has no bit past ncols, and _from_bit_rows gives
+    back the nonzero rows, then zero rows. (_bit_rows takes nonempty
+    matrices only.)"""
+    rows = _bit_rows(a, p)
+    assert all((x1 | x2).bit_length() <= a.shape[1] for x1, x2 in rows)
+    nonzero = a[a.any(axis=1)]
+    want = np.zeros_like(a)
+    want[:len(nonzero)] = nonzero
+    assert _from_bit_rows(rows, a.shape, p).tolist() == want.tolist()
+
+
 def block_rank_cases():
     """Each bit_row_matrices case with column spans cut from it: a few
-    disjoint spans and one of zero width."""
+    disjoint spans and one of zero width. Each GF(3) case also gives a
+    GF(5) and a GF(7) one: random nonzero residues where it is nonzero,
+    the same spans, and again a last row that is the sum of the first two."""
     for case in [*bit_row_matrices(2), *bit_row_matrices(3)]:
         p, a = case.values
         n = a.shape[1]
@@ -337,10 +354,17 @@ def block_rank_cases():
         spans = [(lo, hi - lo) for lo, hi in zip(cuts[0::2], cuts[1::2])]
         spans.insert(int(rng.integers(0, 4)), (int(rng.integers(0, n + 1)), 0))
         yield pytest.param(p, a, spans, id=case.id)
+        if p == 3:
+            for q in (5, 7):
+                b = np.where(a != 0, rng.integers(1, q, a.shape), 0)
+                if a.shape[0] > 2:
+                    b[-1] = (b[0] + b[1]) % q
+                yield pytest.param(q, b, spans, id=f"gf{q}-{case.id[len('gf3-'):]}")
 
 
 class TestBlockRank:
-    """Subspace._block_rank masks the bit rows it keeps of its basis; it
+    """Subspace._block_rank masks the bit rows it keeps of its basis over
+    GF(2) and GF(3), and ranks the sliced basis over GF(5) and GF(7); it
     must give sympy's rank of the basis's columns in the spans, and with
     off=True of the other columns, for these spans and for no spans. The
     cases reach both row codecs (test_cases_reach_both_codecs), no

@@ -286,16 +286,16 @@ def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
         batches.append((isinstance(mats, list), len(mats)))
         return ranks(mats, p)
 
-    def counted_rank_at(code, spans, off=False):
-        local[id(code.space)] += 1
-        return rank_at(code, spans, off)
+    def counted_block_rank(space, spans, off=False):
+        local[id(space)] += 1
+        return block_rank(space, spans, off)
 
-    ranks, rank_at = ncl.realization.ranks, BlockedCode._rank_at
+    ranks, block_rank = ncl.realization.ranks, Subspace._block_rank
     n = 240
     r = parse_realization(emit_realization(
         parity_check_realization(GF2, n, gallager_checks(random.Random(15), n))))
     monkeypatch.setattr(ncl.realization, "ranks", counted)
-    monkeypatch.setattr(BlockedCode, "_rank_at", counted_rank_at)
+    monkeypatch.setattr(Subspace, "_block_rank", counted_block_rank)
     report = analyze(r)
     spaces = {id(r.code(cid).space) for cid in r.topology.constraint_ids()}
     assert len(spaces) == 2
