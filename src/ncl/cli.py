@@ -175,7 +175,7 @@ def _write_steps(args: argparse.Namespace, r: Realization,
                 "old_dim": s.old_dim, "new_dim": s.new_dim,
                 "basis_change": s.basis_change.tolist()} for s in steps]
     lines = [f"{d['kind']} {d['state']}: {d['old_dim']} -> {d['new_dim']}"
-             + (f" at {d['constraint']}" if d["constraint"] else "")
+             + (f" at {d['constraint']}" if d["constraint"] is not None else "")
              for d in payload] if args.steps else []
     return _write(args, docio.emit_realization(r), {"steps": payload}, lines)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import PrimeField, _held, _vanishing, _work_dtype, kernel, ranks, rref
+from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks, rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -116,20 +116,12 @@ class Topology:
         return {s.id: s for s in self.symbols}
 
     @cached_property
-    def _states_by_id(self) -> dict[str, StateVar]:
-        return {s.id: s for s in self.states}
-
-    @cached_property
     def _state_index(self) -> dict[str, int]:
         return {s.id: i for i, s in enumerate(self.states)}
 
     @cached_property
     def _constraints_by_id(self) -> dict[str, Constraint]:
         return {c.id: c for c in self.constraints}
-
-    @cached_property
-    def _constraint_index(self) -> dict[str, int]:
-        return {c.id: i for i, c in enumerate(self.constraints)}
 
     def symbol_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.symbols)
@@ -144,7 +136,7 @@ class Topology:
         return var_id in self._symbols_by_id
 
     def is_state(self, var_id: str) -> bool:
-        return var_id in self._states_by_id
+        return var_id in self._state_index
 
     def symbol(self, var_id: str) -> SymbolVar:
         try:
@@ -154,7 +146,7 @@ class Topology:
 
     def state(self, var_id: str) -> StateVar:
         try:
-            return self._states_by_id[var_id]
+            return self.states[self._state_index[var_id]]
         except KeyError:
             raise UnknownBlockError(f"unknown state {var_id!r}") from None
 
@@ -324,25 +316,19 @@ class Realization:
         if any(i.tag in ("duplicate-id", "unknown-id", "missing-code") for i in found):
             return tuple(found)
         for c in self.topology.constraints:
-            found.extend(self._code_issues(c.id))
+            code = self._codes[c.id]
+            expected = tuple((v, self.topology.var_dim(v)) for v in c.vars)
+            if code.field != self.field:
+                found.append(ValidationIssue(
+                    "field-mismatch",
+                    f"constraint {c.id!r} code is over {code.field!r}, "
+                    f"realization over {self.field!r}", (c.id,)))
+            elif code.structure.blocks != expected:
+                found.append(ValidationIssue(
+                    "dim-mismatch",
+                    f"constraint {c.id!r} code blocks {code.structure.blocks!r} "
+                    f"do not match declared {expected!r}", (c.id,)))
         return tuple(found)
-
-    def _code_issues(self, cid: str) -> list[ValidationIssue]:
-        """Field and block-dim findings for one constraint's code."""
-        code = self._codes[cid]
-        if code.field != self.field:
-            return [ValidationIssue(
-                "field-mismatch",
-                f"constraint {cid!r} code is over {code.field!r}, "
-                f"realization over {self.field!r}", (cid,))]
-        expected = tuple((v, self.topology.var_dim(v))
-                         for v in self.topology.constraint(cid).vars)
-        if code.structure.blocks != expected:
-            return [ValidationIssue(
-                "dim-mismatch",
-                f"constraint {cid!r} code blocks {code.structure.blocks!r} "
-                f"do not match declared {expected!r}", (cid,))]
-        return []
 
     def ensure_valid(self) -> None:
         if self._issues:
@@ -358,35 +344,30 @@ class Realization:
         return state.dim
 
     def _with_state(self, state_id: str, new_dim: int,
-                    replaced: Mapping[str, BlockedCode]) -> "Realization":
-        """This valid realization with one state's dim changed and the codes
-        of both its endpoints replaced.
+                    spaces: tuple[Subspace, Subspace]) -> "Realization":
+        """The child of a reduction step: this valid realization with one
+        state's dim set to new_dim and the codes at its (left, right) ends on
+        the given spaces, their blocks the parent's with that dim replaced.
 
-        Validated from what changed: the topology's findings read ids,
-        vars and endpoints, never dims, and every other constraint keeps
-        its code and its vars' dims, so only the replaced codes can add a
-        finding.
-        """
+        Valid by construction, as ids, vars and endpoints stay the parent's.
+        A space of the wrong width raises DimensionMismatchError."""
         self.ensure_valid()
         topo = self.topology
         old = topo.state(state_id)
-        if set(replaced) != {old.left, old.right}:
-            raise ValueError(f"state {state_id!r}: replace the codes of exactly its endpoints")
-        new = StateVar(state_id, new_dim, old.left, old.right, old.negate_at)
+        codes = dict(self._codes)
+        for cid, space in zip((old.left, old.right), spaces, strict=True):
+            blocks = tuple((b, new_dim if b == state_id else n)
+                           for b, n in codes[cid].structure.blocks)
+            codes[cid] = BlockedCode(_trusted(BlockStructure, blocks=blocks), space)
         states = list(topo.states)
-        states[topo._state_index[state_id]] = new
-        # only one state's dim changes: the indexes, its entry aside, and components carry over
+        states[topo._state_index[state_id]] = StateVar(
+            state_id, new_dim, old.left, old.right, old.negate_at)
         child_topo = _trusted(
-            Topology, symbols=topo.symbols, constraints=topo.constraints, states=tuple(states),
-            _symbols_by_id=topo._symbols_by_id, _constraints_by_id=topo._constraints_by_id,
-            _states_by_id={**topo._states_by_id, state_id: new},
-            _state_index=topo._state_index, _constraint_index=topo._constraint_index,
-            _uncut_components=topo._uncut_components)
-        child = Realization(self.field, child_topo, {**self._codes, **replaced})
-        # _issues is a cached_property: assigning it fills the cache, in
-        # topology order as a fresh realization lists its findings
-        ends = sorted(replaced, key=topo._constraint_index.__getitem__)
-        child._issues = tuple(issue for cid in ends for issue in child._code_issues(cid))
+            Topology, symbols=topo.symbols, states=tuple(states), constraints=topo.constraints,
+            _symbols_by_id=topo._symbols_by_id, _state_index=topo._state_index,
+            _constraints_by_id=topo._constraints_by_id, _uncut_components=topo._uncut_components)
+        child = Realization(self.field, child_topo, codes)
+        child._issues = ()  # fills the cached_property: nothing to find
         return child
 
     def _check_system(self, checks_of) -> np.ndarray:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcode import BlockedCode, BlockStructure
+from .blockcode import BlockedCode
 from .errors import (
     DimensionMismatchError,
     NotCycleFreeError,
@@ -105,17 +105,13 @@ def _shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x: np.ndarr
     """The one step of every move (module docstring): at both ends of the
     state, keep the words whose value v there has v @ f = 0 and rewrite v
     as v @ x, for residue matrices f and x, x (old_dim, new_dim) and its
-    transpose the step's basis change."""
+    transpose the step's basis change. Realization._with_state builds the child."""
     state = r.topology.state(state_id)
     d, new_dim = x.shape
-    codes = [r.code(cid) for cid in (state.left, state.right)]
-    spaces = _stepped([(code.space, code.structure.offset(state_id)) for code in codes], f, x)
-    replaced = {}
-    for cid, code, space in zip((state.left, state.right), codes, spaces):
-        blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
-        replaced[cid] = BlockedCode(BlockStructure(blocks), space)
+    left, right = _stepped([(code.space, code.structure.offset(state_id)) for code in
+                            (r.code(state.left), r.code(state.right))], f, x)
     step = ReductionStep(kind, state_id, d, new_dim, MatrixF(r.field, x.T), constraint_id)
-    return r._with_state(state_id, new_dim, replaced), step
+    return r._with_state(state_id, new_dim, (left, right)), step
 
 
 def trim_state(r: Realization, state_id: str, constraint_id: str

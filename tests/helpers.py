@@ -520,7 +520,7 @@ def reference_shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x:
     field, p = r.field, r.field.p
     state = r.topology.state(state_id)
     d, new_dim = x.shape
-    replaced = {}
+    spaces = []
     for cid in (state.left, state.right):
         code = r.code(cid)
         g = code.space.basis.array
@@ -529,11 +529,9 @@ def reference_shrink(r: Realization, kind: str, state_id: str, f: np.ndarray, x:
         if prod.any():
             g = (kernel(MatrixF(field, prod.T)).basis.array @ g) % p
         mapped = np.hstack([g[:, :at], (g[:, at:at + d] @ x) % p, g[:, at + d:]])
-        blocks = tuple((b, new_dim if b == state_id else n) for b, n in code.structure.blocks)
-        replaced[cid] = BlockedCode.from_rows(field, BlockStructure(blocks),
-                                              MatrixF(field, mapped))
+        spaces.append(Subspace.spanned_by(field, mapped.shape[1], MatrixF(field, mapped)))
     step = ReductionStep(kind, state_id, d, new_dim, MatrixF(field, x.T), constraint_id)
-    return r._with_state(state_id, new_dim, replaced), step
+    return r._with_state(state_id, new_dim, tuple(spaces)), step
 
 
 def reference_move(r: Realization, kind: str, state_id: str | None = None,

@@ -331,6 +331,17 @@ class TestReduceAndMinimize:
         assert [d for _, d in rep.state_dims] == [0, 1, 1, 0]
         assert rep.minimal is True
 
+    def test_steps_name_an_empty_constraint_id(self, run, conv_path, tmp_path):
+        # "" is a constraint id like any other: the text names it as --json does
+        path, out_path = tmp_path / "empty_id.json", tmp_path / "minimal.json"
+        text = Path(conv_path).read_text(encoding="utf-8").replace('"c2"', '""')
+        path.write_text(text, encoding="utf-8")
+        for command in ("reduce", "minimize"):
+            code, out, _ = run(command, str(path), str(out_path), "--steps")
+            assert (code, out.splitlines()) == (0, ["merge s2: 2 -> 1 at ", f"wrote {out_path}"])
+            code, out, _ = run(command, str(path), str(out_path), "--json")
+            assert json.loads(out)["steps"][0]["constraint"] == ""
+
     def test_minimize_rejects_cycles(self, run, ex1_path, tmp_path):
         code, _, err = run("minimize", ex1_path, str(tmp_path / "x.json"))
         assert code == 2

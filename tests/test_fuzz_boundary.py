@@ -88,11 +88,11 @@ def test_parse_realization_ends_in_realization_or_typed_error(text):
 
 
 COMMANDS = ("analyze", "behavior", "components", "verify", "dual", "reduce",
-            "export-dot")
+            "minimize", "export-dot")
 
 
 def argv_for(command: str, doc: str, out: str) -> list[str]:
-    if command in ("dual", "reduce"):
+    if command in ("dual", "reduce", "minimize"):
         return [command, doc, out]
     if command in ("components", "verify"):
         # a small enumeration budget keeps brute force to milliseconds

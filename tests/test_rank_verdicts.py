@@ -19,6 +19,7 @@ import ncl.realization
 import ncl.reduction
 from ncl import (
     BlockedCode,
+    DimensionMismatchError,
     GF2,
     GF3,
     NotReducibleError,
@@ -431,39 +432,24 @@ def test_derived_realizations_validate_as_fresh_ones():
             # the indexes carried into the child are the ones a fresh topology computes
             topo = derived.topology
             again = ncl.realization.Topology(topo.symbols, topo.states, topo.constraints)
-            assert (topo._states_by_id, topo._state_index, topo._constraint_index) == (
-                again._states_by_id, again._state_index, again._constraint_index)
+            assert topo._state_index == again._state_index
             kinds[kind] += 1
     assert set(kinds) == {"trim", "merge", "unobservability-trim"}
 
 
-def test_derived_realization_reports_a_replaced_code_with_wrong_dims():
+def test_a_derived_space_of_the_wrong_width_is_refused():
     r = example1()
+    topo, codes = r.topology, r.codes
     trimmed, step = reduce_unobservable(r)
-    state = r.topology.state(step.state_id)
-    # the left code shrinks with the state, the right one keeps the old dim
-    derived = r._with_state(state.id, step.new_dim, {
-        state.left: trimmed.code(state.left), state.right: r.code(state.right)})
-    fresh = Realization(derived.field, derived.topology, derived.codes)
-    issues = validate(derived)
-    assert issues == validate(fresh)
-    assert [(i.tag, i.ids) for i in issues] == [("dim-mismatch", (state.right,))]
-    with pytest.raises(ValueError):
-        r._with_state(state.id, step.new_dim, {state.left: trimmed.code(state.left)})
-
-
-def test_derived_realization_lists_both_findings_in_topology_order():
-    r = example1()
-    state = r.topology.state("s0")
-    # s0 runs from the last constraint to the first, and neither code shrinks with it
-    order = r.topology.constraint_ids()
-    assert order.index(state.left) > order.index(state.right)
-    derived = r._with_state(state.id, 0, {state.left: r.code(state.left),
-                                          state.right: r.code(state.right)})
-    fresh = Realization(derived.field, derived.topology, derived.codes)
-    assert validate(derived) == validate(fresh)
-    assert [(i.tag, i.ids) for i in validate(derived)] == [("dim-mismatch", (state.right,)),
-                                                          ("dim-mismatch", (state.left,))]
+    state = topo.state(step.state_id)
+    # the left space shrinks with the state, the right one keeps the old width
+    spaces = (trimmed.code(state.left).space, r.code(state.right).space)
+    with pytest.raises(DimensionMismatchError):
+        r._with_state(state.id, step.new_dim, spaces)
+    with pytest.raises(ValueError):  # one space for two ends
+        r._with_state(state.id, step.new_dim, spaces[:1])
+    assert r.topology is topo and r.codes == codes and validate(r) == []
+    assert r.topology.state(state.id) == state
 
 
 def assert_dual_merges_match_reference(cases, monkeypatch):

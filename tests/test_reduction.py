@@ -1,7 +1,9 @@
 """Local reductions, the fixpoint driver, the tree minimizer, cut dims."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,18 +297,18 @@ class TestTreesFirst:
 
 
 class TestStepTopology:
-    """Each step's child topology takes over its parent's id indexes, with
-    the shrunk state's entry replaced, and its components."""
+    """Each step's child topology takes over its parent's id indexes and
+    components unchanged, and every code off the shrunk state."""
 
-    CARRIED = ("_symbols_by_id", "_states_by_id", "_constraints_by_id", "_uncut_components")
+    CARRIED = ("_symbols_by_id", "_state_index", "_constraints_by_id", "_uncut_components")
 
     def test_carried_indexes_equal_fresh_ones(self, monkeypatch):
         children = []
         with_state = Realization._with_state
 
-        def recorded(self, *args):
-            child = with_state(self, *args)
-            children.append((self.topology, child.topology))
+        def recorded(self, state_id, *args):
+            child = with_state(self, state_id, *args)
+            children.append((self, state_id, child))
             return child
 
         monkeypatch.setattr(Realization, "_with_state", recorded)
@@ -317,12 +319,50 @@ class TestStepTopology:
                                                   extra_edges=2))
             minimize_cycle_free(ladder_conventional_trellis(rng, GF3, 24))
         assert len(children) > 30
-        for parent, t in children:
+        for parent, state_id, child in children:
+            t = child.topology
             fresh = Topology(t.symbols, t.states, t.constraints)
             for name in self.CARRIED:
                 assert getattr(t, name) == getattr(fresh, name), name
-            assert t._symbols_by_id is parent._symbols_by_id
-            assert t._constraints_by_id is parent._constraints_by_id
+                assert getattr(t, name) is getattr(parent.topology, name), name
+            state = t.state(state_id)
+            for cid, code in parent.codes.items():
+                if cid not in (state.left, state.right):
+                    assert child.code(cid) is code, cid
+
+
+# a step's child is laid out by Realization._with_state alone: the
+# reduction module builds no block structure and sets no findings
+LAYOUT_NAMES = ("BlockStructure", "_issues")
+REDUCTION = Path(__file__).resolve().parents[1] / "src" / "ncl" / "reduction.py"
+
+
+def layout_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name, attribute or imported alias in LAYOUT_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found += [(node.lineno, n) for n in (node.name, node.asname) if n in LAYOUT_NAMES]
+        elif isinstance(node, ast.Name) and node.id in LAYOUT_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_reduction_module_leaves_the_child_layout_to_with_state():
+    assert layout_uses(REDUCTION.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .blockcode import BlockedCode, BlockStructure\n", [(1, "BlockStructure")]),
+    ("from .blockcode import BlockStructure as B\n", [(1, "BlockStructure")]),
+    ("from . import blockcode\n\n\ndef f(blocks):\n    return blockcode.BlockStructure(blocks)\n",
+     [(5, "BlockStructure")]),
+    ("def f(child):\n    child._issues = ()\n", [(2, "_issues")]),
+])
+def test_a_layout_name_in_source_is_reported(source, found):
+    assert layout_uses(source) == found
 
 
 class TestMinimize:
