@@ -13,37 +13,39 @@ p**2 <= 2**26. The stacked rank loop holds uint8 over GF(2) and int32
 over odd p (`_work_dtype`).
 
 Elimination has two entry points. `_rref_array` is the Gauss-Jordan loop
-on one matrix behind rref, rank, kernel, inverse and complete_to_basis.
-`ranks` gives only the rank of each matrix in a list, zero-padded into
-one stack and eliminated in one loop over its columns; it serves the
-many small rank tests behind analyze's verdicts, which would otherwise
-be one Python-level elimination each. A single matrix stays on the 2-D
-loop: `ranks` gives no RREF or pivots, and a stack of one costs more
-(about 0.08 against 0.05 ms on a 6x10 GF(3) matrix). Over GF(2) and
-GF(3) a rank needs only the forward pass of the bit-row loop
-(`_pivot_rows`); its pivot rows, back-reduced by `_rref_rows`, are the
-RREF. The rank of a column block of a subspace's basis, which analyze
-and the reduction driver ask at every visit, is `Subspace._block_rank`
-for every field: that pass on the bit rows the subspace keeps, masked
-to the block, over GF(2) and GF(3), and `rank` of the sliced basis over
-p >= 5. The engine is chosen in this module alone: in `_rref_array`
-and `rank`, and in `_block_rank`, `_block_maps` and `_stepped`.
+on one matrix behind rref, kernel, inverse and complete_to_basis, and
+rank and `_vanishing` over p >= 5. `ranks` gives only the rank of each
+matrix in a list, zero-padded into one stack and eliminated in one loop
+over its columns; it serves the many small rank tests behind analyze's
+verdicts, which would otherwise be one Python-level elimination each. A
+single matrix stays on the 2-D loop: `ranks` gives no RREF or pivots,
+and a stack of one costs more (about 0.08 against 0.05 ms on a 6x10
+GF(3) matrix). Over GF(2) and GF(3) a rank needs only the forward pass
+of the bit-row loop (`_pivot_rows`); its pivot rows, back-reduced by
+`_rref_rows`, are the RREF. The rank of a column block of a subspace's
+basis, which analyze and the reduction driver ask at every visit, is
+`Subspace._block_rank` for every field: that pass on the bit rows the
+subspace keeps, masked to the block, over GF(2) and GF(3), and `rank` of
+the sliced basis over p >= 5. The engine is chosen in this module alone:
+in `_rref_array`, `rank` and `_vanishing`, and in `_block_rank`,
+`_block_maps` and `_stepped`.
 
 Inputs are validated at the public boundary only. `MatrixF(...)` reduces
 what it is given mod p, and `Subspace(...)` checks that its basis is in
-canonical reduced echelon form. Every subspace the package derives is
-read off one RREF, which is already both, by `_vanishing(field, a,
-skip)`: the words of the row space of the residues `a` that are zero on
-the first `skip` columns. With skip = 0 that is a span (every kernel,
-complement, sum and projection), and with other columns first a
-cross-section or the endpoint code of a reduction step. Over GF(2) and
-GF(3) a reduction step takes the same words off kept bit rows instead,
-each exactly as wide as the subspace's ambient: a trim's or a merge's L
-is reduced bit rows that are never written (`Subspace._block_maps`),
-and each of its two endpoint codes is the RREF bit rows of its mapped
-rows (`_stepped`), written once as the int64 basis and kept as the new
-subspace's bit rows (`_kept_space`), so the next block rank or step on
-it packs nothing.
+canonical reduced echelon form. Every subspace the package derives is an
+RREF, which is already both, built by one constructor per engine.
+`_vanishing(field, a, skip)` gives the words of the row space of the
+residues `a` that are zero on the first `skip` columns: with skip = 0 a
+span (every kernel, complement, sum and projection), and with other
+columns first a cross-section. Over GF(2) and GF(3) it and a reduction
+step's endpoint codes (`_stepped`) hand pivot rows of `_pivot_rows` to
+`_kept_space`: `_rref_rows` keeps those whose lead lies in the last
+`ambient` columns, which are the words zero on the others, and
+back-reduces them, and the rows, each exactly as wide as the ambient,
+are written once as the int64 basis and kept as the subspace's bit
+rows, so the next block rank or step on it packs nothing. A trim's or a
+merge's L is reduced the same way and never written
+(`Subspace._block_maps`). Over p >= 5 `_vanishing` cuts one RREF.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ def _held(field: PrimeField, a: np.ndarray,
 
     Every MatrixF a caller can reach holds int64. The one narrower
     MatrixF is a realization's check system or its state columns, in
-    `_work_dtype(p)`, which it hands to `kernel` and never lets out;
-    `_vanishing` wraps its input for `rref` the same way, whatever its
-    dtype, and keeps only the int64 RREF."""
+    `_work_dtype(p)`, which it hands to `kernel` and never lets out."""
     m = MatrixF.__new__(MatrixF)
     a.setflags(write=False)
     m.field = field
@@ -193,28 +193,20 @@ def _work_dtype(p: int) -> type:
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination mod p; returns (rref, pivot columns).
 
-    rref, kernel, inverse and complete_to_basis run it, and rank over
-    p >= 5. `a` holds residues mod p, and the rref comes back in
-    `_work_dtype(p)`: callers widen to int64 where they build a MatrixF
-    for a caller. Over GF(2) and GF(3) the rows are eliminated as bit
-    rows (`_pivot_rows`, then `_rref_rows`), the one loop for both
-    fields. A matrix with fewer than two rows or no columns skips the
-    packing: it is its own RREF once its lead is 1, and negating a GF(3)
-    row turns a lead of 2 into 1. Over p >= 5 the loop runs on an int32
-    copy, and each pivot clears its column in one block update of every
-    other row with a nonzero there, so the work per pivot is a few numpy
-    calls, not one per row.
+    rref, kernel, inverse and complete_to_basis run it, and rank and
+    `_vanishing` over p >= 5. `a` holds residues mod p, and the rref
+    comes back in `_work_dtype(p)`: callers widen to int64 where they
+    build a MatrixF for a caller. Over GF(2) and GF(3) the rows are
+    eliminated as bit rows (`_pivot_rows`, then `_rref_rows`), the one
+    loop for both fields, whatever the shape. Over p >= 5 the loop runs
+    on an int32 copy, and each pivot clears its column in one block
+    update of every other row with a nonzero there, so the work per
+    pivot is a few numpy calls, not one per row.
     """
     nrows, ncols = a.shape
     if p <= 3:
-        if nrows >= 2 and ncols:
-            rows, pivots = _rref_rows(_pivot_rows(_bit_rows(a, p), p), ncols, p)
-            return _from_bit_rows(rows, a.shape, p), pivots
-        m = a.astype(_work_dtype(p))
-        pivots = m[0].nonzero()[0][:1].tolist() if m.size else []
-        if pivots and m[0, pivots[0]] == 2:
-            m = -m % 3
-        return m, pivots
+        rows, pivots = _rref_rows(_pivot_rows(_bit_rows(a, p), p), ncols, p)
+        return _from_bit_rows(rows, a.shape, p), pivots
     m = a.astype(_work_dtype(p))
     pivots = []
     r = 0
@@ -261,11 +253,13 @@ _DIGITS = bytes.maketrans(b"012", b"\0\1\2")
 
 
 def _bit_rows(a: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """The nonzero rows of a nonempty matrix of residues mod p <= 3 as bit
-    rows. A small matrix is cut at its nonzero rows only, so the
-    mostly-zero tall ones that section codes give cost one step per
-    nonzero row."""
+    """The nonzero rows of a matrix of residues mod p <= 3 as bit rows,
+    none for an empty one. A small matrix is cut at its nonzero rows
+    only, so the mostly-zero tall ones that section codes give cost one
+    step per nonzero row."""
     nrows, ncols = a.shape
+    if not a.size:
+        return []
     if nrows * ncols > _SMALL_CELLS:
         step = (ncols + 7) // 8
         pad = 8 * step - ncols
@@ -357,17 +351,19 @@ def _pivot_rows(rows: Iterable[tuple[int, int]], p: int) -> dict[int, tuple[int,
 
 def _rref_rows(kept: dict[int, tuple[int, int]], width: int, p: int
                ) -> tuple[list[tuple[int, int]], list[int]]:
-    """The RREF bit rows, in pivot order, and the pivot columns of pivot
-    rows of `_pivot_rows` on `width` columns, or of a part of them closed
-    under later pivots: such a row has no bit before its lead, so it
-    meets no pivot outside them. An RREF is unique, so these are the rows
-    and pivots of any other Gauss-Jordan order.
+    """The RREF bit rows, in pivot order, and the pivot columns of the
+    pivot rows of `_pivot_rows` whose lead lies in the last `width`
+    columns. A row has no bit before its lead, so these rows are the
+    words zero on any earlier columns, seen on the last `width`, and
+    they meet no pivot outside them. An RREF is unique, so these are the
+    rows and pivots of any other Gauss-Jordan order.
 
     The rows are back-reduced from the highest pivot column down: once
     the rows of the later pivot columns (lower bits) are reduced, adding
     one in clears just its lead bit."""
+    leads = [b for b in sorted(kept) if b <= width]
     later = 0
-    for b in sorted(kept):
+    for b in leads:
         x1, x2 = kept[b]
         hits = (x1 | x2) & later
         while hits:
@@ -383,16 +379,17 @@ def _rref_rows(kept: dict[int, tuple[int, int]], width: int, p: int
             x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
         kept[b] = (x1, x2)
         later |= 1 << b - 1
-    leads = sorted(kept, reverse=True)
+    leads.reverse()
     return [kept[b] for b in leads], [width - b for b in leads]
 
 
 def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], ambient: int
                 ) -> "Subspace":
-    """The subspace of F^ambient spanned by pivot rows of `_pivot_rows`
-    on its columns, or a part of them closed under later pivots: their
-    RREF (`_rref_rows`), written once as the int64 basis and kept as the
-    subspace's bit rows."""
+    """The subspace of F^ambient spanned by the pivot rows of
+    `_pivot_rows` whose lead lies in its columns, the last `ambient`:
+    their RREF (`_rref_rows`), written once as the int64 basis and kept
+    as the subspace's bit rows. Every subspace derived over GF(2) and
+    GF(3) comes from here."""
     rows, pivots = _rref_rows(kept, ambient, field.p)
     basis = _from_bit_rows(rows, (len(rows), ambient), field.p).astype(np.int64)
     space = Subspace(field, ambient, _held(field, basis, tuple(pivots)))
@@ -456,10 +453,13 @@ def rref(m: MatrixF) -> tuple[MatrixF, int, tuple[int, ...]]:
 
 
 def rank(m: MatrixF) -> int:
-    """The rank; over GF(2) and GF(3) the pivot count of the forward pass
-    on bit rows, which are never back-reduced or unpacked."""
+    """The rank; of a matrix of at most one row, whether it is nonzero,
+    and otherwise over GF(2) and GF(3) the pivot count of the forward
+    pass on bit rows, which are never back-reduced or unpacked."""
     a, p = m.array, m.field.p
-    if p <= 3 and a.shape[0] >= 2 and a.shape[1]:
+    if a.shape[0] < 2:
+        return int(a.any())
+    if p <= 3:
         return len(_pivot_rows(_bit_rows(a, p), p))
     return len(_rref_array(a, p)[1])
 
@@ -486,12 +486,17 @@ def _null_rows(a: np.ndarray, piv: Sequence[int], p: int) -> np.ndarray:
 
 def _vanishing(field: PrimeField, a: np.ndarray, skip: int = 0) -> "Subspace":
     """The words of the row space of the residues `a` that are zero on
-    its first `skip` columns, seen on the others: the rows of one RREF
-    whose pivot is at or past `skip`, cut there, a canonical int64 basis."""
-    red, rk, piv = rref(_held(field, a))
+    its first `skip` columns, seen on the others, as a canonical int64
+    basis: over GF(2) and GF(3) `_kept_space` of the pivot rows of `a`'s
+    bit rows, and over p >= 5 the rows of one RREF whose pivot is at or
+    past `skip`, cut there."""
+    p = field.p
+    if p <= 3:
+        return _kept_space(field, _pivot_rows(_bit_rows(a, p), p), a.shape[1] - skip)
+    red, piv = _rref_array(a, p)
     kept = tuple(c - skip for c in piv if c >= skip)
-    basis = _held(field, red.array[rk - len(kept):rk, skip:], kept)
-    return Subspace(field, a.shape[1] - skip, basis)
+    basis = red[len(piv) - len(kept):len(piv), skip:].astype(np.int64)
+    return Subspace(field, a.shape[1] - skip, _held(field, basis, kept))
 
 
 def inverse(m: MatrixF) -> MatrixF:
@@ -615,11 +620,10 @@ class Subspace:
 
     def _bit_basis(self) -> list[tuple[int, int]]:
         """The basis's bit rows (`_bit_rows`), built on the first call and
-        kept; p <= 3. An endpoint code that a reduction step derives
-        arrives with them (`_kept_space`)."""
+        kept; p <= 3. A subspace the package derives arrives with them
+        (`_kept_space`), so only one built from a caller's basis packs."""
         if self._bits is None:
-            a = self.basis.array
-            self._bits = _bit_rows(a, self.field.p) if a.size else []
+            self._bits = _bit_rows(self.basis.array, self.field.p)
         return self._bits
 
     def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:
@@ -645,7 +649,7 @@ class Subspace:
 
     def _block_maps(self, at: int, d: int, cross: bool = False
                     ) -> tuple[tuple[int, ...], np.ndarray]:
-        """The pivots of L and N(L)^T (`_quotient_map`), for L the
+        """The pivots of L and N(L)^T (`_check_rows().T`), for L the
         projection onto the columns [at, at + d), or with cross=True the
         cross-section there: the words zero off them, seen on them. They
         are what a trim or a merge reads off L.
@@ -655,7 +659,7 @@ class Subspace:
         GF(3) L's RREF rows come off the kept bit rows and are never written
         as a basis: the rows masked to the block for a projection, and for
         a cross-section the rows with the block rotated to the end, whose
-        pivot rows with a lead in the block are the words.
+        pivot rows with a lead in the block are the words (`_rref_rows`).
         """
         field, p = self.field, self.field.p
         if p > 3:
@@ -665,7 +669,7 @@ class Subspace:
                 space = _vanishing(field, rotated, self.ambient - d)
             else:
                 space = _vanishing(field, a[:, at:at + d])
-            return space.pivots, _quotient_map(space)
+            return space.pivots, space._check_rows().T
         rows = self._bit_basis()
         tail = self.ambient - at - d
         block = (1 << d) - 1
@@ -674,7 +678,6 @@ class Subspace:
             kept = _pivot_rows([((x1 >> tail + d << tail | x1 & low) << d | x1 >> tail & block,
                                  (x2 >> tail + d << tail | x2 & low) << d | x2 >> tail & block)
                                 for x1, x2 in rows], p)
-            kept = {b: row for b, row in kept.items() if b <= d}
         else:
             kept = _pivot_rows([(x1 >> tail & block, x2 >> tail & block) for x1, x2 in rows], p)
         rows, pivots = _rref_rows(kept, d, p)
@@ -690,19 +693,12 @@ class Subspace:
         return f"<subspace dim {self.dim} of {self.field!r}^{self.ambient}>"
 
 
-def _quotient_map(space: Subspace) -> np.ndarray:
-    """N(L)^T for the subspace L, the quotient map modulo L, read off L's
-    RREF rows: row f of N(L) is e_f minus column f of L on the pivots
-    (`_null_rows`)."""
-    return _null_rows(space.basis.array, space.pivots, space.field.p).T
-
-
 def _quotient_rows(rows: list[tuple[int, int]], pivots: Sequence[int], ambient: int,
                    p: int) -> np.ndarray:
-    """`_quotient_map` of the subspace L of F^ambient, p <= 3, whose RREF
-    bit rows have these pivot columns, as int64: the identity on the free
-    columns, and at pivot c the negated row of c on them, where -1 is
-    p - 1 and -2 is 1."""
+    """The quotient map N(L)^T modulo the subspace L of F^ambient, p <= 3,
+    whose RREF bit rows have these pivot columns, as int64: the identity
+    on the free columns, and at pivot c the negated row of c on them,
+    where -1 is p - 1 and -2 is 1."""
     taken = set(pivots)
     free = [c for c in range(ambient) if c not in taken]
     q = [[int(c == f) for f in free] for c in range(ambient)]
@@ -725,7 +721,7 @@ def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
     each kept bit row of an end gets v f | v x as the sum of those rows at
     v's nonzero digits (a digit 2 adds the row negated, its masks
     swapped), is put back together by shifts, and the pivot rows whose
-    lead lies past v f are the words.
+    lead lies past v f are the words (`_kept_space`).
     """
     d, new_dim = x.shape
     field = ends[0][0].field
@@ -770,7 +766,5 @@ def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
                           << tail | x1 & low,
                           (((y2 >> new_dim) << at | x2 >> tail + d) << new_dim | y2 & mapped)
                           << tail | x2 & low))
-        past = space.ambient - d + new_dim
-        out.append(_kept_space(field, {b: row for b, row in _pivot_rows(words, p).items()
-                                       if b <= past}, past))
+        out.append(_kept_space(field, _pivot_rows(words, p), space.ambient - d + new_dim))
     return out

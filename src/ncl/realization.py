@@ -17,7 +17,7 @@ import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
-from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks, rref
+from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks
 
 LEFT = "left"
 RIGHT = "right"
@@ -498,16 +498,16 @@ def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
 
     Trim means the code's projection onto the state is the whole state
     space: `projection_dim` equals the state's dim. Only on a failure is
-    the basis's block at the state brought to RREF, for the witness: the
-    first standard basis vector of the state space that the row space
-    misses, as e_i lies in it exactly when i is a pivot whose row is e_i.
+    the projection built, for the witness: the first standard basis
+    vector of the state space that it misses, as e_i lies in it exactly
+    when i is a pivot whose row is e_i.
     """
     d = r._incident_dim(constraint_id, state_id)
     code = r.code(constraint_id)
     if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
-    red, _, piv = rref(_held(r.field, _block(code, state_id)))
-    units = {j for j, row in zip(piv, red.array) if np.count_nonzero(row) == 1}
+    space = code.project([state_id]).space
+    units = {j for j, row in zip(space.pivots, space.basis.array) if np.count_nonzero(row) == 1}
     i = min(set(range(d)) - units)
     return TrimVerdict(False, constraint_id, state_id, tuple(int(k == i) for k in range(d)))
 
@@ -530,12 +530,6 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
             word[at:at + section.ambient] = section.basis.row(0)
             return ProperVerdict(False, constraint_id, v, tuple(int(x) for x in word))
     return ProperVerdict(True, constraint_id)
-
-
-def _block(code: BlockedCode, var_id: str) -> np.ndarray:
-    """The columns of the code's basis on one of its blocks."""
-    at = code.structure.offset(var_id)
-    return code.space.basis.array[:, at:at + code.structure.dim(var_id)]
 
 
 def is_state_trim(r: Realization) -> bool:

@@ -12,7 +12,7 @@ nonzero digits of its v, then reduced. F and X are read off a subspace
 L of the state space held in RREF, with pivot columns pi and free
 columns phi: row f of N(L) is e_f minus column f of L on the pivots, and
 N(L)^T is the quotient map modulo L, read off L's RREF rows
-(fields._quotient_map). To restrict to L is F = N(L)^T and X = I[:, pi];
+(Subspace._check_rows). To restrict to L is F = N(L)^T and X = I[:, pi];
 to quotient by L is F with no columns and X = N(L)^T. A trim's and a
 merge's L, the constraint code's projection or cross-section at the
 state, is read as its pivots and N(L)^T alone (Subspace._block_maps),
@@ -61,7 +61,7 @@ from .errors import (
     NotCycleFreeError,
     NotReducibleError,
 )
-from .fields import MatrixF, Subspace, _quotient_map, _stepped, _vanishing, rank
+from .fields import MatrixF, Subspace, _stepped, _vanishing, rank
 from .realization import (
     Realization,
     Topology,
@@ -171,7 +171,7 @@ def reduce_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:
     r.ensure_valid()
     state_id, line = _unobservable_direction(r, unobservable_behavior(r))
     e_j = np.eye(line.ambient, dtype=np.int64)[:, list(line.pivots)]
-    return _shrink(r, UNOBS_TRIM, state_id, e_j, _quotient_map(line))
+    return _shrink(r, UNOBS_TRIM, state_id, e_j, line._check_rows().T)
 
 
 def dual_merge_unobservable(r: Realization) -> tuple[Realization, ReductionStep]:

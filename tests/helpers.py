@@ -40,14 +40,14 @@ from ncl import (
     is_trim,
     kernel,
     product_trellis,
+    rank,
     reduce_unobservable,
     unobservable_behavior,
 )
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
-from ncl.fields import ranks
+from ncl.fields import _bit_rows, _held, _null_rows, ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
-from ncl.realization import _block
-from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _quotient_map, _unobservable_direction
+from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _unobservable_direction
 
 
 def neg(field: PrimeField, a: int) -> int:
@@ -79,6 +79,34 @@ def mul(a: MatrixF, b: MatrixF) -> MatrixF:
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
     return MatrixF(a.field, (a.array @ b.array) % a.field.p)
+
+
+def _block(code: BlockedCode, var_id: str) -> np.ndarray:
+    """The columns of the code's basis on one of its blocks."""
+    at = code.structure.offset(var_id)
+    return code.space.basis.array[:, at:at + code.structure.dim(var_id)]
+
+
+def _quotient_map(space: Subspace) -> np.ndarray:
+    """N(L)^T for the subspace L, the quotient map modulo L, read off L's
+    RREF rows: row f of N(L) is e_f minus column f of L on the pivots."""
+    return _null_rows(space.basis.array, space.pivots, space.field.p).T
+
+
+def assert_rows_kept(space):
+    """The space arrived with the bit rows its basis gives afresh, and
+    answers block ranks from them as `rank` of the sliced basis does."""
+    a = space.basis.array
+    assert space._bits is not None
+    assert space._bits == (_bit_rows(a, space.field.p) if a.size else [])
+    n = space.ambient
+    for spans in ([(0, n // 2)], [(n // 3, n - n // 3)]):
+        cols = np.zeros(n, dtype=bool)
+        for at, d in spans:
+            cols[at:at + d] = True
+        for off in (False, True):
+            want = rank(_held(space.field, a[:, cols != off])) if a.size else 0
+            assert space._block_rank(spans, off) == want
 
 
 def zero_space(field: PrimeField, ambient: int) -> Subspace:

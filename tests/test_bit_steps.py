@@ -37,9 +37,10 @@ from ncl import (
     reduce_unobservable,
     trim_state,
 )
-from ncl.fields import _SMALL_CELLS, _bit_rows, _held, _null_rows
+from ncl.fields import _SMALL_CELLS, _held, _null_rows
 from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _shrink
 from helpers import (
+    assert_rows_kept,
     random_blocked_code,
     random_matrix,
     random_realization,
@@ -51,22 +52,6 @@ from helpers import (
 
 FIELDS = [GF2, GF3]
 FEATURES = ("zero code", "padded in", "padded out", "odd width", "to dim 0")
-
-
-def assert_rows_kept(space):
-    """The space arrived with the bit rows its basis gives afresh, and
-    answers block ranks from them as `rank` of the sliced basis does."""
-    a = space.basis.array
-    assert space._bits is not None
-    assert space._bits == (_bit_rows(a, space.field.p) if a.size else [])
-    n = space.ambient
-    for spans in ([(0, n // 2)], [(n // 3, n - n // 3)]):
-        cols = np.zeros(n, dtype=bool)
-        for at, d in spans:
-            cols[at:at + d] = True
-        for off in (False, True):
-            want = rank(_held(space.field, a[:, cols != off])) if a.size else 0
-            assert space._block_rank(spans, off) == want
 
 
 def wide_realization(rng: random.Random, field: PrimeField) -> Realization:

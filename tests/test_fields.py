@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -26,8 +26,8 @@ from ncl import (
     rref,
 )
 from ncl.fields import _SMALL_CELLS, _bit_rows, _from_bit_rows, _rref_array, _work_dtype, ranks
-from helpers import (full_space, gallager_checks, identity, inv, ladder_trellis, mul, neg, sympy_rank,
-                     transpose, zero_space, zeros)
+from helpers import (assert_rows_kept, full_space, gallager_checks, identity, inv, ladder_trellis,
+                     mul, neg, sympy_rank, transpose, zero_space, zeros)
 
 FIELDS = [GF2, GF3, PrimeField(5)]
 
@@ -199,8 +199,15 @@ def reference_rref(m: MatrixF) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class TestAgainstSympy:
+    # rank answers a matrix of at most one row itself, for every field
     @settings(max_examples=60, deadline=None)
     @given(large_matrices())
+    @example(MatrixF(PrimeField(5), np.zeros((0, 4))))
+    @example(MatrixF(PrimeField(5), [[0, 3, 1, 4]]))
+    @example(MatrixF(PrimeField(5), np.zeros((4, 0))))
+    @example(MatrixF(PrimeField(7), np.zeros((0, 3))))
+    @example(MatrixF(PrimeField(7), [[0, 0, 0]]))
+    @example(MatrixF(PrimeField(7), np.zeros((3, 0))))
     def test_rref_rank_kernel_inverse(self, m):
         want, want_piv = reference_rref(m)
         red, rk, piv = rref(m)
@@ -318,7 +325,9 @@ class TestGF2BitRows:
         assert rank(m) == len(piv)
         null = dm.nullspace()
         want = residue_list(null.rref()[0], p) if null.shape[0] else []
-        assert kernel(m).basis.tolist() == want
+        null_space = kernel(m)
+        assert null_space.basis.tolist() == want
+        assert_rows_kept(null_space)
         if rows == cols and len(piv) == rows:
             assert inverse(m).tolist() == residue_list(dm.inv(), p)
         elif rows == cols:

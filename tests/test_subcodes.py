@@ -1,10 +1,12 @@
-"""Every subcode the package derives comes from fields._vanishing.
+"""Every subcode the package derives comes from fields._vanishing or,
+over GF(2) and GF(3), from fields._kept_space, which _vanishing calls.
 
-Spans, projections, cross-sections, the proper witness and the endpoint
-codes of each reduction step over p >= 5 are all one call of it; over
-GF(2) and GF(3) a step reduces kept bit rows instead, and
-tests/test_bit_steps.py checks those too. Here it is checked
-against brute-force enumeration, and each of those subcodes against the
+Spans, projections, cross-sections, the proper and trim witnesses and
+the endpoint codes of each reduction step over p >= 5 are all one call
+of _vanishing; over GF(2) and GF(3) a step reduces kept bit rows
+instead, and tests/test_bit_steps.py checks those too. Here _vanishing
+is checked against brute-force enumeration, over GF(2) and GF(3) with
+the bit rows its result keeps, and each of those subcodes against the
 construction it replaced (tests/helpers.py): a left kernel, a product
 with its coefficients and a second span, or a null space of the check
 matrix.
@@ -34,6 +36,7 @@ from ncl import (
 from ncl.fields import _vanishing
 from ncl.reduction import MERGE, TRIM, UNOBS_TRIM
 from helpers import (
+    assert_rows_kept,
     full_space,
     random_blocked_code,
     random_realization,
@@ -76,6 +79,8 @@ def test_vanishing_is_the_enumerated_subcode(p):
             assert words(p, got.basis.array, cols - skip) == want
             checked = Subspace(field, got.ambient, MatrixF(field, got.basis.array.copy()))
             assert (got, got.pivots) == (checked, checked.pivots)
+            if p <= 3:
+                assert_rows_kept(got)
 
 
 def structures(rng: random.Random):
