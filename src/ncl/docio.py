@@ -8,8 +8,8 @@ json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
 The parse checks each field once, where it reads it, and builds on it with
-no second pass; emission applies its cell budget, so no writer makes a
-document the parse refuses. _dumps writes JSON.
+no second pass; emission refuses what the parse refuses (the cell budget,
+`validate`'s findings), so every written document parses. _dumps writes JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .blockcode import BlockedCode, BlockStructure, _trusted
-from .errors import DocumentError
+from .errors import DocumentError, InvalidRealizationError
 from .fields import MatrixF, PrimeField, Subspace, _held
 from .realization import RIGHT, Constraint, Realization, StateVar, SymbolVar, Topology
 
@@ -186,9 +186,13 @@ def emit_realization(r: Realization) -> str:
     """Canonical document text for a realization.
 
     Raises the DocumentError that the parse of the text would raise where
-    the behavior's system exceeds the cell budget.
+    the behavior's system exceeds the cell budget, and InvalidRealizationError
+    for a finding the parse refuses: all but duplicate ids and the graph's.
     """
     topo = r.topology
+    recorded = topo._duplicate_ids() + topo._graph_issues() if r._issues else []
+    if refused := [i for i in r._issues if i not in recorded]:
+        raise InvalidRealizationError(refused)
     frame, checks = topo.total_symbol_dim() + topo.total_state_dim(), 0
     constraints = []
     for i, c in enumerate(sorted(topo.constraints, key=_id_order)):

@@ -31,21 +31,21 @@ in `_rref_array`, `rank` and `_vanishing`, and in `_block_rank`,
 `_block_maps` and `_stepped`.
 
 Inputs are validated at the public boundary only. `MatrixF(...)` reduces
-what it is given mod p, and `Subspace(...)` checks that its basis is in
-canonical reduced echelon form. Every subspace the package derives is an
-RREF, which is already both, built by one constructor per engine.
-`_vanishing(field, a, skip)` gives the words of the row space of the
-residues `a` that are zero on the first `skip` columns: with skip = 0 a
-span (every kernel, complement, sum and projection), and with other
-columns first a cross-section. Over GF(2) and GF(3) it and a reduction
-step's endpoint codes (`_stepped`) hand pivot rows of `_pivot_rows` to
-`_kept_space`: `_rref_rows` keeps those whose lead lies in the last
-`ambient` columns, which are the words zero on the others, and
-back-reduces them, and the rows, each exactly as wide as the ambient,
-are written once as the int64 basis and kept as the subspace's bit
-rows, so the next block rank or step on it packs nothing. A trim's or a
-merge's L is reduced the same way and never written
-(`Subspace._block_maps`). Over p >= 5 `_vanishing` cuts one RREF.
+integer entries mod p, and `Subspace(...)` requires a caller's basis to
+equal the engine's RREF of it (`_vanishing`), whose pivots and bit rows
+it adopts. Every subspace the package derives is an RREF, built by one
+constructor per engine. `_vanishing(field, a, skip)` gives the words of
+the row space of the residues `a` that are zero on the first `skip`
+columns: with skip = 0 a span (every kernel, complement, sum and
+projection), and with other columns first a cross-section. Over GF(2)
+and GF(3) it and a reduction step's endpoint codes (`_stepped`) hand
+pivot rows of `_pivot_rows` to `_kept_space`: `_rref_rows` keeps those
+whose lead lies in the last `ambient` columns, which are the words zero
+on the others, and back-reduces them, and the rows, each exactly as wide
+as the ambient, are written once as the int64 basis and kept as the
+subspace's bit rows: every GF(2)/GF(3) subspace holds them from
+construction. A trim's or a merge's L is reduced the same way and never
+written (`Subspace._block_maps`). Over p >= 5 `_vanishing` cuts one RREF.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class PrimeField:
 
     def residues(self, values: Iterable[int]) -> np.ndarray:
         """A flat sequence of ints as a read-only residue vector."""
-        v = np.asarray(list(values), dtype=np.int64) % self.p
+        v = _integers(list(values)) % self.p
         v.setflags(write=False)
         return v
 
@@ -98,6 +98,16 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+def _integers(values) -> np.ndarray:
+    """Entries as int64: a float must be integral, and text or complex raises TypeError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and not ((np.trunc(a) == a) & (abs(a) < 2.0 ** 63)).all():
+        raise ValueError("entries must be integers; got a non-integral or non-finite float")
+    if a.dtype.kind not in "biufO":
+        raise TypeError(f"entries must be integers, got {a.dtype} entries")
+    return a.astype(np.int64, copy=False)
+
+
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
@@ -108,7 +118,7 @@ class MatrixF:
     __slots__ = ("field", "_a", "_echelon")
 
     def __init__(self, field: PrimeField, array) -> None:
-        a = np.asarray(array, dtype=np.int64)
+        a = _integers(array)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
         a = a % field.p
@@ -129,8 +139,7 @@ class MatrixF:
         width = widths.pop() if data else (0 if cols is None else cols)
         if cols is not None and width != cols:
             raise DimensionMismatchError(f"rows have width {width}, expected {cols}")
-        a = np.array(data, dtype=np.int64).reshape(len(data), width)
-        return cls(field, a)
+        return cls(field, np.reshape(data, (len(data), width)))
 
     @property
     def array(self) -> np.ndarray:
@@ -388,8 +397,8 @@ def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], ambient: in
     """The subspace of F^ambient spanned by the pivot rows of
     `_pivot_rows` whose lead lies in its columns, the last `ambient`:
     their RREF (`_rref_rows`), written once as the int64 basis and kept
-    as the subspace's bit rows. Every subspace derived over GF(2) and
-    GF(3) comes from here."""
+    as the subspace's bit rows. Every GF(2)/GF(3) subspace, derived or
+    checked against this RREF by `Subspace(...)`, comes from here."""
     rows, pivots = _rref_rows(kept, ambient, field.p)
     basis = _from_bit_rows(rows, (len(rows), ambient), field.p).astype(np.int64)
     space = Subspace(field, ambient, _held(field, basis, tuple(pivots)))
@@ -518,21 +527,16 @@ def complete_to_basis(m: MatrixF) -> MatrixF:
     index order, so the choice is canonical.
     """
     _, piv = _rref_array(m.array, m.field.p)
-    pivset = set(piv)
-    extra = [i for i in range(m.cols) if i not in pivset]
-    out = np.zeros((len(extra), m.cols), dtype=np.int64)
-    for r, i in enumerate(extra):
-        out[r, i] = 1
-    return _held(m.field, out)
+    return _held(m.field, np.delete(np.eye(m.cols, dtype=np.int64), piv, axis=0))
 
 
 class Subspace:
     """A subspace of F^n held as a canonical RREF basis with no zero rows.
 
     Equality is representation equality: two subspaces are equal exactly
-    when their canonical bases are identical. Slots keep what a first call
-    derives: the check rows, the orthogonal complement, and over GF(2) and
-    GF(3) the basis's bit rows (`_block_rank`).
+    when their canonical bases are identical. Over GF(2) and GF(3) it holds
+    its basis's bit rows from construction. Slots keep what a first call
+    derives: the check rows and the orthogonal complement.
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_checks", "_orthogonal", "_bits")
@@ -542,28 +546,19 @@ class Subspace:
             raise FieldMismatchError(f"{basis.field} vs {field}")
         if basis.cols != ambient:
             raise DimensionMismatchError(f"basis width {basis.cols}, ambient {ambient}")
-        pivots = basis._echelon
+        pivots, bits = basis._echelon, None
         if pivots is None:
-            a = basis.array
-            found = []
-            last = -1
-            for i in range(a.shape[0]):
-                nz = np.nonzero(a[i])[0]
-                if nz.size == 0 or a[i, nz[0]] != 1 or int(nz[0]) <= last:
-                    raise ValueError("basis is not in canonical reduced echelon form")
-                c = int(nz[0])
-                if np.count_nonzero(a[:, c]) != 1:
-                    raise ValueError("basis is not in canonical reduced echelon form")
-                found.append(c)
-                last = c
-            pivots = tuple(found)
+            canon = _vanishing(field, basis.array)
+            if canon.basis != basis:
+                raise ValueError("basis is not in canonical reduced echelon form")
+            pivots, bits = canon.pivots, canon._bits
         self.field = field
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
         self._checks: np.ndarray | None = None
         self._orthogonal: Subspace | None = None
-        self._bits: list[tuple[int, int]] | None = None
+        self._bits: list[tuple[int, int]] | None = bits
 
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":
@@ -585,15 +580,11 @@ class Subspace:
             raise DimensionMismatchError(f"ambients {self.ambient} vs {other.ambient}")
 
     def contains(self, vec) -> bool:
-        v = self.field.residues(vec).copy()
+        """Whether vec lies in the subspace: stacked under the basis, it keeps the dim."""
+        v = self.field.residues(vec)
         if v.shape != (self.ambient,):
             raise DimensionMismatchError(f"vector length {v.shape}, ambient {self.ambient}")
-        p = self.field.p
-        a = self.basis.array
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * a[i]) % p
-        return not v.any()
+        return _vanishing(self.field, np.vstack([self.basis.array, v])).dim == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
@@ -618,21 +609,13 @@ class Subspace:
             self._orthogonal = _vanishing(self.field, self._check_rows())
         return self._orthogonal
 
-    def _bit_basis(self) -> list[tuple[int, int]]:
-        """The basis's bit rows (`_bit_rows`), built on the first call and
-        kept; p <= 3. A subspace the package derives arrives with them
-        (`_kept_space`), so only one built from a caller's basis packs."""
-        if self._bits is None:
-            self._bits = _bit_rows(self.basis.array, self.field.p)
-        return self._bits
-
     def _block_rank(self, spans: Iterable[tuple[int, int]], off: bool = False) -> int:
         """The rank of the basis columns in the (offset, width) column
         spans, or with off=True of the columns outside them.
 
-        Over GF(2) and GF(3) each call ANDs the kept bit rows with the
-        spans' column mask and counts the pivots of the forward pass
-        alone; over p >= 5 it is `rank` of the sliced basis.
+        Over GF(2) and GF(3) each call ANDs the bit rows held from
+        construction with the spans' column mask and counts the pivots of
+        the forward pass alone; over p >= 5 it is `rank` of the sliced basis.
         """
         p, n = self.field.p, self.ambient
         if p > 3:
@@ -645,7 +628,7 @@ class Subspace:
             mask |= (1 << d) - 1 << n - at - d
         if off:
             mask = ~mask
-        return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in self._bit_basis()], p))
+        return len(_pivot_rows([(x1 & mask, x2 & mask) for x1, x2 in self._bits], p))
 
     def _block_maps(self, at: int, d: int, cross: bool = False
                     ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -670,7 +653,7 @@ class Subspace:
             else:
                 space = _vanishing(field, a[:, at:at + d])
             return space.pivots, space._check_rows().T
-        rows = self._bit_basis()
+        rows = self._bits
         tail = self.ambient - at - d
         block = (1 << d) - 1
         if cross:
@@ -746,7 +729,7 @@ def _stepped(ends: Sequence[tuple[Subspace, int]], f: np.ndarray, x: np.ndarray
         tail = space.ambient - at - d
         low = (1 << tail) - 1
         words = []
-        for x1, x2 in space._bit_basis():
+        for x1, x2 in space._bits:
             v1, v2 = x1 >> tail & block, x2 >> tail & block
             y1 = y2 = 0
             while v := v1 | v2:

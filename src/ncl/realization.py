@@ -496,19 +496,17 @@ def is_controllable(r: Realization) -> bool:
 def is_trim(r: Realization, constraint_id: str, state_id: str) -> TrimVerdict:
     """Trim check for one constraint at one of its states, with witness.
 
-    Trim means the code's projection onto the state is the whole state
-    space: `projection_dim` equals the state's dim. Only on a failure is
-    the projection built, for the witness: the first standard basis
-    vector of the state space that it misses, as e_i lies in it exactly
-    when i is a pivot whose row is e_i.
+    Trim means the code's projection L onto the state is the whole state
+    space: `projection_dim` equals the state's dim. Only on a failure is L
+    read, as the trim reads it (`Subspace._block_maps`), for the witness:
+    the first e_i with e_i N(L)^T != 0, which L misses, as N(L)^T is the
+    quotient map modulo L.
     """
     d = r._incident_dim(constraint_id, state_id)
     code = r.code(constraint_id)
     if code.projection_dim([state_id]) == d:
         return TrimVerdict(True, constraint_id, state_id)
-    space = code.project([state_id]).space
-    units = {j for j, row in zip(space.pivots, space.basis.array) if np.count_nonzero(row) == 1}
-    i = min(set(range(d)) - units)
+    i = int(code.space._block_maps(code.structure.offset(state_id), d)[1].any(axis=1).argmax())
     return TrimVerdict(False, constraint_id, state_id, tuple(int(k == i) for k in range(d)))
 
 
@@ -567,7 +565,9 @@ def dualize(r: Realization) -> Realization:
         if rows is not dual.space.basis.array:
             dual = BlockedCode(dual.structure, _vanishing(r.field, rows))
         new_codes[c.id] = dual
-    return Realization(r.field, r.topology, new_codes)
+    out = Realization(r.field, r.topology, new_codes)
+    out._issues = ()  # fills the cached_property: r's topology and blocks are valid
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,23 @@ from hypothesis import strategies as st
 
 from ncl import (
     GF2,
+    BlockedCode,
+    BlockStructure,
     DocumentError,
+    InvalidRealizationError,
+    Realization,
     analyze,
     behavior,
     dualize,
     emit_realization,
     export_dot,
+    generator_realization,
     natural_key,
     parity_check_realization,
     parse_code_document,
     parse_realization,
     realized_code,
+    validate,
 )
 from ncl import fields
 from ncl.docio import _id_order
@@ -111,6 +117,17 @@ class TestParseEmit:
         with pytest.raises(DocumentError) as e:
             emit_realization(make())
         assert str(e.value) == message
+
+    def test_emit_refuses_an_invalid_realization(self):
+        # gen0's code has one block where its constraint lists two vars:
+        # the text would fail its own parse, on the generators' row length
+        r = generator_realization(GF2, 3, [[1, 1, 0], [0, 1, 1]])
+        codes = r.codes
+        codes["gen0"] = BlockedCode.from_rows(GF2, BlockStructure((("g0@p0", 1),)), [[1]])
+        bad = Realization(GF2, r.topology, codes)
+        assert [i.tag for i in validate(bad)] == ["dim-mismatch"]
+        with pytest.raises(InvalidRealizationError):
+            emit_realization(bad)
 
 
 class TestParseErrors:

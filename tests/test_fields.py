@@ -110,6 +110,22 @@ class TestMatrixF:
         with pytest.raises(DimensionMismatchError):
             mul(a, MatrixF(GF3, [[1, 2]]))
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: MatrixF(PrimeField(5), [[2.7, 1.2]]), ValueError),
+        (lambda: MatrixF(GF2, [["1", "0"]]), TypeError),
+        (lambda: MatrixF.from_rows(GF3, [[1, 1j]]), TypeError),
+        (lambda: MatrixF(GF3, [[float("nan"), 1]]), ValueError),
+        (lambda: PrimeField(5).residues([2.9, 7.5]), ValueError),
+    ], ids=["fraction", "text", "complex", "nan", "residues-fraction"])
+    def test_refuses_what_no_integer_reads(self, make, error):
+        # an entry is never truncated or parsed into a residue
+        with pytest.raises(error):
+            make()
+
+    def test_integral_floats_still_read(self):
+        assert MatrixF(GF3, np.eye(2) * 4).tolist() == [[1, 0], [0, 1]]
+        assert MatrixF(GF2, np.zeros((0, 4))).shape == (0, 4)
+
     def test_identity_zeros_transpose(self):
         assert identity(GF2, 2).tolist() == [[1, 0], [0, 1]]
         assert zeros(GF2, 1, 2).tolist() == [[0, 0]]
@@ -208,12 +224,23 @@ class TestAgainstSympy:
     @example(MatrixF(PrimeField(7), np.zeros((0, 3))))
     @example(MatrixF(PrimeField(7), [[0, 0, 0]]))
     @example(MatrixF(PrimeField(7), np.zeros((3, 0))))
+    @example(MatrixF(PrimeField(5), [[1, 2, 0, 4], [2, 4, 0, 3], [3, 1, 0, 2]]))
+    @example(MatrixF(PrimeField(7), [[0, 3, 6, 1, 0], [0, 1, 2, 5, 0]]))
     def test_rref_rank_kernel_inverse(self, m):
         want, want_piv = reference_rref(m)
         red, rk, piv = rref(m)
         assert red.array.tolist() == want.tolist()
         assert (rk, piv) == (len(want_piv), want_piv)
         assert rank(m) == rk
+        assert complete_to_basis(m).tolist() == [
+            [int(j == i) for j in range(m.cols)] for i in range(m.cols) if i not in want_piv]
+
+        p = m.field.p
+        space = Subspace.spanned_by(m.field, m.cols, m)
+        probes = [*m.array[:3], *np.eye(m.cols, dtype=np.int64)[:4],
+                  (m.array[:2].sum(axis=0) + np.arange(m.cols)) % p]
+        for v in probes:
+            assert space.contains(v) == (sympy_rank(np.vstack([m.array, v]), p) == rk)
 
         k = kernel(m)
         assert k.dim == m.cols - rk
@@ -558,6 +585,8 @@ class TestTrustedConstruction:
             checked = Subspace(field, cols, MatrixF(field, s.basis.array.copy()))
             assert s == checked
             assert s.pivots == checked.pivots
+            if p <= 3:  # the check's RREF is the engine's, bit rows and all
+                assert_rows_kept(checked)
             for m in (s.basis.array, rref(MatrixF(field, a))[0].array):
                 assert m.dtype == np.int64
                 assert not m.flags.writeable

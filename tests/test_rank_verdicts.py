@@ -13,6 +13,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import ncl.realization
@@ -63,6 +64,7 @@ from helpers import (
     random_tree_realization,
     reference_analyze,
     reference_dual_merge,
+    sympy_rank,
 )
 
 FIELDS = [GF2, GF3, PrimeField(5)]
@@ -78,13 +80,17 @@ def state_pairs(r):
 
 
 def reference_trim(r, cid, sid):
-    proj = r.code(cid).project([sid]).space
-    d = r.topology.var_dim(sid)
-    if proj.dim == d:
+    """Trim by sympy ranks of the code's basis columns at the state: a unit
+    vector lies in the projection iff stacking it keeps the rank."""
+    code = r.code(cid)
+    at, d = code.structure.offset(sid), r.topology.var_dim(sid)
+    columns, p = code.space.basis.array[:, at:at + d], r.field.p
+    rk = sympy_rank(columns, p)
+    if rk == d:
         return TrimVerdict(True, cid, sid)
     for i in range(d):
         unit = tuple(int(i == j) for j in range(d))
-        if not proj.contains(unit):
+        if sympy_rank(np.vstack([columns, unit]), p) > rk:
             return TrimVerdict(False, cid, sid, unit)
     raise AssertionError("proper subspace contains every standard vector")
 
@@ -277,6 +283,16 @@ def test_analyze_matches_the_per_incidence_reference():
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF{f.p}")
+def test_dual_validates_as_a_fresh_realization(field):
+    # dualize keeps the validated topology and every block structure, so it
+    # sets the findings to none; a fresh realization on its parts finds none
+    for kind, r in analyze_cases(field):
+        d = dualize(r)
+        assert "_issues" in vars(d)
+        assert validate(d) == validate(Realization(d.field, d.topology, d.codes)) == [], kind
+
+
 def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
     """A parsed (3,6)-regular Tanner graph with n = 240 has two local codes:
     a variable node's three states and a check node's six give 9 trim
@@ -386,23 +402,30 @@ def test_fixpoint_retests_an_incidence_only_after_its_code_changed(monkeypatch):
         assert calls["tests"] <= bound
 
 
-def test_fixpoint_projects_once_per_trim(monkeypatch):
+def test_fixpoint_projects_twice_per_trim(monkeypatch):
     calls = Counter()
-    block_maps = Subspace._block_maps
+    block_maps, project = Subspace._block_maps, BlockedCode.project
 
     def counting(space, at, d, cross=False):
         calls["section" if cross else "project"] += 1
         return block_maps(space, at, d, cross)
 
-    # the trim test reads its verdict off the kept bit rows; only the trim
-    # itself reads the projection, its L
+    def written(code, block_ids):
+        calls["code"] += 1
+        return project(code, block_ids)
+
+    # the trim test reads its verdict off the kept bit rows; only a failed
+    # test reads the projection, its L, for the witness, and the trim reads
+    # it again; no projection is ever written as a code
     monkeypatch.setattr(Subspace, "_block_maps", counting)
+    monkeypatch.setattr(BlockedCode, "project", written)
     for r in ladder_trellises():
         calls.clear()
         _, steps = reduce_to_fixpoint(r)
         trims = sum(step.kind == "trim" for step in steps)
         assert trims > 0
-        assert calls["project"] == trims
+        assert calls["project"] == 2 * trims
+        assert calls["code"] == 0
 
 
 def intermediate_realizations(r):
