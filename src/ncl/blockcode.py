@@ -35,8 +35,7 @@ DEFAULT_MAX_POINTS = 1 << 22
 def _trusted(cls: type, **fields) -> object:
     """Frozen dataclass `cls` with `fields` set, no checks run: for checked values."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -7,16 +7,16 @@ generators in reduced echelon form, explicit negate_at, indented as
 json.dumps(doc, indent=2) would. Parsing nudges any document into the
 same order, so parse(emit(parse(text))) equals parse(text).
 
-The parse checks each field once, where it reads it, and builds on it with
-no second pass; emission refuses what the parse refuses (the cell budget,
-`validate`'s findings), so every written document parses. _dumps writes JSON.
+The parse checks each entry once, inline, and reads again only one that
+fails, for its error; emission refuses what the parse refuses (the cell
+budget, most findings), so every written document parses. _dumps writes JSON.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import Any
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .blockcode import BlockedCode, BlockStructure, _trusted
 from .errors import DocumentError, InvalidRealizationError
 from .fields import MatrixF, PrimeField, Subspace, _held
-from .realization import RIGHT, Constraint, Realization, StateVar, SymbolVar, Topology
+from .realization import LEFT, RIGHT, Constraint, Realization, StateVar, SymbolVar, Topology
 
 _DIGIT_RUNS = re.compile(r"(\d+)").split
 
@@ -78,10 +78,11 @@ def _matrix(field: PrimeField, rows: list[list[int]], width: int, path: str) -> 
         raise DocumentError(path, f"cannot hold a {len(rows)} x {width} matrix: {e}") from None
 
 
-def _check_cells(cells: int, path: str) -> None:
+def _check_cells(cells: int, i: int) -> None:
+    """Refuse a system over the budget at constraint i's generators, the i-th in order."""
     if cells > MAX_SYSTEM_CELLS:
-        raise DocumentError(path, f"the behavior's system needs {cells} "
-                            f"cells, over the budget of {MAX_SYSTEM_CELLS}")
+        raise DocumentError(f"$.constraints[{i}].generators", f"the behavior's system needs "
+                            f"{cells} cells, over the budget of {MAX_SYSTEM_CELLS}")
 
 
 def _document_head(text: str) -> tuple[dict, PrimeField]:
@@ -104,74 +105,91 @@ def parse_realization(text: str) -> Realization:
 
     Raises DocumentError with a JSON-path location for malformed input,
     at a second declaration of an id, a var listed undeclared or twice,
-    and where the behavior's system would exceed the cell budget. Each
-    distinct (width, raw generator rows) is checked once, and equal
-    residue rows share one subspace, eliminated once. With every id, var
-    and dim checked, `blockcode._trusted` builds blocks and constraints,
-    and the findings left are duplicate ids (a constraint may take a
-    var's id) and the graph's.
+    and where the behavior's system would exceed the cell budget.
+
+    Each entry is checked once, inline, against the exact types json.loads
+    gives, and no path is built for one that passes; one that fails is read
+    again field by field for its first error. Equal residue rows share one
+    subspace, eliminated once. `blockcode._trusted` builds the checked vars,
+    blocks and constraints; the findings left are the graph's and any id
+    that a var and a constraint share.
     """
     doc, field = _document_head(text)
     dim_of: dict[str, int] = {}  # symbols and states share one namespace
     symbols, states = [], []
     for name, declared in (("symbols", symbols), ("states", states)):
-        for i, entry in enumerate(_require(doc, name, list, "$")):
-            path = f"$.{name}[{i}]"
-            sid = _require(entry, "id", str, path)
-            dim = _require(entry, "dim", int, path)
-            if declared is states:
-                ends = (_require(entry, "left", str, path), _require(entry, "right", str, path),
-                        entry.get("negate_at", RIGHT))
-                if not isinstance(ends[2], str):
+        state = declared is states
+        for i, e in enumerate(_require(doc, name, list, "$")):
+            if (type(e) is dict and type(sid := e.get("id")) is str
+                    and type(dim := e.get("dim")) is int and dim >= 0 and sid not in dim_of
+                    and (not state or type(e.get("left")) is str and type(e.get("right")) is str
+                         and e.get("negate_at", RIGHT) in (LEFT, RIGHT))):
+                var = (_trusted(StateVar, id=sid, dim=dim, left=e["left"], right=e["right"],
+                                negate_at=e.get("negate_at", RIGHT)) if state
+                       else _trusted(SymbolVar, id=sid, dim=dim))
+            else:  # read field by field, for the error of the first check it fails
+                path = f"$.{name}[{i}]"
+                sid, dim = _require(e, "id", str, path), _require(e, "dim", int, path)
+                ends = (_require(e, "left", str, path), _require(e, "right", str, path),
+                        e.get("negate_at", RIGHT)) if state else ()
+                if state and not isinstance(ends[2], str):
                     raise DocumentError(f"{path}.negate_at", "expected a string")
-            try:
-                declared.append(StateVar(sid, dim, *ends) if declared is states
-                                else SymbolVar(sid, dim))
-            except ValueError as e:
-                raise DocumentError(path, str(e)) from None
-            if sid in dim_of:
-                raise DocumentError(path, f"id {sid!r} declared twice")
+                try:
+                    var = StateVar(sid, dim, *ends) if state else SymbolVar(sid, dim)
+                except ValueError as exc:
+                    raise DocumentError(path, str(exc)) from None
+                if sid in dim_of:
+                    raise DocumentError(path, f"id {sid!r} declared twice")
+            declared.append(var)
             dim_of[sid] = dim
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
-    frame, checks = sum(dim_of.values()), 0
-    # (width, repr of the raw rows) and (width, residue rows) -> the one space for them
+    frame, checks, p = sum(dim_of.values()), 0, field.p
+    # (width, rows), raw or residue, -> the one space their residues span
     spaces: dict[tuple, Subspace] = {}
-    for i, entry in enumerate(_require(doc, "constraints", list, "$")):
-        path = f"$.constraints[{i}]"
-        cid = _require(entry, "id", str, path)
-        raw_vars = _require(entry, "vars", list, path)
-        listed: dict[str, int] = {}  # each var's dim, in order: k vars cost O(k)
-        for j, v in enumerate(raw_vars):
-            if not isinstance(v, str):
-                raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
-            if v not in dim_of:
-                raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
-            if v in listed:
-                raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
-            listed[v] = dim_of[v]
+    for i, e in enumerate(_require(doc, "constraints", list, "$")):
+        try:
+            listed = (dict(zip(vars_, map(dim_of.__getitem__, vars_)))
+                      if type(e) is dict and type(cid := e.get("id")) is str
+                      and type(vars_ := e.get("vars")) is list else None)
+        except (KeyError, TypeError):  # an undeclared or non-str var
+            listed = None
+        if (listed is None or len(listed) != len(vars_)
+                or type(raw := e.get("generators")) is not list):
+            path = f"$.constraints[{i}]"  # read field by field, for the error
+            cid, listed = _require(e, "id", str, path), {}
+            for j, v in enumerate(_require(e, "vars", list, path)):
+                if not isinstance(v, str):
+                    raise DocumentError(f"{path}.vars[{j}]", "expected a variable id")
+                if v not in dim_of:
+                    raise DocumentError(f"{path}.vars[{j}]", f"undeclared variable {v!r}")
+                if v in listed:
+                    raise DocumentError(f"{path}.vars[{j}]", f"variable {v!r} listed twice")
+                listed[v] = dim_of[v]
+            raw = _require(e, "generators", list, path)
         width = sum(listed.values())
-        raw = _require(entry, "generators", list, path)
-        raw_key = (width, repr(raw))
-        if raw_key not in spaces:
-            rows = _int_rows(raw, f"{path}.generators", field.p)
-            for j, row in enumerate(rows):
+        if not ({*map(type, raw)} <= {list} and {*map(type, chain.from_iterable(raw))} <= {int}):
+            _int_rows(raw, f"$.constraints[{i}].generators", p)  # raises
+        raw_key = (width, tuple(map(tuple, raw)))  # exact: every entry is an int
+        if (space := spaces.get(raw_key)) is None:
+            for j, row in enumerate(raw):
                 if len(row) != width:
-                    raise DocumentError(f"{path}.generators[{j}]",
+                    raise DocumentError(f"$.constraints[{i}].generators[{j}]",
                                         f"row length {len(row)} != total var dim {width}")
+            rows = [[x % p for x in row] for row in raw]
             key = (width, tuple(map(tuple, rows)))
             if key not in spaces:
-                matrix = _matrix(field, rows, width, f"{path}.generators")
+                matrix = _matrix(field, rows, width, f"$.constraints[{i}].generators")
                 spaces[key] = Subspace.spanned_by(field, width, matrix)
-            spaces[raw_key] = spaces[key]
-        checks += width - spaces[raw_key].dim
-        _check_cells(checks * frame, f"{path}.generators")
+            space = spaces[raw_key] = spaces[key]
+        checks += width - space.dim
+        _check_cells(checks * frame, i)
         if cid in codes:
-            raise DocumentError(path, f"constraint id {cid!r} declared twice")
+            raise DocumentError(f"$.constraints[{i}]", f"constraint id {cid!r} declared twice")
         constraints.append(_trusted(Constraint, id=cid, vars=tuple(listed)))
         structure = _trusted(BlockStructure, blocks=tuple(listed.items()), total=width)
-        codes[cid] = BlockedCode(structure, spaces[raw_key])
+        codes[cid] = BlockedCode(structure, space)
 
     symbols.sort(key=_id_order)
     states.sort(key=_id_order)
@@ -187,10 +205,12 @@ def emit_realization(r: Realization) -> str:
 
     Raises the DocumentError that the parse of the text would raise where
     the behavior's system exceeds the cell budget, and InvalidRealizationError
-    for a finding the parse refuses: all but duplicate ids and the graph's.
+    for a finding the parse refuses: all but the graph's and an id that one
+    var and one constraint share.
     """
     topo = r.topology
-    recorded = topo._duplicate_ids() + topo._graph_issues() if r._issues else []
+    recorded = (topo._duplicate_ids() + topo._graph_issues()
+                if r._issues and not topo._repeats_an_id() else [])
     if refused := [i for i in r._issues if i not in recorded]:
         raise InvalidRealizationError(refused)
     frame, checks = topo.total_symbol_dim() + topo.total_state_dim(), 0
@@ -198,23 +218,16 @@ def emit_realization(r: Realization) -> str:
     for i, c in enumerate(sorted(topo.constraints, key=_id_order)):
         code = r.code(c.id)
         checks += code.structure.total - code.dim
-        _check_cells(checks * frame, f"$.constraints[{i}].generators")
+        _check_cells(checks * frame, i)
         constraints.append({"id": c.id, "vars": list(c.vars),
                             "generators": code.space.basis.tolist()})
-    doc = {
+    return _dumps({
         "field": r.field.p,
-        "symbols": [
-            {"id": s.id, "dim": s.dim}
-            for s in sorted(topo.symbols, key=_id_order)
-        ],
-        "states": [
-            {"id": s.id, "dim": s.dim, "left": s.left, "right": s.right,
-             "negate_at": s.negate_at}
-            for s in sorted(topo.states, key=_id_order)
-        ],
+        "symbols": [{"id": s.id, "dim": s.dim} for s in sorted(topo.symbols, key=_id_order)],
+        "states": [{"id": s.id, "dim": s.dim, "left": s.left, "right": s.right,
+                    "negate_at": s.negate_at} for s in sorted(topo.states, key=_id_order)],
         "constraints": constraints,
-    }
-    return _dumps(doc) + "\n"
+    }) + "\n"
 
 
 _encode = json.encoder.encode_basestring_ascii

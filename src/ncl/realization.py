@@ -9,9 +9,11 @@ every constraint; the realized code is its projection onto the symbols.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -226,6 +228,11 @@ class Topology:
                 local.add(v)
         return found + self._graph_issues()
 
+    def _repeats_an_id(self) -> bool:
+        """Two vars, or two constraints, share an id, which the parse refuses."""
+        return (len({v.id for v in (*self.symbols, *self.states)}) < len(self.symbols)
+                + len(self.states) or len(self._constraints_by_id) < len(self.constraints))
+
     def _duplicate_ids(self) -> list[ValidationIssue]:
         """Each id declared again, across symbols, states and constraints."""
         found: list[ValidationIssue] = []
@@ -239,22 +246,28 @@ class Topology:
         return found
 
     def _graph_issues(self) -> list[ValidationIssue]:
-        """Symbol and state use, endpoints, self-loops, connectivity: no id findings."""
+        """Symbol and state use, endpoints, self-loops, connectivity: no id findings.
+        Use lists are built only if a count fails: a symbol listed once passes,
+        and a state listed twice, by its two distinct endpoints."""
         found: list[ValidationIssue] = []
-        uses: dict[str, list[str]] = {v.id: [] for v in (*self.symbols, *self.states)}
-        for c in self.constraints:
-            for v in c.vars:
-                if v in uses:
-                    uses[v].append(c.id)
-
-        for s in self.symbols:
-            if len(uses[s.id]) != 1:
-                found.append(ValidationIssue(
-                    "normality",
-                    f"symbol {s.id!r} must be involved in exactly one constraint, "
-                    f"found {len(uses[s.id])}", (s.id, *uses[s.id])))
+        counts = Counter(chain.from_iterable([c.vars for c in self.constraints]))
         cids = self._constraints_by_id
-        for s in self.states:
+        symbols = [s for s in self.symbols if counts[s.id] != 1]
+        states = [s for s in self.states if not (counts[s.id] == 2 and s.left != s.right
+                  and s.id in getattr(cids.get(s.left), "vars", ())
+                  and s.id in getattr(cids.get(s.right), "vars", ()))]
+        uses: dict[str, list[str]] = {}
+        for c in self.constraints if symbols or states else ():
+            for v in c.vars:
+                uses.setdefault(v, []).append(c.id)
+
+        for s in symbols:
+            used = uses.get(s.id, [])
+            found.append(ValidationIssue(
+                "normality",
+                f"symbol {s.id!r} must be involved in exactly one constraint, "
+                f"found {len(used)}", (s.id, *used)))
+        for s in states:
             if s.left == s.right:
                 found.append(ValidationIssue(
                     "self-loop", f"state {s.id!r} has both endpoints at {s.left!r}",
@@ -263,12 +276,12 @@ class Topology:
             missing = [end for end in (s.left, s.right) if end not in cids]
             found += [ValidationIssue("unknown-id", f"state {s.id!r} endpoint {end!r} is not "
                                       "a constraint", (s.id, end)) for end in missing]
-            if not missing and uses[s.id] not in ([s.left, s.right], [s.right, s.left]):
+            used = uses.get(s.id, [])
+            if not missing and used not in ([s.left, s.right], [s.right, s.left]):
                 found.append(ValidationIssue(
                     "normality",
                     f"state {s.id!r} must be involved in exactly its two endpoints "
-                    f"{s.left!r} and {s.right!r}, found {uses[s.id]!r}",
-                    (s.id, *uses[s.id])))
+                    f"{s.left!r} and {s.right!r}, found {used!r}", (s.id, *used)))
 
         comps = self._uncut_components
         if len(comps) > 1:
@@ -304,20 +317,18 @@ class Realization:
 
     @cached_property
     def _issues(self) -> tuple[ValidationIssue, ...]:
-        found = self.topology.issues()
-        for c in self.topology.constraints:
-            if c.id not in self._codes:
-                found.append(ValidationIssue(
-                    "missing-code", f"constraint {c.id!r} has no code", (c.id,)))
-        for cid in self._codes:
-            if cid not in self.topology._constraints_by_id:
-                found.append(ValidationIssue(
-                    "unknown-id", f"code given for undeclared constraint {cid!r}", (cid,)))
-        if any(i.tag in ("duplicate-id", "unknown-id", "missing-code") for i in found):
+        topo = self.topology
+        found = topo.issues() + [
+            ValidationIssue("missing-code", f"constraint {c.id!r} has no code", (c.id,))
+            for c in topo.constraints if c.id not in self._codes] + [
+            ValidationIssue("unknown-id", f"code given for undeclared constraint {cid!r}", (cid,))
+            for cid in self._codes if cid not in topo._constraints_by_id]
+        if topo._repeats_an_id() or any(i.tag in ("unknown-id", "missing-code") for i in found):
             return tuple(found)
-        for c in self.topology.constraints:
+        dims = {v.id: v.dim for v in (*topo.symbols, *topo.states)}
+        for c in topo.constraints:
             code = self._codes[c.id]
-            expected = tuple((v, self.topology.var_dim(v)) for v in c.vars)
+            expected = tuple((v, dims[v]) for v in c.vars)
             if code.field != self.field:
                 found.append(ValidationIssue(
                     "field-mismatch",
@@ -431,8 +442,7 @@ class Realization:
                 f"{len(t.states)} states, {len(t.symbols)} symbols>")
 
 
-@dataclass(frozen=True)
-class TrimVerdict:
+class TrimVerdict(NamedTuple):
     """Does one constraint project onto one of its state spaces surjectively?"""
 
     ok: bool
@@ -444,8 +454,7 @@ class TrimVerdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ProperVerdict:
+class ProperVerdict(NamedTuple):
     """Does a constraint avoid nonzero codewords supported on one state?"""
 
     ok: bool
@@ -570,8 +579,7 @@ def dualize(r: Realization) -> Realization:
     return out
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Per-constraint verdicts gathered by analyze()."""
 
     id: str
@@ -633,22 +641,12 @@ class AnalysisReport:
                      "state": c.proper.state_id, "codeword": list(c.proper.codeword)}}
                 for c in self.constraints
             ],
-            "total_symbol_dim": self.total_symbol_dim,
-            "total_state_dim": self.total_state_dim,
-            "total_constraint_dim": self.total_constraint_dim,
-            "behavior_dim": self.behavior_dim,
-            "realized_dim": self.realized_dim,
-            "unobservable_dim": self.unobservable_dim,
-            "controllability_defect": self.defect,
-            "observable": self.observable,
-            "controllable": self.controllable,
-            "state_trim": self.state_trim,
-            "branch_trim": self.branch_trim,
-            "reduced": self.reduced,
-            "cycle_free": self.cycle_free,
-            "minimal": self.minimal,
-            "trim_proper": self.trim_proper,
-            "locally_reducible": self.locally_reducible,
+            **{key: getattr(self, "defect" if key == "controllability_defect" else key)
+               for key in ("total_symbol_dim", "total_state_dim", "total_constraint_dim",
+                           "behavior_dim", "realized_dim", "unobservable_dim",
+                           "controllability_defect", "observable", "controllable",
+                           "state_trim", "branch_trim", "reduced", "cycle_free", "minimal",
+                           "trim_proper", "locally_reducible")},
         }
 
 
@@ -679,8 +677,8 @@ def analyze(r: Realization) -> AnalysisReport:
             verdicts[key] = ([code.projection_dim([v]) == kind[v][0] for v in states],
                              all(code.cross_section_dim([v]) == 0 for v in states))
         trim_ok, proper_ok = verdicts[key]
-        trims = tuple(TrimVerdict(True, c.id, v) if t else is_trim(r, c.id, v)
-                      for v, t in zip(states, trim_ok))
+        trims = tuple([TrimVerdict(True, c.id, v) if t else is_trim(r, c.id, v)
+                       for v, t in zip(states, trim_ok)])
         proper = ProperVerdict(True, c.id) if proper_ok else is_proper(r, c.id)
         reports.append(ConstraintReport(c.id, code.dim, trims, proper))
     trim_proper = all(all(trim_ok) and proper_ok for trim_ok, proper_ok in verdicts.values())

@@ -32,6 +32,7 @@ from ncl import (
     SymbolVar,
     Topology,
     TrimVerdict,
+    ValidationIssue,
     behavior,
     complete_to_basis,
     controllability_defect,
@@ -690,3 +691,46 @@ def reference_parse_realization(text: str) -> Realization:
     constraints.sort(key=lambda c: natural_key(c.id))
     topo = Topology(tuple(symbols), tuple(states), tuple(constraints))
     return Realization(field, topo, codes)
+
+
+def reference_graph_issues(topo: Topology) -> list[ValidationIssue]:
+    """Topology._graph_issues as it was while it built every var's use
+    list: the reference for its findings, their order and their messages."""
+    found: list[ValidationIssue] = []
+    uses: dict[str, list[str]] = {v.id: [] for v in (*topo.symbols, *topo.states)}
+    for c in topo.constraints:
+        for v in c.vars:
+            if v in uses:
+                uses[v].append(c.id)
+
+    for s in topo.symbols:
+        if len(uses[s.id]) != 1:
+            found.append(ValidationIssue(
+                "normality",
+                f"symbol {s.id!r} must be involved in exactly one constraint, "
+                f"found {len(uses[s.id])}", (s.id, *uses[s.id])))
+    cids = topo._constraints_by_id
+    for s in topo.states:
+        if s.left == s.right:
+            found.append(ValidationIssue(
+                "self-loop", f"state {s.id!r} has both endpoints at {s.left!r}",
+                (s.id, s.left)))
+            continue
+        missing = [end for end in (s.left, s.right) if end not in cids]
+        found += [ValidationIssue("unknown-id", f"state {s.id!r} endpoint {end!r} is not "
+                                  "a constraint", (s.id, end)) for end in missing]
+        if not missing and uses[s.id] not in ([s.left, s.right], [s.right, s.left]):
+            found.append(ValidationIssue(
+                "normality",
+                f"state {s.id!r} must be involved in exactly its two endpoints "
+                f"{s.left!r} and {s.right!r}, found {uses[s.id]!r}",
+                (s.id, *uses[s.id])))
+
+    comps = topo._uncut_components
+    if len(comps) > 1:
+        smaller = min(comps, key=len)
+        found.append(ValidationIssue(
+            "disconnected",
+            f"constraint graph has {len(comps)} components; "
+            f"one contains {sorted(smaller)!r}", tuple(sorted(smaller))))
+    return found

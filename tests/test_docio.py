@@ -14,9 +14,13 @@ from ncl import (
     GF2,
     BlockedCode,
     BlockStructure,
+    Constraint,
     DocumentError,
     InvalidRealizationError,
     Realization,
+    StateVar,
+    SymbolVar,
+    Topology,
     analyze,
     behavior,
     dualize,
@@ -128,6 +132,38 @@ class TestParseEmit:
         assert [i.tag for i in validate(bad)] == ["dim-mismatch"]
         with pytest.raises(InvalidRealizationError):
             emit_realization(bad)
+
+    @pytest.mark.parametrize("symbols, states, constraint_ids", [
+        (("a", "a"), (), ("c",)),
+        (("a",), ("a",), ("c",)),
+        (("a",), (), ("c", "c")),
+    ], ids=["two-symbols", "a-symbol-and-a-state", "two-constraints"])
+    def test_emit_refuses_an_id_repeated_within_vars_or_constraints(
+            self, symbols, states, constraint_ids):
+        # the parse refuses the text at the second declaration of the id
+        topo = Topology(tuple(SymbolVar(s, 1) for s in symbols),
+                        tuple(StateVar(s, 1, "c", "d") for s in states),
+                        tuple(Constraint(c, ("a",)) for c in constraint_ids))
+        codes = {c: BlockedCode.from_rows(GF2, BlockStructure((("a", 1),)), [[1]])
+                 for c in constraint_ids}
+        r = Realization(GF2, topo, codes)
+        assert "duplicate-id" in [i.tag for i in validate(r)]
+        with pytest.raises(InvalidRealizationError):
+            emit_realization(r)
+
+    def test_emit_refuses_a_dim_mismatch_beside_an_id_a_var_and_a_constraint_share(self):
+        # the shared id is recorded, as the parse records it; the code of the
+        # wrong width is not, as the parse would refuse its row length
+        topo = Topology((SymbolVar("x", 2),), (), (Constraint("x", ("x",)),))
+        bad = Realization(GF2, topo, {"x": BlockedCode.from_rows(
+            GF2, BlockStructure((("x", 1),)), [[1]])})
+        assert [i.tag for i in validate(bad)] == ["duplicate-id", "dim-mismatch"]
+        with pytest.raises(InvalidRealizationError):
+            emit_realization(bad)
+        good = Realization(GF2, topo, {"x": BlockedCode.from_rows(
+            GF2, BlockStructure((("x", 2),)), [[1, 1]])})
+        assert [i.tag for i in validate(good)] == ["duplicate-id"]
+        assert validate(parse_realization(emit_realization(good))) == validate(good)
 
 
 class TestParseErrors:

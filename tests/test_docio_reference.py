@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ncl import (
     GF2,
+    GF3,
     BlockedCode,
     BlockStructure,
     Constraint,
@@ -262,6 +263,259 @@ def test_rows_equal_to_a_seen_key_but_of_another_type_are_rejected(bad, path, me
         parse_realization(json.dumps(doc))
     assert str(e.value) == f"{path}: {message}"
     assert_parses_like_reference(json.dumps(doc))
+
+
+# --- one-defect mutations ---------------------------------------------------------
+# Each mutation changes one thing in a valid document, at the second entry of
+# its kind. The table pins the parse's (path, message) for a refusal, or the
+# tags of the findings it records, on a GF(2) Tanner document and a GF(3)
+# tail-biting one.
+
+def _set(key, i, field, value):
+    def mutate(doc):
+        doc[key][i][field] = value
+    return mutate
+
+
+def _drop(key, i, field):
+    def mutate(doc):
+        del doc[key][i][field]
+    return mutate
+
+
+def _entry(key, i, value):
+    def mutate(doc):
+        doc[key][i] = value
+    return mutate
+
+
+def _copy_id(key, i, src_key, j):
+    def mutate(doc):
+        doc[key][i]["id"] = doc[src_key][j]["id"]
+    return mutate
+
+
+def _var(i, j, value):
+    """Constraint i's var j set to value, or to its first var where value is None."""
+    def mutate(doc):
+        vars_ = doc["constraints"][i]["vars"]
+        vars_[j] = vars_[0] if value is None else value
+    return mutate
+
+
+def _rows(i, edit):
+    def mutate(doc):
+        edit(doc["constraints"][i]["generators"])
+    return mutate
+
+
+MUTATIONS = {
+    "symbols-not-a-list": lambda doc: doc.update(symbols={}),
+    "states-missing": lambda doc: doc.pop("states"),
+    "constraints-not-a-list": lambda doc: doc.update(constraints="c0"),
+    "symbol-not-an-object": _entry("symbols", 1, 7),
+    "symbol-a-list": _entry("symbols", 1, ["a1", 1]),
+    "symbol-id-missing": _drop("symbols", 1, "id"),
+    "symbol-id-an-int": _set("symbols", 1, "id", 1),
+    "symbol-dim-missing": _drop("symbols", 1, "dim"),
+    "symbol-dim-a-string": _set("symbols", 1, "dim", "1"),
+    "symbol-dim-a-bool": _set("symbols", 1, "dim", True),
+    "symbol-dim-a-float": _set("symbols", 1, "dim", 1.0),
+    "symbol-dim-negative": _set("symbols", 1, "dim", -1),
+    "symbol-id-repeated": _copy_id("symbols", 1, "symbols", 0),
+    "state-not-an-object": _entry("states", 1, None),
+    "state-id-missing": _drop("states", 1, "id"),
+    "state-dim-a-bool": _set("states", 1, "dim", False),
+    "state-dim-negative": _set("states", 1, "dim", -2),
+    "state-left-missing": _drop("states", 1, "left"),
+    "state-left-an-int": _set("states", 1, "left", 3),
+    "state-right-null": _set("states", 1, "right", None),
+    "state-negate-at-bad": _set("states", 1, "negate_at", "middle"),
+    "state-negate-at-an-int": _set("states", 1, "negate_at", 0),
+    "state-negate-at-null": _set("states", 1, "negate_at", None),
+    "state-negate-at-a-list": _set("states", 1, "negate_at", ["left"]),
+    "state-negate-at-missing": _drop("states", 1, "negate_at"),
+    "state-negate-at-left": _set("states", 1, "negate_at", "left"),
+    "state-id-repeated": _copy_id("states", 1, "states", 0),
+    "state-takes-a-symbol-id": _copy_id("states", 1, "symbols", 0),
+    "state-endpoint-unknown": _set("states", 1, "left", "nowhere"),
+    "state-self-loop": lambda doc: doc["states"][1].update(right=doc["states"][1]["left"]),
+    "constraint-not-an-object": _entry("constraints", 1, "c1"),
+    "constraint-id-missing": _drop("constraints", 1, "id"),
+    "constraint-id-null": _set("constraints", 1, "id", None),
+    "constraint-vars-missing": _drop("constraints", 1, "vars"),
+    "constraint-vars-a-string": _set("constraints", 1, "vars", "a0"),
+    "constraint-generators-missing": _drop("constraints", 1, "generators"),
+    "constraint-generators-an-object": _set("constraints", 1, "generators", {"0": [1]}),
+    "var-not-a-string": _var(1, 1, 0),
+    "var-a-list": _var(1, 1, ["a0"]),
+    "var-undeclared": _var(1, 1, "zz"),
+    "var-repeated": _var(1, 1, None),
+    "row-not-a-list": _rows(1, lambda g: g.__setitem__(0, 1)),
+    "row-too-long": _rows(1, lambda g: g[0].append(0)),
+    "row-too-short": _rows(1, lambda g: g[-1].pop()),
+    "entry-a-float": _rows(1, lambda g: g[0].__setitem__(0, 1.5)),
+    "entry-a-bool": _rows(1, lambda g: g[-1].__setitem__(-1, True)),
+    "entry-a-string": _rows(1, lambda g: g[0].__setitem__(1, "1")),
+    "entry-null": _rows(1, lambda g: g[0].__setitem__(0, None)),
+    "entry-huge": _rows(1, lambda g: g[0].__setitem__(0, 10 ** 30 + 1)),
+    "constraint-id-repeated": _copy_id("constraints", 1, "constraints", 0),
+    "constraint-takes-a-symbol-id": _copy_id("constraints", 1, "symbols", 0),
+    "constraint-takes-a-state-id": _copy_id("constraints", 1, "states", 0),
+}
+
+
+def _mutation_documents() -> dict[str, str]:
+    tanner = parity_check_realization(GF2, 12, gallager_checks(random.Random(36), 12))
+    tail_biting = random_tail_biting_product(random.Random(0), GF3, max_n=5, max_gens=3)
+    return {"tanner": emit_realization(tanner), "tail-biting": emit_realization(tail_biting)}
+
+
+MUTATION_DOCUMENTS = _mutation_documents()
+
+MUTATION_TABLE = [
+    ("tanner", "symbols-not-a-list", '$.symbols', 'expected list'),
+    ("tanner", "states-missing", '$.states', 'missing required field'),
+    ("tanner", "constraints-not-a-list", '$.constraints', 'expected list'),
+    ("tanner", "symbol-not-an-object", '$.symbols[1]', 'expected an object'),
+    ("tanner", "symbol-a-list", '$.symbols[1]', 'expected an object'),
+    ("tanner", "symbol-id-missing", '$.symbols[1].id', 'missing required field'),
+    ("tanner", "symbol-id-an-int", '$.symbols[1].id', 'expected str'),
+    ("tanner", "symbol-dim-missing", '$.symbols[1].dim', 'missing required field'),
+    ("tanner", "symbol-dim-a-string", '$.symbols[1].dim', 'expected int'),
+    ("tanner", "symbol-dim-a-bool", '$.symbols[1].dim', 'expected an integer'),
+    ("tanner", "symbol-dim-a-float", '$.symbols[1].dim', 'expected int'),
+    ("tanner", "symbol-dim-negative", '$.symbols[1]', "symbol 'a1' has negative dim"),
+    ("tanner", "symbol-id-repeated", '$.symbols[1]', "id 'a0' declared twice"),
+    ("tanner", "state-not-an-object", '$.states[1]', 'expected an object'),
+    ("tanner", "state-id-missing", '$.states[1].id', 'missing required field'),
+    ("tanner", "state-dim-a-bool", '$.states[1].dim', 'expected an integer'),
+    ("tanner", "state-dim-negative", '$.states[1]', "state 'g0@p3' has negative dim"),
+    ("tanner", "state-left-missing", '$.states[1].left', 'missing required field'),
+    ("tanner", "state-left-an-int", '$.states[1].left', 'expected str'),
+    ("tanner", "state-right-null", '$.states[1].right', 'expected str'),
+    ("tanner", "state-negate-at-bad",
+     '$.states[1]', "state 'g0@p3': negate_at must be 'left' or 'right'"),
+    ("tanner", "state-negate-at-an-int", '$.states[1].negate_at', 'expected a string'),
+    ("tanner", "state-negate-at-null", '$.states[1].negate_at', 'expected a string'),
+    ("tanner", "state-negate-at-a-list", '$.states[1].negate_at', 'expected a string'),
+    ("tanner", "state-negate-at-missing", None, None),
+    ("tanner", "state-negate-at-left", None, None),
+    ("tanner", "state-id-repeated", '$.states[1]', "id 'g0@p2' declared twice"),
+    ("tanner", "state-takes-a-symbol-id", '$.states[1]', "id 'a0' declared twice"),
+    ("tanner", "state-endpoint-unknown", None, ('unknown-id',)),
+    ("tanner", "state-self-loop", None, ('self-loop',)),
+    ("tanner", "constraint-not-an-object", '$.constraints[1]', 'expected an object'),
+    ("tanner", "constraint-id-missing", '$.constraints[1].id', 'missing required field'),
+    ("tanner", "constraint-id-null", '$.constraints[1].id', 'expected str'),
+    ("tanner", "constraint-vars-missing", '$.constraints[1].vars', 'missing required field'),
+    ("tanner", "constraint-vars-a-string", '$.constraints[1].vars', 'expected list'),
+    ("tanner", "constraint-generators-missing",
+     '$.constraints[1].generators', 'missing required field'),
+    ("tanner", "constraint-generators-an-object", '$.constraints[1].generators', 'expected list'),
+    ("tanner", "var-not-a-string", '$.constraints[1].vars[1]', 'expected a variable id'),
+    ("tanner", "var-a-list", '$.constraints[1].vars[1]', 'expected a variable id'),
+    ("tanner", "var-undeclared", '$.constraints[1].vars[1]', "undeclared variable 'zz'"),
+    ("tanner", "var-repeated", '$.constraints[1].vars[1]', "variable 'g1@p0' listed twice"),
+    ("tanner", "row-not-a-list", '$.constraints[1].generators[0]', 'expected a list of integers'),
+    ("tanner", "row-too-long", '$.constraints[1].generators[0]', 'row length 7 != total var dim 6'),
+    ("tanner", "row-too-short",
+     '$.constraints[1].generators[4]', 'row length 5 != total var dim 6'),
+    ("tanner", "entry-a-float", '$.constraints[1].generators[0][0]', 'expected an integer'),
+    ("tanner", "entry-a-bool", '$.constraints[1].generators[4][5]', 'expected an integer'),
+    ("tanner", "entry-a-string", '$.constraints[1].generators[0][1]', 'expected an integer'),
+    ("tanner", "entry-null", '$.constraints[1].generators[0][0]', 'expected an integer'),
+    ("tanner", "entry-huge", None, None),
+    ("tanner", "constraint-id-repeated", '$.constraints[1]', "constraint id 'chk0' declared twice"),
+    ("tanner", "constraint-takes-a-symbol-id", None,
+     ('duplicate-id', 'unknown-id', 'unknown-id', 'unknown-id', 'unknown-id', 'unknown-id',
+      'unknown-id', 'disconnected')),
+    ("tanner", "constraint-takes-a-state-id", None,
+     ('duplicate-id', 'unknown-id', 'unknown-id', 'unknown-id', 'unknown-id', 'unknown-id',
+      'unknown-id', 'disconnected')),
+    ("tail-biting", "symbols-not-a-list", '$.symbols', 'expected list'),
+    ("tail-biting", "states-missing", '$.states', 'missing required field'),
+    ("tail-biting", "constraints-not-a-list", '$.constraints', 'expected list'),
+    ("tail-biting", "symbol-not-an-object", '$.symbols[1]', 'expected an object'),
+    ("tail-biting", "symbol-a-list", '$.symbols[1]', 'expected an object'),
+    ("tail-biting", "symbol-id-missing", '$.symbols[1].id', 'missing required field'),
+    ("tail-biting", "symbol-id-an-int", '$.symbols[1].id', 'expected str'),
+    ("tail-biting", "symbol-dim-missing", '$.symbols[1].dim', 'missing required field'),
+    ("tail-biting", "symbol-dim-a-string", '$.symbols[1].dim', 'expected int'),
+    ("tail-biting", "symbol-dim-a-bool", '$.symbols[1].dim', 'expected an integer'),
+    ("tail-biting", "symbol-dim-a-float", '$.symbols[1].dim', 'expected int'),
+    ("tail-biting", "symbol-dim-negative", '$.symbols[1]', "symbol 'a1' has negative dim"),
+    ("tail-biting", "symbol-id-repeated", '$.symbols[1]', "id 'a0' declared twice"),
+    ("tail-biting", "state-not-an-object", '$.states[1]', 'expected an object'),
+    ("tail-biting", "state-id-missing", '$.states[1].id', 'missing required field'),
+    ("tail-biting", "state-dim-a-bool", '$.states[1].dim', 'expected an integer'),
+    ("tail-biting", "state-dim-negative", '$.states[1]', "state 's1' has negative dim"),
+    ("tail-biting", "state-left-missing", '$.states[1].left', 'missing required field'),
+    ("tail-biting", "state-left-an-int", '$.states[1].left', 'expected str'),
+    ("tail-biting", "state-right-null", '$.states[1].right', 'expected str'),
+    ("tail-biting", "state-negate-at-bad",
+     '$.states[1]', "state 's1': negate_at must be 'left' or 'right'"),
+    ("tail-biting", "state-negate-at-an-int", '$.states[1].negate_at', 'expected a string'),
+    ("tail-biting", "state-negate-at-null", '$.states[1].negate_at', 'expected a string'),
+    ("tail-biting", "state-negate-at-a-list", '$.states[1].negate_at', 'expected a string'),
+    ("tail-biting", "state-negate-at-missing", None, None),
+    ("tail-biting", "state-negate-at-left", None, None),
+    ("tail-biting", "state-id-repeated", '$.states[1]', "id 's0' declared twice"),
+    ("tail-biting", "state-takes-a-symbol-id", '$.states[1]', "id 'a0' declared twice"),
+    ("tail-biting", "state-endpoint-unknown", None, ('unknown-id',)),
+    ("tail-biting", "state-self-loop", None, ('self-loop',)),
+    ("tail-biting", "constraint-not-an-object", '$.constraints[1]', 'expected an object'),
+    ("tail-biting", "constraint-id-missing", '$.constraints[1].id', 'missing required field'),
+    ("tail-biting", "constraint-id-null", '$.constraints[1].id', 'expected str'),
+    ("tail-biting", "constraint-vars-missing", '$.constraints[1].vars', 'missing required field'),
+    ("tail-biting", "constraint-vars-a-string", '$.constraints[1].vars', 'expected list'),
+    ("tail-biting", "constraint-generators-missing",
+     '$.constraints[1].generators', 'missing required field'),
+    ("tail-biting", "constraint-generators-an-object",
+     '$.constraints[1].generators', 'expected list'),
+    ("tail-biting", "var-not-a-string", '$.constraints[1].vars[1]', 'expected a variable id'),
+    ("tail-biting", "var-a-list", '$.constraints[1].vars[1]', 'expected a variable id'),
+    ("tail-biting", "var-undeclared", '$.constraints[1].vars[1]', "undeclared variable 'zz'"),
+    ("tail-biting", "var-repeated", '$.constraints[1].vars[1]', "variable 's1' listed twice"),
+    ("tail-biting", "row-not-a-list",
+     '$.constraints[1].generators[0]', 'expected a list of integers'),
+    ("tail-biting", "row-too-long",
+     '$.constraints[1].generators[0]', 'row length 5 != total var dim 4'),
+    ("tail-biting", "row-too-short",
+     '$.constraints[1].generators[1]', 'row length 3 != total var dim 4'),
+    ("tail-biting", "entry-a-float", '$.constraints[1].generators[0][0]', 'expected an integer'),
+    ("tail-biting", "entry-a-bool", '$.constraints[1].generators[1][3]', 'expected an integer'),
+    ("tail-biting", "entry-a-string", '$.constraints[1].generators[0][1]', 'expected an integer'),
+    ("tail-biting", "entry-null", '$.constraints[1].generators[0][0]', 'expected an integer'),
+    ("tail-biting", "entry-huge", None, None),
+    ("tail-biting", "constraint-id-repeated",
+     '$.constraints[1]', "constraint id 'c0' declared twice"),
+    ("tail-biting", "constraint-takes-a-symbol-id", None,
+     ('duplicate-id', 'unknown-id', 'unknown-id', 'disconnected')),
+    ("tail-biting", "constraint-takes-a-state-id", None,
+     ('duplicate-id', 'unknown-id', 'unknown-id', 'disconnected')),
+]
+
+
+@pytest.mark.parametrize("kind, name, path, want", MUTATION_TABLE,
+                         ids=[f"{k}-{n}" for k, n, _, _ in MUTATION_TABLE])
+def test_one_defect_mutation(kind, name, path, want):
+    doc = json.loads(MUTATION_DOCUMENTS[kind])
+    MUTATIONS[name](doc)
+    text = json.dumps(doc)
+    assert_parses_like_reference(text)
+    if path is None:
+        issues = parse_realization(text)._issues
+        assert tuple(i.tag for i in issues) == (want or ())
+        return
+    with pytest.raises(DocumentError) as e:
+        parse_realization(text)
+    assert (e.value.path, str(e.value)) == (path, f"{path}: {want}")
+
+
+def test_the_mutation_table_covers_every_mutation_on_both_documents():
+    assert sorted((k, n) for k, n, _, _ in MUTATION_TABLE) == sorted(
+        (k, n) for k in MUTATION_DOCUMENTS for n in MUTATIONS)
 
 
 # --- the cell budget -------------------------------------------------------------

@@ -51,6 +51,7 @@ from helpers import (
     random_tail_biting_product,
     random_tree_realization,
     reference_behavior,
+    reference_graph_issues,
 )
 from ncl.realization import _component_labels
 
@@ -304,6 +305,78 @@ class TestUncutComponents:
         first = topo.issues()
         assert topo.issues() == first == _fresh(topo).issues()
         assert topo.is_connected() == _fresh(topo).is_connected()
+
+
+def _with_vars(topo, cid, vars_):
+    """topo with constraint cid's vars replaced."""
+    return Topology(topo.symbols, topo.states, tuple(
+        Constraint(c.id, vars_) if c.id == cid else c for c in topo.constraints))
+
+
+def _inject(rng, topo, defect):
+    """topo with one defect of the given kind."""
+    cs, owner = topo.constraints, {v: c.id for c in topo.constraints for v in c.vars}
+    pick = rng.choice
+    if defect == "symbol-unused":
+        s = pick(topo.symbols).id
+        return _with_vars(topo, owner[s], tuple(v for v in topo.constraint(owner[s]).vars
+                                                if v != s))
+    if defect == "symbol-twice":
+        s = pick(topo.symbols).id
+        c = pick([c for c in cs if c.id != owner[s]] or list(cs))
+        return _with_vars(topo, c.id, c.vars + (s,))
+    if defect in ("self-loop", "unknown-endpoint") and not topo.states:
+        c = pick(cs).id
+        end = c if defect == "self-loop" else "nowhere"
+        return Topology(topo.symbols, (StateVar("z", 1, c, end),),
+                        _with_vars(topo, c, topo.constraint(c).vars + ("z",)).constraints)
+    if defect in ("self-loop", "unknown-endpoint"):
+        i = rng.randrange(len(topo.states))
+        s = topo.states[i]
+        moved = (StateVar(s.id, s.dim, s.left, s.left, s.negate_at) if defect == "self-loop"
+                 else StateVar(s.id, s.dim, *rng.sample([s.left, "nowhere"], 2), s.negate_at))
+        return Topology(topo.symbols, topo.states[:i] + (moved,) + topo.states[i + 1:], cs)
+    if defect == "state-misplaced" and topo.states:
+        s = pick(topo.states)
+        c = pick(cs)
+        if rng.random() < 0.5 or c.id in (s.left, s.right):
+            end = topo.constraint(pick((s.left, s.right)))
+            return _with_vars(topo, end.id, tuple(v for v in end.vars if v != s.id))
+        return _with_vars(topo, c.id, c.vars + (s.id,))
+    # disconnected, also where a state-misplaced topology has no state
+    lone = SymbolVar("lone", 1)
+    return Topology(topo.symbols + (lone,), topo.states,
+                    cs + (Constraint("c-lone", ("lone",)),))
+
+
+class TestGraphIssuesReference:
+    """_graph_issues gives the reference's findings, in its order and with
+    its messages, on random topologies with one injected defect each."""
+
+    DEFECTS = ("symbol-unused", "symbol-twice", "self-loop", "unknown-endpoint",
+               "state-misplaced", "disconnected")
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_one_defect(self, defect):
+        rng = random.Random(f"graph-issues:{defect}")
+        found_any = 0
+        for k in range(60):
+            field = (GF2, GF3)[k % 2]
+            r = (random_tail_biting_product(rng, field, max_n=6) if k % 3 == 0 else
+                 random_realization(rng, field, max_constraints=6, extra_edges=k % 3))
+            topo = _inject(rng, r.topology, defect)
+            want = reference_graph_issues(_fresh(topo))
+            assert topo._graph_issues() == want
+            found_any += bool(want)
+        assert found_any >= 50
+
+    def test_clean_topologies(self):
+        rng = random.Random("graph-issues:clean")
+        for r in _uncut_cases():
+            assert r.topology._graph_issues() == reference_graph_issues(r.topology) == []
+        for _ in range(20):
+            topo = random_realization(rng, GF2, max_constraints=6, extra_edges=2).topology
+            assert _fresh(topo)._graph_issues() == reference_graph_issues(topo) == []
 
 
 class TestBehavior:
