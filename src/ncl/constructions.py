@@ -152,7 +152,9 @@ def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node:
             position_code(entries))
 
     topo = Topology(_symbol_vars(n), states, tuple(constraints))
-    return Realization(field, topo, codes)
+    r = Realization(field, topo, codes)
+    r._issues = tuple(topo._graph_issues())  # fills the cached_property: zero columns disconnect
+    return r
 
 
 def generator_realization(field: PrimeField, n: int,
@@ -259,8 +261,9 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
             structure = BlockStructure(((sid, 0),))
             codes[cid] = BlockedCode.from_rows(field, structure, [])
 
-    topo = Topology(_symbol_vars(n), states, tuple(constraints))
-    return Realization(field, topo, codes)
+    r = Realization(field, Topology(_symbol_vars(n), states, tuple(constraints)), codes)
+    r._issues = ()  # fills the cached_property: a trellis is valid by construction
+    return r
 
 
 def is_tail_biting_trellis(topology: Topology) -> bool:

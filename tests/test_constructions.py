@@ -11,6 +11,7 @@ from ncl import (
     EnumerationLimitError,
     InvalidRealizationError,
     PrimeField,
+    Realization,
     Span,
     SpannedGenerator,
     Subspace,
@@ -338,6 +339,62 @@ class TestRandomSupportMatrices:
             assert is_reduced(g)
             weights = [sum(1 for v in row if v) for row in rows]
             assert is_state_trim(h) == all(w >= 2 for w in weights)
+
+
+class TestBuildersFillTheirFindings:
+    """Each builder sets the findings a fresh validation of its parts
+    gives: none for a trellis, the graph's alone for the two bipartite
+    builders (a zero column isolates its position node). The documents
+    they emit do not change."""
+
+    @staticmethod
+    def assert_filled_as_fresh(r):
+        fresh = Realization(r.field, r.topology, r.codes)
+        assert "_issues" in vars(r)
+        assert validate(r) == validate(fresh)
+        assert emit_realization(r) == emit_realization(fresh)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_bipartite_builders(self, p):
+        rng, field = random.Random(3700 + p), PrimeField(p)
+        seen = {"zero column": 0, "disconnected": 0}
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randrange(1, p) if rng.random() < 0.4 else 0 for _ in range(n)]
+                    for _ in range(m)]
+            for row in rows:
+                if not any(row):
+                    row[rng.randrange(n)] = rng.randrange(1, p)
+            seen["zero column"] += any(not any(col) for col in zip(*rows))
+            for build in (generator_realization, parity_check_realization):
+                r = build(field, n, rows)
+                self.assert_filled_as_fresh(r)
+                seen["disconnected"] += any(i.tag == "disconnected" for i in validate(r))
+        assert min(seen.values()) > 0, seen
+
+    def test_disconnected_generator_build(self):
+        r = generator_realization(GF2, 3, [[1, 1, 0]])
+        self.assert_filled_as_fresh(r)
+        assert [i.tag for i in validate(r)] == ["disconnected"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_trellises(self, p):
+        rng, field = random.Random(3710 + p), PrimeField(p)
+        for _ in range(20):
+            r = random_tail_biting_product(rng, field)
+            self.assert_filled_as_fresh(r)
+            assert validate(r) == []
+            n = rng.randint(1, 6)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                start = rng.randrange(n)
+                end = rng.randrange(start, n)
+                vec = [rng.randrange(p) if start <= k <= end else 0 for k in range(n)]
+                vec[start] = rng.randrange(1, p)
+                gens.append(SpannedGenerator(tuple(vec), Span(start, end)))
+            r = product_trellis(field, n, gens, "conventional")
+            self.assert_filled_as_fresh(r)
+            assert validate(r) == []
 
 
 def _span_words(p, rows, n):
