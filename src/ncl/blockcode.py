@@ -33,7 +33,7 @@ DEFAULT_MAX_POINTS = 1 << 22
 
 
 def _trusted(cls: type, **fields) -> object:
-    """Frozen dataclass `cls` with `fields` set, no checks run: for checked values."""
+    """Frozen dataclass or Realization `cls` with `fields` set, no checks run: for checked parts."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .blockcode import DEFAULT_MAX_POINTS, BlockedCode, BlockStructure
+from .blockcode import DEFAULT_MAX_POINTS, BlockedCode, BlockStructure, _trusted
 from .errors import EnumerationLimitError
 from .fields import PrimeField, Subspace, _held
 from .realization import (
@@ -152,9 +152,8 @@ def _bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]], node:
             position_code(entries))
 
     topo = Topology(_symbol_vars(n), states, tuple(constraints))
-    r = Realization(field, topo, codes)
-    r._issues = tuple(topo._graph_issues())  # fills the cached_property: zero columns disconnect
-    return r
+    return _trusted(Realization, field=field, topology=topo, _codes=codes,
+                    _issues=tuple(topo._graph_issues()))  # zero columns disconnect
 
 
 def generator_realization(field: PrimeField, n: int,
@@ -261,9 +260,8 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
             structure = BlockStructure(((sid, 0),))
             codes[cid] = BlockedCode.from_rows(field, structure, [])
 
-    r = Realization(field, Topology(_symbol_vars(n), states, tuple(constraints)), codes)
-    r._issues = ()  # fills the cached_property: a trellis is valid by construction
-    return r
+    topo = Topology(_symbol_vars(n), states, tuple(constraints))
+    return _trusted(Realization, field=field, topology=topo, _codes=codes, _issues=())
 
 
 def is_tail_biting_trellis(topology: Topology) -> bool:

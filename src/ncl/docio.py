@@ -111,8 +111,8 @@ def parse_realization(text: str) -> Realization:
     gives, and no path is built for one that passes; one that fails is read
     again field by field for its first error. Equal residue rows share one
     subspace, eliminated once. `blockcode._trusted` builds the checked vars,
-    blocks and constraints; the findings left are the graph's and any id
-    that a var and a constraint share.
+    blocks and constraints, and the realization with the findings left:
+    the graph's and any id that a var and a constraint share.
     """
     doc, field = _document_head(text)
     dim_of: dict[str, int] = {}  # symbols and states share one namespace
@@ -195,9 +195,8 @@ def parse_realization(text: str) -> Realization:
     states.sort(key=_id_order)
     constraints.sort(key=_id_order)
     topo = Topology(tuple(symbols), tuple(states), tuple(constraints))
-    r = Realization(field, topo, codes)
-    r._issues = tuple(topo._duplicate_ids() + topo._graph_issues())  # fills the cached_property
-    return r
+    return _trusted(Realization, field=field, topology=topo, _codes=codes,
+                    _issues=tuple(topo._duplicate_ids() + topo._graph_issues()))
 
 
 def emit_realization(r: Realization) -> str:

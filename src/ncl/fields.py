@@ -34,7 +34,7 @@ Inputs are validated at the public boundary only. `MatrixF(...)` reduces
 integer entries mod p, and `Subspace(...)` requires a caller's basis to
 equal the engine's RREF of it (`_vanishing`), whose pivots and bit rows
 it adopts. Every subspace the package derives is an RREF, built by one
-constructor per engine. `_vanishing(field, a, skip)` gives the words of
+constructor, `_canonical`. `_vanishing(field, a, skip)` gives the words of
 the row space of the residues `a` that are zero on the first `skip`
 columns: with skip = 0 a span (every kernel, complement, sum and
 projection), and with other columns first a cross-section. Over GF(2)
@@ -50,6 +50,7 @@ written (`Subspace._block_maps`). Over p >= 5 `_vanishing` cuts one RREF.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,7 +85,7 @@ class PrimeField:
 
     def residues(self, values: Iterable[int]) -> np.ndarray:
         """A flat sequence of ints as a read-only residue vector."""
-        v = _integers(list(values)) % self.p
+        v = _residues(list(values), self.p)
         v.setflags(write=False)
         return v
 
@@ -98,14 +99,18 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-def _integers(values) -> np.ndarray:
-    """Entries as int64: a float must be integral, and text or complex raises TypeError."""
+def _residues(values, p: int) -> np.ndarray:
+    """Entries as int64 residues mod p. An object or unsigned entry goes
+    through `operator.index` and is reduced in Python, so no int wraps; a
+    float must be integral, and text or complex raises TypeError."""
     a = np.asarray(values)
-    if a.dtype.kind == "f" and not ((np.trunc(a) == a) & (abs(a) < 2.0 ** 63)).all():
+    if a.dtype.kind in "Ou":
+        a = np.reshape([operator.index(x) % p for x in a.flat], a.shape)
+    elif a.dtype.kind == "f" and not ((np.trunc(a) == a) & (abs(a) < 2.0 ** 63)).all():
         raise ValueError("entries must be integers; got a non-integral or non-finite float")
-    if a.dtype.kind not in "biufO":
+    elif a.dtype.kind not in "bif":
         raise TypeError(f"entries must be integers, got {a.dtype} entries")
-    return a.astype(np.int64, copy=False)
+    return a.astype(np.int64, copy=False) % p
 
 
 GF2 = PrimeField(2)
@@ -115,18 +120,15 @@ GF3 = PrimeField(3)
 class MatrixF:
     """An immutable row-major matrix of residues over a prime field."""
 
-    __slots__ = ("field", "_a", "_echelon")
+    __slots__ = ("field", "_a")
 
     def __init__(self, field: PrimeField, array) -> None:
-        a = _integers(array)
+        a = _residues(array, field.p)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        a = a % field.p
         a.setflags(write=False)
         self.field = field
         self._a = a
-        # pivots, set by _held alone, mark a known canonical RREF basis
-        self._echelon: tuple[int, ...] | None = None
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]],
@@ -173,11 +175,9 @@ class MatrixF:
         return f"MatrixF({self.field!r}, {self.tolist()!r})"
 
 
-def _held(field: PrimeField, a: np.ndarray,
-          echelon: tuple[int, ...] | None = None) -> MatrixF:
+def _held(field: PrimeField, a: np.ndarray) -> MatrixF:
     """A MatrixF around an array of residues that this package built,
-    taken as it is: no `% p` copy, and, given the pivots of a canonical
-    RREF basis, no canonical re-check when a Subspace takes it.
+    taken as it is: no `% p` copy.
 
     Every MatrixF a caller can reach holds int64. The one narrower
     MatrixF is a realization's check system or its state columns, in
@@ -186,7 +186,6 @@ def _held(field: PrimeField, a: np.ndarray,
     a.setflags(write=False)
     m.field = field
     m._a = a
-    m._echelon = echelon
     return m
 
 
@@ -401,8 +400,22 @@ def _kept_space(field: PrimeField, kept: dict[int, tuple[int, int]], ambient: in
     checked against this RREF by `Subspace(...)`, comes from here."""
     rows, pivots = _rref_rows(kept, ambient, field.p)
     basis = _from_bit_rows(rows, (len(rows), ambient), field.p).astype(np.int64)
-    space = Subspace(field, ambient, _held(field, basis, tuple(pivots)))
-    space._bits = rows
+    return _canonical(field, basis, tuple(pivots), rows)
+
+
+def _canonical(field: PrimeField, basis: np.ndarray, pivots: tuple[int, ...],
+               bits: list[tuple[int, int]] | None = None) -> "Subspace":
+    """The Subspace on a canonical int64 RREF basis this package derived,
+    its pivots and, over GF(2) and GF(3), its bit rows, taken as they are
+    with no re-check: the one constructor of every derived subspace."""
+    space = Subspace.__new__(Subspace)
+    space.field = field
+    space.ambient = basis.shape[1]
+    space.basis = _held(field, basis)
+    space.pivots = pivots
+    space._checks = None
+    space._orthogonal = None
+    space._bits = bits
     return space
 
 
@@ -505,7 +518,7 @@ def _vanishing(field: PrimeField, a: np.ndarray, skip: int = 0) -> "Subspace":
     red, piv = _rref_array(a, p)
     kept = tuple(c - skip for c in piv if c >= skip)
     basis = red[len(piv) - len(kept):len(piv), skip:].astype(np.int64)
-    return Subspace(field, a.shape[1] - skip, _held(field, basis, kept))
+    return _canonical(field, basis, kept)
 
 
 def inverse(m: MatrixF) -> MatrixF:
@@ -542,23 +555,11 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots", "_checks", "_orthogonal", "_bits")
 
     def __init__(self, field: PrimeField, ambient: int, basis: MatrixF) -> None:
-        if basis.field != field:
-            raise FieldMismatchError(f"{basis.field} vs {field}")
-        if basis.cols != ambient:
-            raise DimensionMismatchError(f"basis width {basis.cols}, ambient {ambient}")
-        pivots, bits = basis._echelon, None
-        if pivots is None:
-            canon = _vanishing(field, basis.array)
-            if canon.basis != basis:
-                raise ValueError("basis is not in canonical reduced echelon form")
-            pivots, bits = canon.pivots, canon._bits
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
-        self._checks: np.ndarray | None = None
-        self._orthogonal: Subspace | None = None
-        self._bits: list[tuple[int, int]] | None = bits
+        canon = Subspace.spanned_by(field, ambient, basis)
+        if canon.basis != basis:
+            raise ValueError("basis is not in canonical reduced echelon form")
+        for slot in Subspace.__slots__:  # canon's basis equals the caller's: adopt canon whole
+            setattr(self, slot, getattr(canon, slot))
 
     @classmethod
     def spanned_by(cls, field: PrimeField, ambient: int, rows) -> "Subspace":

@@ -377,9 +377,8 @@ class Realization:
             Topology, symbols=topo.symbols, states=tuple(states), constraints=topo.constraints,
             _symbols_by_id=topo._symbols_by_id, _state_index=topo._state_index,
             _constraints_by_id=topo._constraints_by_id, _uncut_components=topo._uncut_components)
-        child = Realization(self.field, child_topo, codes)
-        child._issues = ()  # fills the cached_property: nothing to find
-        return child
+        return _trusted(Realization, field=self.field, topology=child_topo, _codes=codes,
+                        _issues=())
 
     def _check_system(self, checks_of) -> np.ndarray:
         """Each constraint c's checks_of(c, its subspace) at its vars' frame columns,
@@ -574,9 +573,7 @@ def dualize(r: Realization) -> Realization:
         if rows is not dual.space.basis.array:
             dual = BlockedCode(dual.structure, _vanishing(r.field, rows))
         new_codes[c.id] = dual
-    out = Realization(r.field, r.topology, new_codes)
-    out._issues = ()  # fills the cached_property: r's topology and blocks are valid
-    return out
+    return _trusted(Realization, field=r.field, topology=r.topology, _codes=new_codes, _issues=())
 
 
 class ConstraintReport(NamedTuple):

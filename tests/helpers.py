@@ -3,8 +3,11 @@ shared across the test modules."""
 
 from __future__ import annotations
 
+import ast
 import random
 import re
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from sympy import GF
@@ -49,6 +52,33 @@ from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _requir
 from ncl.fields import _bit_rows, _held, _null_rows, ranks
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _unobservable_direction
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ncl"
+
+
+def scoped_hits(module: str, source: str, hit: Callable[[ast.AST], bool]) -> list[str]:
+    """The scope (module, then classes and functions) of each ast node of
+    the source for which hit(node) holds, in source order: the one visitor
+    of the ast guards over src/ncl."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if hit(child):
+                found.append((child.lineno, child.col_offset, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return [scope for _, _, scope in sorted(found)]
+
+
+def scoped_hits_in_src(hit: Callable[[ast.AST], bool]) -> list[str]:
+    """scoped_hits over every module of src/ncl, named by its stem."""
+    return [scope for path in sorted(SRC.glob("*.py"))
+            for scope in scoped_hits(path.stem, path.read_text(encoding="utf-8"), hit)]
 
 
 def neg(field: PrimeField, a: int) -> int:

@@ -21,8 +21,11 @@ from ncl import (
     BlockStructure,
     Constraint,
     DocumentError,
+    InvalidRealizationError,
     PrimeField,
     Realization,
+    StateVar,
+    SymbolVar,
     Topology,
     analyze,
     emit_realization,
@@ -38,6 +41,8 @@ from helpers import (
     gallager_checks,
     ladder_conventional_trellis,
     ladder_trellis,
+    natural_key,
+    random_blocked_code,
     random_realization,
     random_tail_biting_product,
     reference_parse_realization,
@@ -552,3 +557,109 @@ def test_budget_counts_check_rows_not_widths(generators):
         parse_realization(json.dumps(doc))
     assert e.value.path == "$.constraints[2500].generators"
     assert "needs 15006000 cells" in str(e.value)
+
+
+# --- the writer against the parse --------------------------------------------
+
+DEFECTS = ("none", "repeated-var-id", "constraint-takes-var-id", "unknown-var",
+           "dim-mismatch", "dangling-state")
+
+
+def in_natural_order(items) -> tuple:
+    return tuple(sorted(items, key=lambda e: natural_key(e.id)))
+
+
+def document_of(r: Realization) -> str:
+    """The document emit_realization writes for r, written here without
+    the writer's check: every entry in natural id order."""
+    topo = r.topology
+    return json.dumps({
+        "field": r.field.p,
+        "symbols": [{"id": s.id, "dim": s.dim} for s in in_natural_order(topo.symbols)],
+        "states": [{"id": s.id, "dim": s.dim, "left": s.left, "right": s.right,
+                    "negate_at": s.negate_at} for s in in_natural_order(topo.states)],
+        "constraints": [{"id": c.id, "vars": list(c.vars),
+                         "generators": r.code(c.id).space.basis.tolist()}
+                        for c in in_natural_order(topo.constraints)],
+    }, indent=2) + "\n"
+
+
+def with_defect(r: Realization, kind: str, rng: random.Random) -> Realization:
+    """r with one defect of the kind injected, its entries in natural id order."""
+    topo, field = r.topology, r.field
+    symbols, states, constraints = list(topo.symbols), list(topo.states), list(topo.constraints)
+    codes = r.codes
+    declared = symbols + states
+    if kind == "repeated-var-id":  # declared again, with any dim
+        v = rng.choice(declared)
+        if isinstance(v, SymbolVar):
+            symbols.append(SymbolVar(v.id, rng.randint(0, 2)))
+        else:
+            states.append(StateVar(v.id, rng.randint(0, 2), v.left, v.right))
+    elif kind == "constraint-takes-var-id":  # which the parse records
+        c, v = rng.choice(constraints), rng.choice(declared)
+        constraints[constraints.index(c)] = Constraint(v.id, c.vars)
+        codes[v.id] = codes.pop(c.id)
+        states = [StateVar(s.id, s.dim, v.id if s.left == c.id else s.left,
+                           v.id if s.right == c.id else s.right, s.negate_at) for s in states]
+    elif kind == "unknown-var":  # listed by a constraint, with a code on it
+        i = rng.randrange(len(constraints))
+        at = rng.randint(0, len(constraints[i].vars))
+        listed = constraints[i].vars[:at] + ("z0",) + constraints[i].vars[at:]
+        constraints[i] = Constraint(constraints[i].id, listed)
+        dims = {v.id: v.dim for v in declared} | {"z0": rng.randint(0, 2)}
+        codes[constraints[i].id] = random_blocked_code(
+            rng, field, tuple((v, dims[v]) for v in listed))
+    elif kind == "dim-mismatch":  # a var declared one dim off its codes' blocks
+        i = rng.randrange(len(declared))
+        v = declared[i]
+        dim = rng.choice([d for d in (v.dim - 1, v.dim + 1) if d >= 0])
+        if isinstance(v, SymbolVar):
+            symbols[i] = SymbolVar(v.id, dim)
+        else:
+            states[i - len(symbols)] = StateVar(v.id, dim, v.left, v.right, v.negate_at)
+    elif kind == "dangling-state":  # which the parse records
+        if states and rng.random() < 0.5:  # an endpoint that is no constraint
+            i = rng.randrange(len(states))
+            s = states[i]
+            states[i] = StateVar(s.id, s.dim, s.left, "c99", s.negate_at)
+        else:  # listed by no constraint
+            left = rng.choice(constraints).id
+            states.append(StateVar("s99", rng.randint(0, 2), left, "c99"))
+    return Realization(field, Topology(in_natural_order(symbols), in_natural_order(states),
+                                       in_natural_order(constraints)), codes)
+
+
+def outcome(call):
+    """(result, None), or (None, the typed error) when the call refuses."""
+    try:
+        return call(), None
+    except (InvalidRealizationError, DocumentError) as e:
+        return None, e
+
+
+@pytest.mark.parametrize("kind", DEFECTS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_writer_refuses_exactly_what_it_cannot_write_faithfully(p, kind):
+    """emit_realization raises exactly when the parse of the same document,
+    written without the writer's check, raises or reads a realization
+    other than r; where both accept, parse(emit(r)) == r. The parse reads
+    another realization only where a var is declared at a dim its codes'
+    blocks do not have and every code listing it has no rows: with no row
+    to be too long, the document reads as zero codes on the declared dims."""
+    rng, field = random.Random(3800 + p), PrimeField(p)
+    seen = set()
+    for _ in range(60):
+        r = with_defect(random_realization(rng, field), kind, rng)
+        text = document_of(r)
+        emitted, refused = outcome(lambda: emit_realization(r))
+        parsed, error = outcome(lambda: parse_realization(text))
+        if refused is None:
+            assert error is None and emitted == text and parsed == r
+        else:
+            assert error is not None or parsed != r
+        seen.add((refused is None, error is None))
+    want = {"none": {(True, True)}, "constraint-takes-var-id": {(True, True)},
+            "dangling-state": {(True, True)}, "repeated-var-id": {(False, False)},
+            "unknown-var": {(False, False)}, "dim-mismatch": {(False, False), (False, True)}}
+    assert seen == want[kind]

@@ -1,6 +1,8 @@
 """Exact linear algebra over GF(p)."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import ncl.realization
 from ncl import (
     GF2,
     GF3,
+    BlockedCode,
+    BlockStructure,
     DimensionMismatchError,
     FieldMismatchError,
     MatrixF,
@@ -116,7 +120,20 @@ class TestMatrixF:
         (lambda: MatrixF.from_rows(GF3, [[1, 1j]]), TypeError),
         (lambda: MatrixF(GF3, [[float("nan"), 1]]), ValueError),
         (lambda: PrimeField(5).residues([2.9, 7.5]), ValueError),
-    ], ids=["fraction", "text", "complex", "nan", "residues-fraction"])
+        # an object entry goes through operator.index, which refuses non-integers
+        (lambda: MatrixF(GF3, [[Fraction(3, 2), 1]]), TypeError),
+        (lambda: MatrixF(GF3, np.array([[1.5, 1]], dtype=object)), TypeError),
+        (lambda: MatrixF(GF3, np.array([[Decimal("2.5"), 1]], dtype=object)), TypeError),
+        (lambda: MatrixF.from_rows(GF3, [[Fraction(3, 2), 1]]), TypeError),
+        (lambda: GF3.residues([Fraction(7, 2)]), TypeError),
+        (lambda: Subspace.spanned_by(GF3, 2, [[Fraction(3, 2), 1]]), TypeError),
+        (lambda: BlockedCode.from_rows(GF3, BlockStructure((("a", 2),)),
+                                       [[Decimal("2.5"), 1]]), TypeError),
+        (lambda: Subspace.spanned_by(GF3, 2, [[1, 1]]).contains([Fraction(7, 2), 1]),
+         TypeError),
+    ], ids=["fraction", "text", "complex", "nan", "residues-fraction", "object-fraction",
+            "object-float", "object-decimal", "from-rows-fraction", "residues-object-fraction",
+            "spanned-by-fraction", "blocked-code-decimal", "contains-fraction"])
     def test_refuses_what_no_integer_reads(self, make, error):
         # an entry is never truncated or parsed into a residue
         with pytest.raises(error):
@@ -125,6 +142,25 @@ class TestMatrixF:
     def test_integral_floats_still_read(self):
         assert MatrixF(GF3, np.eye(2) * 4).tolist() == [[1, 0], [0, 1]]
         assert MatrixF(GF2, np.zeros((0, 4))).shape == (0, 4)
+        assert Subspace.spanned_by(GF3, 3, np.eye(3)) == full_space(GF3, 3)
+
+    def test_an_int_past_int64_is_an_exact_residue(self):
+        # reduced mod p in Python before the int64 cast, as the parse reads any JSON integer
+        big = [2 ** 70, -2 ** 70, 2 ** 64, -2 ** 64 - 1]
+        want = [x % 3 for x in big]
+        assert want == [1, 2, 1, 1]
+        assert MatrixF(GF3, [big]).tolist() == [want]
+        assert MatrixF.from_rows(GF3, [big]).tolist() == [want]
+        assert GF3.residues(big).tolist() == want
+        assert MatrixF(GF3, np.array([[2 ** 64 - 1, 5]], dtype=np.uint64)).tolist() == [
+            [(2 ** 64 - 1) % 3, 2]]
+        assert MatrixF(PrimeField(257), np.array([[1, 255]], dtype=np.uint8)).tolist() == [
+            [1, 255]]
+        line = Subspace.spanned_by(GF3, 4, [want])
+        assert Subspace.spanned_by(GF3, 4, [big]) == line
+        assert BlockedCode.from_rows(GF3, BlockStructure((("a", 4),)), [big]).space == line
+        assert line.contains([2 * x for x in big])
+        assert not line.contains([2 ** 70, 0, 0, 0])
 
     def test_identity_zeros_transpose(self):
         assert identity(GF2, 2).tolist() == [[1, 0], [0, 1]]

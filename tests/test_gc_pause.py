@@ -12,7 +12,6 @@ import ast
 import gc
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -21,10 +20,8 @@ from ncl import (GF2, GF3, Span, SpannedGenerator, emit_realization, parity_chec
                  parse_realization, product_trellis, realized_code)
 from ncl.cli import main
 from fixtures import DATA
-from helpers import random_realization
+from helpers import random_realization, scoped_hits, scoped_hits_in_src
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ncl"
-MODULES = sorted(SRC.glob("*.py"))
 WRONG_CODE = '{"field": 2, "generators": [[1, 1, 1]]}\n'
 REALIZATIONS = ("example1", "tanner", "tail-biting", "conventional", "multi-cycle")
 
@@ -185,29 +182,15 @@ def test_a_command_that_raises_leaves_the_collector_as_it_found_it(monkeypatch, 
     assert after == enabled
 
 
-def gc_names(module: str, source: str) -> list[str]:
-    """The scope (module, then classes and functions) of each name gc,
-    bare, imported or imported from, in source order."""
-    found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}"
-            if ((isinstance(child, ast.Name) and child.id == "gc")
-                    or (isinstance(child, ast.alias) and child.name == "gc")
-                    or (isinstance(child, ast.ImportFrom) and child.module == "gc")):
-                found.append((child.lineno, child.col_offset, inner))
-            visit(child, inner)
-
-    visit(ast.parse(source), module)
-    return [scope for _, _, scope in sorted(found)]
+def is_gc_name(node: ast.AST) -> bool:
+    """The name gc, bare, imported or imported from."""
+    return ((isinstance(node, ast.Name) and node.id == "gc")
+            or (isinstance(node, ast.alias) and node.name == "gc")
+            or (isinstance(node, ast.ImportFrom) and node.module == "gc"))
 
 
 def test_only_cli_main_names_gc():
-    uses = [scope for path in MODULES
-            for scope in gc_names(path.stem, path.read_text(encoding="utf-8"))]
+    uses = scoped_hits_in_src(is_gc_name)
     # the module-level import of cli, and main's pause and restore
     assert set(uses) == {"cli", "cli.main"}
 
@@ -217,6 +200,5 @@ def test_a_gc_name_elsewhere_is_reported():
               "def analyze(r):\n    gc.disable()\n"
               "class Topology:\n    def grow(self):\n        import gc as g\n"
               "        return g\n")
-    assert gc_names("realization", source) == ["realization", "realization",
-                                               "realization.analyze",
-                                               "realization.Topology.grow"]
+    assert scoped_hits("realization", source, is_gc_name) == [
+        "realization", "realization", "realization.analyze", "realization.Topology.grow"]
