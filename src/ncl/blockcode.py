@@ -20,6 +20,7 @@ behavior from the check matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationLimitError, UnknownBlockError
-from .fields import PrimeField, Subspace, _vanishing, _work_dtype
+from .fields import PrimeField, Subspace, _vanishing
 
 DEFAULT_MAX_POINTS = 1 << 22
 
@@ -46,7 +47,7 @@ class BlockStructure:
     blocks: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple((str(i), int(d)) for i, d in self.blocks)
+        norm = tuple((str(i), operator.index(d)) for i, d in self.blocks)
         object.__setattr__(self, "blocks", norm)
         seen = set()
         for bid, d in norm:
@@ -172,20 +173,6 @@ class BlockedCode:
 
     def __repr__(self) -> str:
         return f"<code dim {self.dim} on blocks {list(self.structure.ids())!r}>"
-
-
-def _gathered(code: BlockedCode, index: np.ndarray) -> np.ndarray:
-    """The code's basis columns at each row of the (groups, width) column
-    index, as one (groups, rows, width) stack in `_work_dtype(p)` gathered
-    in one indexing call. The index structure.total reads a zero column
-    appended to the basis, which pads a narrower group and leaves its
-    rank unchanged."""
-    a = code.space.basis.array
-    padded = np.zeros((a.shape[0], a.shape[1] + 1), dtype=_work_dtype(code.field.p))
-    padded[:, :-1] = a
-    # gathering rows of the transpose reads whole columns; the stack is
-    # a (groups, rows, width) view of the result
-    return padded.T[index].transpose(0, 2, 1)
 
 
 def format_word(field: PrimeField, word: Sequence[int]) -> str:

@@ -15,10 +15,11 @@ over odd p (`_work_dtype`).
 Elimination has two entry points. `_rref_array` is the Gauss-Jordan loop
 on one matrix behind rref, kernel, inverse and complete_to_basis, and
 rank and `_vanishing` over p >= 5. `ranks` gives only the rank of each
-matrix in a list, zero-padded into one stack and eliminated in one loop
-over its columns; it serves the many small rank tests behind analyze's
-verdicts, which would otherwise be one Python-level elimination each. A
-single matrix stays on the 2-D loop: `ranks` gives no RREF or pivots,
+column group of one matrix, gathered into one zero-padded stack and
+eliminated in one loop over its columns; it serves the behavior's
+state-trim and branch-trim tests, one group per state or constraint,
+which would otherwise be one Python-level elimination each. A single
+matrix stays on the 2-D loop: `ranks` gives no RREF or pivots,
 and a stack of one costs more (about 0.08 against 0.05 ms on a 6x10
 GF(3) matrix). Over GF(2) and GF(3) a rank needs only the forward pass
 of the bit-row loop (`_pivot_rows`); its pivot rows, back-reduced by
@@ -190,11 +191,11 @@ def _held(field: PrimeField, a: np.ndarray) -> MatrixF:
 
 
 def _work_dtype(p: int) -> type:
-    """The dtype of every elimination transient: `ranks`' stack, the rref
-    `_rref_array` returns, null rows (kept check rows too), check systems;
-    uint8 when p = 2, where a row update is an XOR, and int32 otherwise.
-    Every intermediate is below p**2 <= 2**26 in magnitude, so int32 is
-    exact up to MAX_FIELD."""
+    """The dtype of every elimination transient: the stack `ranks` gathers,
+    the rref `_rref_array` returns, null rows (kept check rows too), check
+    systems; uint8 when p = 2, where a row update is an XOR, and int32
+    otherwise. Every intermediate is below p**2 <= 2**26 in magnitude, so
+    int32 is exact up to MAX_FIELD."""
     return np.uint8 if p == 2 else np.int32
 
 
@@ -419,30 +420,26 @@ def _canonical(field: PrimeField, basis: np.ndarray, pivots: tuple[int, ...],
     return space
 
 
-def ranks(mats: Sequence[np.ndarray] | np.ndarray, p: int) -> np.ndarray:
-    """The rank of each 2-D matrix of residues mod p in `mats`.
+def ranks(a: np.ndarray, index: np.ndarray, p: int) -> np.ndarray:
+    """The rank of each group of columns of the residues `a` mod p.
 
-    The matrices are zero-padded into one (batch, rows, cols) stack,
-    which leaves their ranks unchanged; a 3-D array is taken as that
-    stack as it is, with no padding loop. One loop over the columns serves
-    the whole batch: a row not yet used as a pivot is zero left of the
-    current column, and each pivot updates only the (matrix, row) pairs
-    with a nonzero in its column (an XOR when p = 2). Over odd p an
-    updated row is scaled by the pivot's lead rather than the pivot row
-    by its inverse; both are row operations, so the ranks are the same.
-    The stack is held in the working dtype, a half or an eighth of the
-    memory of int64.
+    Row g of the (groups, width) `index` lists group g's columns; the index
+    a.shape[1] reads a zero column, which pads a narrower group and leaves
+    its rank unchanged. The groups are gathered in one indexing call into
+    a (groups, rows, width) stack in the working dtype, a half or an eighth
+    of the memory of int64, and one loop over its columns serves them all:
+    a row not yet used as a pivot is zero left of the current column, and
+    each pivot updates only the (group, row) pairs with a nonzero in its
+    column (an XOR when p = 2). Over odd p an updated row is scaled by the
+    pivot's lead rather than the pivot row by its inverse; both are row
+    operations, so the ranks are the same.
     """
-    if isinstance(mats, np.ndarray):
-        m = mats.astype(_work_dtype(p))
-        batch, nrows, ncols = m.shape
-    else:
-        batch = len(mats)
-        nrows = max((a.shape[0] for a in mats), default=0)
-        ncols = max((a.shape[1] for a in mats), default=0)
-        m = np.zeros((batch, nrows, ncols), dtype=_work_dtype(p))
-        for i, a in enumerate(mats):
-            m[i, :a.shape[0], :a.shape[1]] = a
+    padded = np.zeros((a.shape[0], a.shape[1] + 1), dtype=_work_dtype(p))
+    padded[:, :-1] = a
+    # gathering rows of the transpose reads whole columns; the stack is
+    # a (groups, rows, width) view of the result
+    m = padded.T[index].transpose(0, 2, 1)
+    batch, nrows, ncols = m.shape
     free = np.ones((batch, nrows), dtype=bool)
     pivot_row = np.zeros(batch, dtype=np.intp)
     for c in range(ncols):

@@ -9,6 +9,7 @@ every constraint; the realized code is its projection onto the symbols.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .blockcode import BlockedCode, BlockStructure, _gathered, _trusted
+from .blockcode import BlockedCode, BlockStructure, _trusted
 from .errors import InvalidRealizationError, UnknownBlockError
 from .fields import PrimeField, Subspace, _held, _vanishing, _work_dtype, kernel, ranks
 
@@ -51,6 +52,7 @@ class SymbolVar:
     dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 0:
             raise ValueError(f"symbol {self.id!r} has negative dim")
 
@@ -70,6 +72,7 @@ class StateVar:
     negate_at: str = RIGHT
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 0:
             raise ValueError(f"state {self.id!r} has negative dim")
         if self.negate_at not in (LEFT, RIGHT):
@@ -539,19 +542,19 @@ def is_proper(r: Realization, constraint_id: str) -> ProperVerdict:
 
 
 def is_state_trim(r: Realization) -> bool:
-    """The behavior projects onto every state space: one stacked rank call on
+    """The behavior projects onto every state space: `ranks` of its basis on
     the states' column runs, which end the frame, padded with the index total."""
     b, dims = r._behavior_code, np.array([s.dim for s in r.topology.states], dtype=np.intp)
     at, width = b.structure.total - dims[::-1].cumsum()[::-1], np.arange(dims.max(initial=0))
-    stack = _gathered(b, np.where(width < dims[:, None], at[:, None] + width, b.structure.total))
-    return bool((ranks(stack, r.field.p) == dims).all())
+    index = np.where(width < dims[:, None], at[:, None] + width, b.structure.total)
+    return bool((ranks(b.space.basis.array, index, r.field.p) == dims).all())
 
 
 def is_branch_trim(r: Realization) -> bool:
-    """The behavior projects onto every constraint code: one stacked rank call."""
-    stack = _gathered(r._behavior_code, r.topology._frame_columns[1])
+    """The behavior projects onto every constraint code: `ranks` of its basis on their vars."""
     dims = [r.code(c.id).dim for c in r.topology.constraints]
-    return bool((ranks(stack, r.field.p) == dims).all())
+    index = r.topology._frame_columns[1]
+    return bool((ranks(r._behavior_code.space.basis.array, index, r.field.p) == dims).all())
 
 
 def is_reduced(r: Realization) -> bool:
@@ -654,9 +657,9 @@ def analyze(r: Realization) -> AnalysisReport:
     proper when every `cross_section_dim` at its states is zero: the
     tests is_trim, is_proper and the reduction driver ask. Both depend
     only on the code's subspace and where its states sit, so each
-    distinct pair is asked once; the state-trim and branch-trim tests of
-    the behavior are one stacked rank call each. is_trim and is_proper
-    run only where a verdict fails, to build the witness.
+    distinct pair is asked once. The behavior's state-trim and branch-trim
+    tests are one `ranks` call each on its basis, a column group per state
+    or constraint. is_trim and is_proper run on a failed verdict, for its witness.
     """
     r.ensure_valid()
     topo = r.topology

@@ -49,7 +49,7 @@ from ncl import (
     unobservable_behavior,
 )
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
-from ncl.fields import _bit_rows, _held, _null_rows, ranks
+from ncl.fields import _bit_rows, _held, _null_rows
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
 from ncl.reduction import MERGE, TRIM, UNOBS_TRIM, _unobservable_direction
 
@@ -488,20 +488,23 @@ def reference_behavior(r: Realization) -> BlockedCode:
     return BlockedCode(frame, kernel(MatrixF(r.field, np.vstack(rows))))
 
 
+def _rank(field: PrimeField, a: np.ndarray) -> int:
+    """The 2-D `rank` of one sliced block: on bit rows over GF(2) and
+    GF(3), by `_rref_array` over p >= 5; never the stacked `ranks`."""
+    return rank(MatrixF(field, a))
+
+
 def reference_is_state_trim(r: Realization) -> bool:
-    """is_state_trim with one sliced block per state, padded by ranks."""
+    """is_state_trim with one sliced block per state, each ranked alone."""
     b = behavior(r)
-    states = r.topology.states
-    return bool((ranks([_block(b, s.id) for s in states], r.field.p)
-                 == [s.dim for s in states]).all())
+    return all(_rank(r.field, _block(b, s.id)) == s.dim for s in r.topology.states)
 
 
 def reference_is_branch_trim(r: Realization) -> bool:
-    """is_branch_trim with one sliced block per constraint, padded by ranks."""
+    """is_branch_trim with one sliced block per constraint, each ranked alone."""
     b = behavior(r)
-    cons = r.topology.constraints
-    on_vars = [b.space.basis.array[:, b.structure.positions(c.vars)] for c in cons]
-    return bool((ranks(on_vars, r.field.p) == [r.code(c.id).dim for c in cons]).all())
+    return all(_rank(r.field, b.space.basis.array[:, b.structure.positions(c.vars)])
+               == r.code(c.id).dim for c in r.topology.constraints)
 
 
 def reference_analyze(r: Realization) -> AnalysisReport:
@@ -516,11 +519,10 @@ def reference_analyze(r: Realization) -> AnalysisReport:
     unobs = b.dim - realized
     defect = controllability_defect(r)
     incidences = topo.incidences()
-    blocks = []
+    full = []
     for cid, v in incidences:
         code = r.code(cid)
-        blocks += (_block(code, v), _block(code.dual(), v))
-    full = ranks(blocks, r.field.p) == np.repeat([topo.var_dim(v) for _, v in incidences], 2)
+        full += (_rank(r.field, _block(c, v)) == topo.var_dim(v) for c in (code, code.dual()))
     trim_ok = dict(zip(incidences, full[0::2]))
     improper = {cid for (cid, _), ok in zip(incidences, full[1::2]) if not ok}
     reports = []

@@ -103,6 +103,10 @@ def test_writer_raises_type_error_where_json_dumps_does(obj):
 @pytest.mark.parametrize("obj", [
     {}, [], (), "", 0, -1, 10 ** 40, True, False, None, math.nan, -math.inf, 1.5,
     {"a": []}, [{}], [[[]]], {1: "x", True: "y", None: "z", 2.5: ()}, "é\"\\\x01",
+    # lists of more than 8 items that are neither all scalars, nor all
+    # lists, nor dicts of one str key list: the writer's per-item branch
+    [1, [2, 3]] * 5, [{"b": k} if k % 2 else {"a": k} for k in range(10)],
+    [{1: k} for k in range(10)],
 ])
 def test_writer_on_edge_values(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)

@@ -501,49 +501,70 @@ class TestWorkingDtype:
         assert _work_dtype(p) == (np.uint8 if p == 2 else np.int32)
 
 
+def group_ranks(a, index, p):
+    """The rank of each group by the 2-D `rank` of its columns, the pads
+    a.shape[1] dropped, and by sympy; the two must agree."""
+    field, want = PrimeField(p), []
+    for row in index:
+        cols = a[:, [c for c in row if c != a.shape[1]]]
+        want.append(rank(MatrixF(field, cols)))
+        assert want[-1] == sympy_rank(cols, p)
+    return want
+
+
 class TestStackedRanks:
+    """ranks(a, index, p) ranks each row's column group of one basis; the
+    index a.shape[1] reads a zero column, wherever it stands in a row."""
+
     @pytest.mark.parametrize("p", [2, 3, 7, 257, 8191])
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_shapes_match_rref_and_sympy(self, p, seed):
         rng = np.random.default_rng(1000 * p + seed)
-        mats = []
-        for _ in range(int(rng.integers(1, 12))):
-            rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 8))
-            a = rng.integers(0, p, (rows, cols))
-            if rows > 1 and rng.random() < 0.5:
-                # a dependent row, so ranks below min(rows, cols) occur
-                a[-1] = (a[0] * int(rng.integers(0, p)) + a[1]) % p
-            mats.append(a)
-        got = ranks(mats, p)
-        assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
-        assert got.tolist() == [sympy_rank(a, p) for a in mats]
-        # the same matrices zero-padded into one 3-D stack, taken as it is
-        stack = np.zeros((len(mats), 6, 7), dtype=np.int64)
-        for i, a in enumerate(mats):
-            stack[i, :a.shape[0], :a.shape[1]] = a
-        before = stack.copy()
-        assert ranks(stack, p).tolist() == got.tolist()
-        assert ranks(stack.transpose(0, 2, 1), p).tolist() == got.tolist()
-        assert np.array_equal(stack, before)
+        rows, cols = int(rng.integers(0, 8)), int(rng.integers(0, 11))
+        a = rng.integers(0, p, (rows, cols))
+        if rows > 2:
+            # a dependent row and a zero row, so ranks below min(rows, width) occur
+            a[-1] = (a[0] * int(rng.integers(0, p)) + a[1]) % p
+            a[int(rng.integers(0, rows - 1))] = 0
+        width = int(rng.integers(0, 7))
+        index = np.full((int(rng.integers(1, 12)), width), cols, dtype=np.intp)
+        for row in index:
+            k = int(rng.integers(0, min(width, cols) + 1))
+            row[rng.choice(width, k, replace=False)] = rng.choice(cols, k, replace=False)
+        before = a.copy()
+        assert ranks(a, index, p).tolist() == group_ranks(a, index, p)
+        assert np.array_equal(a, before)
 
     def test_empty_stack(self):
-        assert ranks([], 3).tolist() == []
+        a = np.array([[1, 2, 0], [0, 1, 1]])
+        for width in (0, 3):
+            assert ranks(a, np.zeros((0, width), dtype=np.intp), 3).tolist() == []
+        assert ranks(a, np.zeros((2, 0), dtype=np.intp), 3).tolist() == [0, 0]
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
     def test_no_rows_or_no_columns(self, shape):
-        mats = [np.zeros(shape, dtype=np.int64), np.array([[1, 2], [2, 4]])]
-        assert ranks(mats, 5).tolist() == [0, 1]
+        a = np.zeros(shape, dtype=np.int64)
+        index = np.full((2, 3), shape[1], dtype=np.intp)
+        index[0, :min(3, shape[1])] = range(min(3, shape[1]))
+        assert ranks(a, index, 5).tolist() == [0, 0] == group_ranks(a, index, 5)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 257, 8191])
+    def test_group_of_pad_entries_only(self, p):
+        a = np.array([[1, 0, 2 % p], [0, 1, 1], [1, 1, 0]])
+        index = np.array([[3, 3], [0, 2], [3, 1], [3, 3]])
+        assert ranks(a, index, p).tolist() == [0, 2, 1, 0] == group_ranks(a, index, p)
 
     @pytest.mark.parametrize("p", [2, 7])
     def test_one_matrix_full_before_the_others(self, p):
-        # early has its three pivots in columns 0-2; late needs columns 3 and 4
+        # the first group has its three pivots in its columns 0-2; the
+        # second needs its columns 3 and 4; the third is a zero block
         early = np.array([[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]])
         late = np.array([[0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
-        mats = [early, late, np.zeros((3, 5), dtype=np.int64)]
-        got = ranks(mats, p)
-        assert got.tolist() == [3, 2, 0]
-        assert got.tolist() == [len(_rref_array(a, p)[1]) for a in mats]
-        assert got.tolist() == [sympy_rank(a, p) for a in mats]
+        a = np.hstack([early, late, np.zeros((3, 5), dtype=np.int64)])
+        index = np.arange(15).reshape(3, 5)
+        got = ranks(a, index, p)
+        assert got.tolist() == [3, 2, 0] == group_ranks(a, index, p)
+        assert got.tolist() == [len(_rref_array(a[:, g], p)[1]) for g in index]
 
 
 class TestSubspace:

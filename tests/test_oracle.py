@@ -31,12 +31,13 @@ from ncl import (
     product_trellis,
 )
 from ncl import oracle
-from ncl.oracle import _CHUNK
+from ncl.oracle import _CHUNK, _nullspace
 from fixtures import EX1_DUAL_WORDS, EX1_WORDS, example1
 from helpers import (
     random_realization,
     random_tail_biting_product,
     reference_brute_behavior,
+    sympy_rank,
 )
 
 GF5, GF7 = PrimeField(5), PrimeField(7)
@@ -268,6 +269,27 @@ def test_peak_memory_is_bounded_by_the_chunk():
     assert len(words) == 16
     assert set(words) == set(behavior(r).enumerate())
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nullspace_on_rows_that_need_swaps_scaling_and_clearing(p):
+    """The oracle's own elimination on raw rows, not the RREF bases that
+    brute_behavior hands it: random rows with a zero row, a dependent row
+    and entries outside 0..p-1, so pivots need swaps, scaling and clearing.
+    Every returned row is orthogonal to every input row, the rows are
+    independent, and there are ncols minus sympy's rank of them."""
+    rng = random.Random(p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1:
+            k = rng.randrange(p)
+            rows.append([k * a + b for a, b in zip(rows[0], rows[1])])
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        null = _nullspace(rows, ncols, p)
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows for v in null)
+        assert len(null) == ncols - sympy_rank(np.array(rows) % p, p)
+        assert not null or sympy_rank(null, p) == len(null)
 
 
 @pytest.mark.parametrize("instance, count", [

@@ -299,9 +299,9 @@ def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
     and 9 proper block ranks, where one per incidence would be 2,880."""
     batches, local = [], Counter()
 
-    def counted(mats, p):
-        batches.append((isinstance(mats, list), len(mats)))
-        return ranks(mats, p)
+    def counted(a, index, p):
+        batches.append(len(index))
+        return ranks(a, index, p)
 
     def counted_block_rank(space, spans, off=False):
         local[id(space)] += 1
@@ -317,8 +317,9 @@ def test_analyze_ranks_each_distinct_local_code_once(monkeypatch):
     spaces = {id(r.code(cid).space) for cid in r.topology.constraint_ids()}
     assert len(spaces) == 2
     assert 0 < sum(local[space] for space in spaces) <= 18
-    # the only stacked ranks are the behavior's state-trim and branch-trim stacks
-    assert sorted(batches) == [(False, n // 2 * 3), (False, 3 * n)]
+    # the only stacked ranks are the behavior's state-trim and branch-trim
+    # calls, one column group per constraint and one per state
+    assert sorted(batches) == [n // 2 * 3, 3 * n]
     assert report.to_dict() == reference_analyze(r).to_dict()
 
 

@@ -1,6 +1,8 @@
 """Realization structure, validation, behavior, predicates, dualization."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -180,6 +182,43 @@ class TestConstructors:
             SymbolVar("a", -1)
         with pytest.raises(ValueError):
             StateVar("s", -2, "c0", "c1")
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, Fraction(7, 2), Fraction(4, 2), Decimal("2"), "3"])
+    def test_non_integer_dims_refused(self, dim):
+        # a dim goes through operator.index, as a MatrixF entry does: an
+        # integral float or fraction is refused too, never truncated or kept
+        with pytest.raises(TypeError):
+            BlockStructure((("a", dim),))
+        with pytest.raises(TypeError):
+            BlockStructure((x for x in [("a", 1), ("b", dim)]))
+        with pytest.raises(TypeError):
+            SymbolVar("a", dim)
+        with pytest.raises(TypeError):
+            StateVar("s", dim, "c0", "c1")
+
+    @pytest.mark.parametrize("dim", [np.int64(3), np.int32(3), np.uint8(3), 3])
+    def test_integer_dims_stored_as_int(self, dim):
+        blocks = BlockStructure(((7, dim),)).blocks
+        assert blocks == (("7", 3),) and type(blocks[0][1]) is int
+        for var in (SymbolVar("a", dim), StateVar("s", dim, "c0", "c1")):
+            assert var.dim == 3 and type(var.dim) is int
+
+    def test_negative_dim_messages(self):
+        with pytest.raises(ValueError, match="^block 'a' has negative dim -1$"):
+            BlockStructure((("a", np.int64(-1)),))
+        with pytest.raises(ValueError, match="^symbol 'a' has negative dim$"):
+            SymbolVar("a", -1)
+        with pytest.raises(ValueError, match="^state 's' has negative dim$"):
+            StateVar("s", np.int64(-2), "c0", "c1")
+
+    def test_half_dim_block_no_longer_validates_clean(self):
+        # a code on a 2.5-dim block next to a 2-dim symbol once validated
+        # clean, its block truncated to 2; its structure is refused now
+        with pytest.raises(TypeError):
+            BlockedCode.from_rows(GF2, BlockStructure((("a", 2.5),)), [[1, 0]])
+        topo = Topology((SymbolVar("a", 2),), (), (Constraint("c", ("a",)),))
+        code = BlockedCode.from_rows(GF2, BlockStructure((("a", 2),)), [[1, 0]])
+        assert validate(Realization(GF2, topo, {"c": code})) == []
 
     def test_negate_at_values(self):
         assert StateVar("s", 1, "c0", "c1", "left").negate_constraint == "c0"
