@@ -196,14 +196,14 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
                     kind: str = TAIL_BITING) -> Realization:
     """Product construction: one section per position, states sized by spans.
 
-    State j sits between sections j-1 and j and has one coordinate per
-    generator whose span crosses edge j. Section i is generated by one
-    local word per generator: its edge-i indicator, its value at i, and
-    its edge-(i+1) indicator. Realizes the row span of the generators.
-
-    Conventional trellises get explicit zero-dimensional boundary states
-    closed off by empty end constraints; wrap-around and degenerate
-    spans are rejected there.
+    Edge j, state s{j}, joins nodes[j] and nodes[j + 1] of one node list:
+    the ring [c{n-1}, c0, ..., c{n-1}] of a tail-biting trellis, or the
+    path [end0, c0, ..., c{n-1}, end1] of a conventional one, whose ends
+    are empty constraints on dim-0 states and which forbids wrap-around
+    and degenerate spans. State j has one coordinate per generator whose
+    span crosses edge j. Section c{i} has one local word per generator:
+    its edge-i indicator, its value at i, and its indicator on edge
+    (i + 1) mod the edge count. Realizes the row span of the generators.
     """
     if kind not in (CONVENTIONAL, TAIL_BITING):
         raise ValueError(f"unknown trellis kind {kind!r}")
@@ -221,30 +221,20 @@ def product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
             raise ValueError(
                 "conventional trellis forbids wrap-around and degenerate spans")
 
-    n_edges = n if kind == TAIL_BITING else n + 1
-    crossers: list[list[int]] = [[] for _ in range(n_edges)]
+    sections = [f"c{i}" for i in range(n)]
+    nodes = [sections[-1], *sections] if kind == TAIL_BITING else ["end0", *sections, "end1"]
+    edges = len(nodes) - 1
+    crossers: list[list[int]] = [[] for _ in range(edges)]
     for t, g in enumerate(gens):
         for j in g.span.crossed(n):
             crossers[j].append(t)
-
-    def left_of(j: int) -> str:
-        if kind == TAIL_BITING:
-            return f"c{(j - 1) % n}"
-        return "end0" if j == 0 else f"c{j - 1}"
-
-    def right_of(j: int) -> str:
-        if kind == TAIL_BITING:
-            return f"c{j}"
-        return "end1" if j == n else f"c{j}"
-
-    states = tuple(StateVar(f"s{j}", len(crossers[j]), left_of(j), right_of(j))
-                   for j in range(n_edges))
+    states = tuple(StateVar(f"s{j}", len(crossers[j]), nodes[j], nodes[j + 1])
+                   for j in range(edges))
 
     constraints = []
     codes: dict[str, BlockedCode] = {}
-    for i in range(n):
-        cid = f"c{i}"
-        j_in, j_out = i, (i + 1) % n if kind == TAIL_BITING else i + 1
+    for i, cid in enumerate(sections):
+        j_in, j_out = i, (i + 1) % edges
         vars_ = (f"s{j_in}", f"a{i}", f"s{j_out}")
         constraints.append(Constraint(cid, vars_))
         d_in, d_out = len(crossers[j_in]), len(crossers[j_out])

@@ -192,9 +192,10 @@ class Topology:
 
     @cached_property
     def _frame_columns(self) -> tuple[BlockStructure, np.ndarray]:
-        """The behavior's frame, symbols then states, and the frame columns of
-        each constraint's vars, one row each, padded with the index frame.total."""
-        frame = BlockStructure(tuple((v.id, v.dim) for v in (*self.symbols, *self.states)))
+        """The behavior's frame, symbols then states, unchecked as its readers validate
+        first, and a row per constraint of its vars' columns, padded with frame.total."""
+        blocks = tuple((v.id, v.dim) for v in (*self.symbols, *self.states))
+        frame = _trusted(BlockStructure, blocks=blocks, total=sum(d for _, d in blocks))
         where = {v: range(at, at + d) for v, (at, d) in frame._offsets.items()}
         cols = [[j for v in c.vars for j in where[v]] for c in self.constraints]
         width = max(map(len, cols), default=0)
@@ -326,11 +327,13 @@ class Realization:
             for c in topo.constraints if c.id not in self._codes] + [
             ValidationIssue("unknown-id", f"code given for undeclared constraint {cid!r}", (cid,))
             for cid in self._codes if cid not in topo._constraints_by_id]
-        if topo._repeats_an_id() or any(i.tag in ("unknown-id", "missing-code") for i in found):
+        if topo._repeats_an_id():
             return tuple(found)
         dims = {v.id: v.dim for v in (*topo.symbols, *topo.states)}
         for c in topo.constraints:
-            code = self._codes[c.id]
+            code = self._codes.get(c.id)
+            if code is None or not all(v in dims for v in c.vars):
+                continue  # reported above as missing-code or unknown-id
             expected = tuple((v, dims[v]) for v in c.vars)
             if code.field != self.field:
                 found.append(ValidationIssue(
@@ -553,8 +556,8 @@ def is_state_trim(r: Realization) -> bool:
 def is_branch_trim(r: Realization) -> bool:
     """The behavior projects onto every constraint code: `ranks` of its basis on their vars."""
     dims = [r.code(c.id).dim for c in r.topology.constraints]
-    index = r.topology._frame_columns[1]
-    return bool((ranks(r._behavior_code.space.basis.array, index, r.field.p) == dims).all())
+    basis = r._behavior_code.space.basis.array  # validates r before its frame is read
+    return bool((ranks(basis, r.topology._frame_columns[1], r.field.p) == dims).all())
 
 
 def is_reduced(r: Realization) -> bool:

@@ -295,14 +295,6 @@ class EdgeCut:
         return self.projection_dim - self.cross_section_dim
 
 
-def _side_symbols(topo: Topology, side: set[str]) -> list[str]:
-    """Symbol ids of the constraints on one side of a cut, in symbol order."""
-    out = [v for c in topo.constraints if c.id in side for v in c.vars if topo.is_symbol(v)]
-    order = {sid: i for i, sid in enumerate(topo.symbol_ids())}
-    out.sort(key=order.__getitem__)
-    return out
-
-
 def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     """Minimal state dim at every tree edge: dim(projection) - dim(cross-section).
 
@@ -317,11 +309,12 @@ def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     if want != have:
         raise DimensionMismatchError(
             "code blocks do not match the topology's symbols")
+    owner = {v: c.id for c in topology.constraints for v in c.vars if topology.is_symbol(v)}
     cuts = []
     for s in topology.states:
         comps = topology._components(s.id)
-        past, future = (_side_symbols(topology, next(c for c in comps if end in c))
-                        for end in (s.left, s.right))
+        sides = [next(c for c in comps if end in c) for end in (s.left, s.right)]
+        past, future = ([v.id for v in topology.symbols if owner.get(v.id) in c] for c in sides)
         proj = code.projection_dim(past)
         sect = code.cross_section_dim(past)
         f_dim = code.projection_dim(future) - code.cross_section_dim(future)

@@ -7,7 +7,7 @@ import ast
 import random
 import re
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from sympy import GF
@@ -21,9 +21,11 @@ from ncl import (
     ConstraintReport,
     DEFAULT_MAX_POINTS,
     DimensionMismatchError,
+    EdgeCut,
     EnumerationLimitError,
     FieldMismatchError,
     MatrixF,
+    NotCycleFreeError,
     PrimeField,
     ProperVerdict,
     Realization,
@@ -48,6 +50,8 @@ from ncl import (
     reduce_unobservable,
     unobservable_behavior,
 )
+from ncl.blockcode import _trusted
+from ncl.constructions import CONVENTIONAL, TAIL_BITING, _symbol_vars
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
 from ncl.fields import _bit_rows, _held, _null_rows
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
@@ -766,3 +770,117 @@ def reference_graph_issues(topo: Topology) -> list[ValidationIssue]:
             f"constraint graph has {len(comps)} components; "
             f"one contains {sorted(smaller)!r}", tuple(sorted(smaller))))
     return found
+
+
+# constructions.product_trellis and reduction.cut_dims (with _side_symbols)
+# verbatim as they were while product_trellis decided ring or path at each
+# of four places (the edge count, a state's left and right end, a section's
+# outgoing edge) and cut_dims collected and sorted each side's symbols: the
+# references for the one node list and the symbol owner map that replaced them
+def reference_product_trellis(field: PrimeField, n: int, gens: Sequence[SpannedGenerator],
+                              kind: str = TAIL_BITING) -> Realization:
+    """Product construction: one section per position, states sized by spans.
+
+    State j sits between sections j-1 and j and has one coordinate per
+    generator whose span crosses edge j. Section i is generated by one
+    local word per generator: its edge-i indicator, its value at i, and
+    its edge-(i+1) indicator. Realizes the row span of the generators.
+
+    Conventional trellises get explicit zero-dimensional boundary states
+    closed off by empty end constraints; wrap-around and degenerate
+    spans are rejected there.
+    """
+    if kind not in (CONVENTIONAL, TAIL_BITING):
+        raise ValueError(f"unknown trellis kind {kind!r}")
+    # spans are checked on residues: an entry that is 0 mod p is a zero
+    gens = [SpannedGenerator(tuple(v % field.p for v in g.vector), g.span) for g in gens]
+    if not gens:
+        raise ValueError("at least one spanned generator required")
+    if kind == TAIL_BITING and n < 2:
+        raise ValueError("tail-biting trellis needs n >= 2")
+    if kind == CONVENTIONAL and n < 1:
+        raise ValueError("conventional trellis needs n >= 1")
+    for g in gens:
+        g.check(n)
+        if kind == CONVENTIONAL and g.span.wraps(n):
+            raise ValueError(
+                "conventional trellis forbids wrap-around and degenerate spans")
+
+    n_edges = n if kind == TAIL_BITING else n + 1
+    crossers: list[list[int]] = [[] for _ in range(n_edges)]
+    for t, g in enumerate(gens):
+        for j in g.span.crossed(n):
+            crossers[j].append(t)
+
+    def left_of(j: int) -> str:
+        if kind == TAIL_BITING:
+            return f"c{(j - 1) % n}"
+        return "end0" if j == 0 else f"c{j - 1}"
+
+    def right_of(j: int) -> str:
+        if kind == TAIL_BITING:
+            return f"c{j}"
+        return "end1" if j == n else f"c{j}"
+
+    states = tuple(StateVar(f"s{j}", len(crossers[j]), left_of(j), right_of(j))
+                   for j in range(n_edges))
+
+    constraints = []
+    codes: dict[str, BlockedCode] = {}
+    for i in range(n):
+        cid = f"c{i}"
+        j_in, j_out = i, (i + 1) % n if kind == TAIL_BITING else i + 1
+        vars_ = (f"s{j_in}", f"a{i}", f"s{j_out}")
+        constraints.append(Constraint(cid, vars_))
+        d_in, d_out = len(crossers[j_in]), len(crossers[j_out])
+        local = np.zeros((len(gens), d_in + 1 + d_out), dtype=np.int64)
+        local[crossers[j_in], np.arange(d_in)] = 1
+        local[:, d_in] = [g.vector[i] for g in gens]
+        local[crossers[j_out], d_in + 1 + np.arange(d_out)] = 1
+        structure = BlockStructure(((f"s{j_in}", d_in), (f"a{i}", 1), (f"s{j_out}", d_out)))
+        codes[cid] = BlockedCode.from_rows(field, structure, _held(field, local))
+    if kind == CONVENTIONAL:
+        for cid, sid in (("end0", "s0"), ("end1", f"s{n}")):
+            constraints.append(Constraint(cid, (sid,)))
+            structure = BlockStructure(((sid, 0),))
+            codes[cid] = BlockedCode.from_rows(field, structure, [])
+
+    topo = Topology(_symbol_vars(n), states, tuple(constraints))
+    return _trusted(Realization, field=field, topology=topo, _codes=codes, _issues=())
+
+
+def _side_symbols(topo: Topology, side: set[str]) -> list[str]:
+    """Symbol ids of the constraints on one side of a cut, in symbol order."""
+    out = [v for c in topo.constraints if c.id in side for v in c.vars if topo.is_symbol(v)]
+    order = {sid: i for i, sid in enumerate(topo.symbol_ids())}
+    out.sort(key=order.__getitem__)
+    return out
+
+
+def reference_cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
+    """Minimal state dim at every tree edge: dim(projection) - dim(cross-section).
+
+    Computed from the past side of each cut and checked against the
+    future side, which must agree. A tree without one edge has two
+    components, one at each end of that edge: one call gives both sides.
+    """
+    if not topology.is_cycle_free():
+        raise NotCycleFreeError("cut dimensions are defined on trees only")
+    want = {s.id: s.dim for s in topology.symbols}
+    have = {bid: code.structure.dim(bid) for bid in code.structure.ids()}
+    if want != have:
+        raise DimensionMismatchError(
+            "code blocks do not match the topology's symbols")
+    cuts = []
+    for s in topology.states:
+        comps = topology._components(s.id)
+        past, future = (_side_symbols(topology, next(c for c in comps if end in c))
+                        for end in (s.left, s.right))
+        proj = code.projection_dim(past)
+        sect = code.cross_section_dim(past)
+        f_dim = code.projection_dim(future) - code.cross_section_dim(future)
+        if proj - sect != f_dim:
+            raise AssertionError(
+                f"cut at {s.id!r}: past gives {proj - sect}, future gives {f_dim}")
+        cuts.append(EdgeCut(s.id, tuple(past), proj, sect))
+    return cuts

@@ -644,6 +644,8 @@ def transcript_argvs() -> list[list[str]]:
                  ["export-dot", doc, "-o", "g.dot", "--json"]]
     ex1_build = ["build", "trellis", "--field", "2", "--n", "3",
                  "--gens", "110,011,101", "--spans", "0:1,1:2,2:0"]
+    parity_spans = ["build", "parity-check", "--field", "2", "--n", "4",
+                    "--checks", "1110,0111", "--spans", "0:1"]
     rows += [
         ex1_build, ex1_build + ["--json"], ex1_build + ["-o", "b.json"],
         ex1_build + ["-o", "b.json", "--json"],
@@ -654,6 +656,7 @@ def transcript_argvs() -> list[list[str]]:
         ["build", "generator", "--field", "11", "--n", "2",
          "--gens", "1,10", "--gens", "0,3"],
         ["build", "parity-check", "--field", "2", "--n", "4", "--checks", "1110,0111"],
+        parity_spans, parity_spans + ["--json"],
         ["build", "trellis", "--field", "2", "--n", "3", "--gens", "110"],
         ["build", "trellis", "--field", "2", "--n", "3", "--gens", "110", "--json"],
         ["build", "generator", "--field", "4", "--n", "2", "--gens", "11", "--json"],

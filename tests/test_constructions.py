@@ -231,6 +231,11 @@ class TestProductTrellis:
         with pytest.raises(ValueError):
             product_trellis(GF2, 3, [SpannedGenerator((1, 1, 0), Span(0, 1))], "sideways")
 
+    def test_conventional_needs_a_section(self):
+        # the check itself, not the length check after it, refuses n = 0
+        with pytest.raises(ValueError, match=r"^conventional trellis needs n >= 1$"):
+            product_trellis(GF2, 0, [SpannedGenerator((1,), Span(0, 0))], "conventional")
+
     def test_spans_are_checked_on_residues(self):
         # 3 is zero over GF(3), so it may sit outside the span
         got = product_trellis(GF3, 3, [SpannedGenerator((1, 0, 3), Span(0, 0))])

@@ -667,3 +667,57 @@ def test_the_writer_refuses_exactly_what_it_cannot_write_faithfully(p, kind):
             "dangling-state": {(True, True)}, "repeated-var-id": {(False, False)},
             "unknown-var": {(False, False)}, "dim-mismatch": {(False, False), (False, True)}}
     assert seen == want[kind]
+
+
+@pytest.mark.parametrize("second", DEFECTS[1:])
+@pytest.mark.parametrize("first", DEFECTS[1:])
+def test_the_writer_refuses_exactly_what_it_cannot_write_faithfully_on_two_defects(
+        first, second):
+    """The contract of the test above with two defects injected in turn,
+    for each ordered pair of the five kinds: 40 draws per field over GF(2),
+    GF(3) and GF(5), less the 60 where the second defect cannot be built
+    (an unknown var listed twice has no code). A dangling state next to a
+    dim mismatch once slipped through: validation stopped at the state's
+    unknown endpoint and never compared the codes' blocks."""
+    built = 0
+    for p in (2, 3, 5):
+        rng, field = random.Random(f"{p}:{first}:{second}"), PrimeField(p)
+        for _ in range(40):
+            try:
+                r = with_defect(with_defect(random_realization(rng, field), first, rng),
+                                second, rng)
+            except ValueError:  # BlockStructure refuses z0 twice
+                assert first == second == "unknown-var"
+                continue
+            text = document_of(r)
+            emitted, refused = outcome(lambda: emit_realization(r))
+            parsed, error = outcome(lambda: parse_realization(text))
+            if refused is None:
+                assert error is None and emitted == text and parsed == r
+            else:
+                assert error is not None or parsed != r
+            built += 1
+    assert built == (60 if first == second == "unknown-var" else 120)  # 2,940 in all
+
+
+def test_a_dangling_state_does_not_hide_a_dim_mismatch():
+    """c1's state s1 ends at no constraint, and c0's code has b at dim 1
+    where b is declared at dim 2: validation reports both, and the writer
+    refuses the realization, whose document the parse would refuse."""
+    topo = Topology((SymbolVar("a", 1), SymbolVar("b", 2)),
+                    (StateVar("s0", 1, "c0", "c1"), StateVar("s1", 1, "c1", "ghost")),
+                    (Constraint("c0", ("b", "s0")), Constraint("c1", ("a", "s0", "s1"))))
+    c0 = BlockedCode.from_rows(GF2, BlockStructure((("b", 1), ("s0", 1))), [[1, 1]])
+    c1 = BlockedCode.from_rows(GF2, BlockStructure((("a", 1), ("s0", 1), ("s1", 1))),
+                               [[1, 1, 1]])
+    r = Realization(GF2, topo, {"c0": c0, "c1": c1})
+    assert [(i.tag, i.message) for i in validate(r)] == [
+        ("unknown-id", "state 's1' endpoint 'ghost' is not a constraint"),
+        ("dim-mismatch", "constraint 'c0' code blocks (('b', 1), ('s0', 1)) do not match "
+                         "declared (('b', 2), ('s0', 1))")]
+    with pytest.raises(InvalidRealizationError):
+        emit_realization(r)
+    with pytest.raises(DocumentError,
+                       match=r"^\$\.constraints\[0\]\.generators\[0\]: row length 2 != "
+                             r"total var dim 3$"):
+        parse_realization(document_of(r))

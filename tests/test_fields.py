@@ -95,6 +95,10 @@ class TestMatrixF:
         with pytest.raises(ValueError):
             m.array[0, 0] = 0
 
+    def test_refuses_a_1d_array(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-d array, got shape \(3,\)$"):
+            MatrixF(GF2, [1, 0, 1])
+
     def test_from_rows_ragged(self):
         with pytest.raises(ValueError):
             MatrixF.from_rows(GF2, [[1, 0], [1]])
@@ -616,6 +620,10 @@ class TestSubspace:
             a.sum(zero_space(GF3, 2))
         with pytest.raises(DimensionMismatchError):
             a.intersect(zero_space(GF2, 3))
+
+    def test_spanned_by_rejects_rows_of_another_width(self):
+        with pytest.raises(DimensionMismatchError, match=r"^rows have width 2, ambient 3$"):
+            Subspace.spanned_by(GF2, 3, MatrixF(GF2, [[1, 0]]))
 
     def test_spanned_by_rejects_rows_over_another_field(self):
         # 5 is no residue mod 3: the rows would become a GF(3) basis as they are

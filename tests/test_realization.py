@@ -235,6 +235,10 @@ class TestConstructors:
         with pytest.raises(UnknownBlockError):
             topo.constraint("s0")
 
+    def test_unknown_code_lookup(self):
+        with pytest.raises(UnknownBlockError, match=r"^no constraint code for 'x'$"):
+            example1().code("x")
+
     def test_incidences_in_sweep_order(self):
         topo = example1().topology
         assert topo.incidences() == [("c0", "s0"), ("c0", "s1"), ("c1", "s1"),

@@ -4,8 +4,10 @@ builds them from parts it has checked, may use it:
 docio.parse_realization, which checks every field it reads; the
 constructions' builders _bipartite and product_trellis, valid by
 construction; realization.dualize, on a valid realization's topology and
-blocks; and Realization._with_state, which changes one state's dim of a
-valid realization. An ast check, like tests/test_settings.py."""
+blocks; Realization._with_state, which changes one state's dim of a
+valid realization; and Topology._frame_columns, the behavior's frame of
+the declared vars, read only after the realization is validated. An ast
+check, like tests/test_settings.py."""
 
 import ast
 import random
@@ -20,7 +22,7 @@ from helpers import random_tail_biting_product, scoped_hits, scoped_hits_in_src
 
 ALLOWED = {"docio.parse_realization", "constructions._bipartite",
            "constructions.product_trellis", "realization.dualize",
-           "realization.Realization._with_state"}
+           "realization.Realization._with_state", "realization.Topology._frame_columns"}
 
 
 def is_trusted_read(node: ast.AST) -> bool:
