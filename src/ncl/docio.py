@@ -33,13 +33,8 @@ _DIGIT_RUNS = re.compile(r"(\d+)").split
 MAX_SYSTEM_CELLS = 15_000_000
 
 
-def natural_key(text: str) -> tuple:
-    """Sort key treating digit runs as numbers: a2 before a10."""
-    return tuple((0, int(c)) if c.isdecimal() else (1, c) for c in _DIGIT_RUNS(text) if c)
-
-
 def _id_order(item: Any) -> list:
-    """natural_key(item.id)'s order, cheaper: text, number, text...; "" first."""
+    """Natural order of item.id, digit runs as numbers: text, number, text...; "" first."""
     parts = _DIGIT_RUNS(item.id)
     parts[1::2] = map(int, parts[1::2])
     return parts

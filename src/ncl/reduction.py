@@ -58,6 +58,7 @@ import numpy as np
 from .blockcode import BlockedCode
 from .errors import (
     DimensionMismatchError,
+    InvalidRealizationError,
     NotCycleFreeError,
     NotReducibleError,
 )
@@ -298,10 +299,14 @@ class EdgeCut:
 def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     """Minimal state dim at every tree edge: dim(projection) - dim(cross-section).
 
-    Computed from the past side of each cut and checked against the
-    future side, which must agree. A tree without one edge has two
-    components, one at each end of that edge: one call gives both sides.
+    Refuses a topology with findings, then a cycle, then a code whose blocks
+    are not its symbols. Each edge is read from its past side, the component
+    of the tree without it that holds s.left: the two sides' symbols P and F
+    partition the code's blocks, so dim C:P = dim C - rank(F) and either side
+    gives rank(P) + rank(F) - dim C.
     """
+    if issues := topology.issues():
+        raise InvalidRealizationError(issues)
     if not topology.is_cycle_free():
         raise NotCycleFreeError("cut dimensions are defined on trees only")
     want = {s.id: s.dim for s in topology.symbols}
@@ -312,14 +317,8 @@ def cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
     owner = {v: c.id for c in topology.constraints for v in c.vars if topology.is_symbol(v)}
     cuts = []
     for s in topology.states:
-        comps = topology._components(s.id)
-        sides = [next(c for c in comps if end in c) for end in (s.left, s.right)]
-        past, future = ([v.id for v in topology.symbols if owner.get(v.id) in c] for c in sides)
-        proj = code.projection_dim(past)
-        sect = code.cross_section_dim(past)
-        f_dim = code.projection_dim(future) - code.cross_section_dim(future)
-        if proj - sect != f_dim:
-            raise AssertionError(
-                f"cut at {s.id!r}: past gives {proj - sect}, future gives {f_dim}")
-        cuts.append(EdgeCut(s.id, tuple(past), proj, sect))
+        side = next(c for c in topology._components(s.id) if s.left in c)
+        past = [v.id for v in topology.symbols if owner[v.id] in side]
+        cuts.append(EdgeCut(s.id, tuple(past), code.projection_dim(past),
+                            code.cross_section_dim(past)))
     return cuts

@@ -260,12 +260,16 @@ def test_criterion_06_tree_minimizer():
                 if minimal.topology.is_state(v):
                     assert is_trim(minimal, c.id, v).ok
 
-        # state dims equal the cut dims of the realized code (cut_dims
-        # itself recomputes each cut from both sides and compares)
-        cuts = {c.state_id: c.minimal_dim
-                for c in cut_dims(realized_code(r), r.topology)}
+        # state dims equal the cut dims of the realized code, and each cut's
+        # future side, the symbols off its past side, gives the same number
+        code = realized_code(r)
+        edges = cut_dims(code, r.topology)
+        for c in edges:
+            future = [v for v in r.topology.symbol_ids() if v not in c.past_symbols]
+            assert (code.projection_dim(future) - code.cross_section_dim(future)
+                    == c.minimal_dim)
         dims = {s.id: s.dim for s in minimal.topology.states}
-        assert dims == cuts
+        assert dims == {c.state_id: c.minimal_dim for c in edges}
 
         order = list(r.topology.constraint_ids())
         rng.shuffle(order)

@@ -38,14 +38,15 @@ from ncl.docio import MAX_SYSTEM_CELLS, _dumps
 from ncl.fields import MatrixF, rank
 from fixtures import DECLARED_TWICE, example1_document
 from helpers import (
+    DEFECTS,
     gallager_checks,
+    in_natural_order,
     ladder_conventional_trellis,
     ladder_trellis,
-    natural_key,
-    random_blocked_code,
     random_realization,
     random_tail_biting_product,
     reference_parse_realization,
+    with_defect,
 )
 from test_fuzz_boundary import documents
 
@@ -565,14 +566,6 @@ def test_budget_counts_check_rows_not_widths(generators):
 
 # --- the writer against the parse --------------------------------------------
 
-DEFECTS = ("none", "repeated-var-id", "constraint-takes-var-id", "unknown-var",
-           "dim-mismatch", "dangling-state")
-
-
-def in_natural_order(items) -> tuple:
-    return tuple(sorted(items, key=lambda e: natural_key(e.id)))
-
-
 def document_of(r: Realization) -> str:
     """The document emit_realization writes for r, written here without
     the writer's check: every entry in natural id order."""
@@ -586,52 +579,6 @@ def document_of(r: Realization) -> str:
                          "generators": r.code(c.id).space.basis.tolist()}
                         for c in in_natural_order(topo.constraints)],
     }, indent=2) + "\n"
-
-
-def with_defect(r: Realization, kind: str, rng: random.Random) -> Realization:
-    """r with one defect of the kind injected, its entries in natural id order."""
-    topo, field = r.topology, r.field
-    symbols, states, constraints = list(topo.symbols), list(topo.states), list(topo.constraints)
-    codes = r.codes
-    declared = symbols + states
-    if kind == "repeated-var-id":  # declared again, with any dim
-        v = rng.choice(declared)
-        if isinstance(v, SymbolVar):
-            symbols.append(SymbolVar(v.id, rng.randint(0, 2)))
-        else:
-            states.append(StateVar(v.id, rng.randint(0, 2), v.left, v.right))
-    elif kind == "constraint-takes-var-id":  # which the parse records
-        c, v = rng.choice(constraints), rng.choice(declared)
-        constraints[constraints.index(c)] = Constraint(v.id, c.vars)
-        codes[v.id] = codes.pop(c.id)
-        states = [StateVar(s.id, s.dim, v.id if s.left == c.id else s.left,
-                           v.id if s.right == c.id else s.right, s.negate_at) for s in states]
-    elif kind == "unknown-var":  # listed by a constraint, with a code on it
-        i = rng.randrange(len(constraints))
-        at = rng.randint(0, len(constraints[i].vars))
-        listed = constraints[i].vars[:at] + ("z0",) + constraints[i].vars[at:]
-        constraints[i] = Constraint(constraints[i].id, listed)
-        dims = {v.id: v.dim for v in declared} | {"z0": rng.randint(0, 2)}
-        codes[constraints[i].id] = random_blocked_code(
-            rng, field, tuple((v, dims[v]) for v in listed))
-    elif kind == "dim-mismatch":  # a var declared one dim off its codes' blocks
-        i = rng.randrange(len(declared))
-        v = declared[i]
-        dim = rng.choice([d for d in (v.dim - 1, v.dim + 1) if d >= 0])
-        if isinstance(v, SymbolVar):
-            symbols[i] = SymbolVar(v.id, dim)
-        else:
-            states[i - len(symbols)] = StateVar(v.id, dim, v.left, v.right, v.negate_at)
-    elif kind == "dangling-state":  # which the parse records
-        if states and rng.random() < 0.5:  # an endpoint that is no constraint
-            i = rng.randrange(len(states))
-            s = states[i]
-            states[i] = StateVar(s.id, s.dim, s.left, "c99", s.negate_at)
-        else:  # listed by no constraint
-            left = rng.choice(constraints).id
-            states.append(StateVar("s99", rng.randint(0, 2), left, "c99"))
-    return Realization(field, Topology(in_natural_order(symbols), in_natural_order(states),
-                                       in_natural_order(constraints)), codes)
 
 
 def outcome(call):

@@ -430,6 +430,41 @@ class TestCutDims:
                     for c in cut_dims(realized_code(r), r.topology)}
             assert state_dims(minimal) == cuts
 
+    def test_asks_two_block_ranks_per_edge(self, monkeypatch):
+        """The past side's projection and cross-section: nothing of the future
+        side, whose answer on a valid tree is the same number."""
+        calls = []
+        block_rank = Subspace._block_rank
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return block_rank(self, *args, **kwargs)
+
+        rng = random.Random(4104)
+        trees = [random_tree_realization(rng, field, max_constraints=6)
+                 for field in (GF2, GF3, PrimeField(5)) for _ in range(10)]
+        trees.append(ladder_conventional_trellis(rng, GF3, 32))
+        codes = [realized_code(r) for r in trees]
+        monkeypatch.setattr(Subspace, "_block_rank", counted)
+        for r, code in zip(trees, codes):
+            calls.clear()
+            cuts = cut_dims(code, r.topology)
+            assert len(calls) == 2 * len(cuts) == 2 * len(r.topology.states)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_minimizer_meets_the_cuts_at_benchmark_size(self, n):
+        """Conventional GF(3) ladder trellises shaped like the benchmark's
+        minimize documents, at sizes the brute-force oracle cannot reach:
+        each minimized state's dim is its cut's minimal_dim, and the
+        realized code is unchanged."""
+        r = ladder_conventional_trellis(random.Random(f"cut-ladder:{n}"), GF3, n)
+        code = realized_code(r)
+        minimal, steps = minimize_cycle_free(r)
+        cuts = cut_dims(code, r.topology)
+        assert steps and len(cuts) == n + 1
+        assert state_dims(minimal) == {c.state_id: c.minimal_dim for c in cuts}
+        assert realized_code(minimal) == code
+
 
 def complete_and_invert(field, rows):
     """The old construction of the unobservability moves: G = [rows; complete_to_basis(rows)]

@@ -1,0 +1,139 @@
+"""Every input ends in a result or a typed error: each public function that
+takes a Realization, and cut_dims on the realization's topology, over
+realizations with one injected defect (helpers.with_defect) or none.
+
+The functions are found from ncl.__all__ by signature (first parameter
+annotated Realization), so a new one is swept with no edit here. validate
+and emit_realization are left out: validate reports the findings the others
+refuse on, and the writer's contract is pinned in test_docio_reference.py.
+cut_dims is judged by the topology's findings alone: a dim mismatch is a
+finding of the codes, and cut_dims reads no code but the one it is given."""
+
+import inspect
+import itertools
+import random
+
+import pytest
+
+import ncl
+from ncl import (
+    BlockedCode,
+    Constraint,
+    InvalidRealizationError,
+    NclError,
+    NotCycleFreeError,
+    PrimeField,
+    Realization,
+    SymbolVar,
+    StateVar,
+    Topology,
+    cut_dims,
+    validate,
+)
+from helpers import DEFECTS, random_blocked_code, random_realization, with_defect
+
+LEFT_OUT = {"validate", "emit_realization"}
+
+
+def takes_a_realization(name: str) -> bool:
+    f = getattr(ncl, name)
+    if not inspect.isfunction(f):
+        return False
+    first = next(iter(inspect.signature(f).parameters.values()), None)
+    return first is not None and first.annotation in (Realization, "Realization")
+
+
+SWEPT = sorted(n for n in ncl.__all__ if takes_a_realization(n) and n not in LEFT_OUT)
+
+
+def symbol_code(r: Realization, rng: random.Random) -> BlockedCode:
+    """A random code on the topology's symbols, a repeated id at its first dim."""
+    blocks = {v.id: v.dim for v in reversed(r.topology.symbols)}
+    return random_blocked_code(rng, r.field, tuple(blocks.items()))
+
+
+def arguments(f, r: Realization, code: BlockedCode, rng: random.Random) -> list:
+    """r, then each further required argument by its name: an incidence of
+    the topology where there is one, and the symbol code."""
+    incidences = r.topology.incidences()
+    cid, sid = (rng.choice(incidences) if incidences
+                else (r.topology.constraints[0].id, "s0"))
+    given = {"constraint_id": cid, "state_id": sid, "expected": code}
+    rest = [p for p in list(inspect.signature(f).parameters.values())[1:]
+            if p.default is inspect.Parameter.empty]
+    missing = [p.name for p in rest if p.name not in given]
+    assert not missing, f"{f.__name__}: no sweep argument for {missing}"
+    return [r] + [given[p.name] for p in rest]
+
+
+def refusal(call) -> NclError | None:
+    """The typed error the call raises, or None when it returns; any other
+    exception propagates and fails the test."""
+    try:
+        call()
+    except NclError as e:
+        return e
+    return None
+
+
+def test_the_sweep_finds_every_public_function_on_a_realization():
+    assert len(SWEPT) == 25
+    assert {"analyze", "minimize_cycle_free", "trajectory_components",
+            "check_realizes", "trim_state"} <= set(SWEPT)
+
+
+def test_every_defect_ends_in_a_result_or_a_typed_error():
+    """360 draws: ten for each of trees and three-cycle graphs, GF(2), GF(3)
+    and GF(5), and the six defect kinds. Every function refuses every draw
+    with findings with an NclError, and raises nothing untyped on any draw;
+    cut_dims refuses exactly the topologies with findings, with their
+    findings, and otherwise cuts a tree and refuses a cycle."""
+    rng = random.Random(15)
+    shapes = ({"allow_cycles": False}, {"extra_edges": 2})
+    fields = [PrimeField(p) for p in (2, 3, 5)]
+    seen = {"invalid": 0, "graph": 0, "cut": 0, "cycle": 0}
+    kinds = set()
+    draws = 0
+    for shape, field, kind in itertools.product(shapes, fields, DEFECTS):
+        for _ in range(10):
+            r = with_defect(random_realization(rng, field, **shape), kind, rng)
+            draws += 1
+            code = symbol_code(r, rng)
+            findings = validate(r)
+            if findings:
+                seen["invalid"] += 1
+                kinds.add(kind)
+            for name in SWEPT:
+                f = getattr(ncl, name)
+                error = refusal(lambda: f(*arguments(f, r, code, rng)))
+                assert error is not None or not findings, (name, kind, r)
+
+            graph = r.topology.issues()
+            try:
+                cuts = cut_dims(code, r.topology)
+            except InvalidRealizationError as e:
+                assert graph and e.issues == tuple(graph), (kind, r)
+                seen["graph"] += 1
+            except NotCycleFreeError:
+                assert not graph and not r.topology.is_cycle_free(), (kind, r)
+                seen["cycle"] += 1
+            else:
+                assert not graph and len(cuts) == len(r.topology.states), (kind, r)
+                seen["cut"] += 1
+    assert draws == 360
+    assert kinds == set(DEFECTS[1:]), kinds
+    assert min(seen.values()) >= 30, seen
+
+
+def test_a_symbol_listed_by_both_constraints_is_refused():
+    """A tree whose symbol a both constraints list: a normality finding. An
+    owner map gives a to one constraint only, so a cut read without the
+    check would leave a off the past side and read EdgeCut('s0', (), 0, 0)."""
+    topo = Topology((SymbolVar("a", 1),), (StateVar("s0", 1, "c0", "c1"),),
+                    (Constraint("c0", ("a", "s0")), Constraint("c1", ("a", "s0"))))
+    code = BlockedCode.from_rows(ncl.GF2, ncl.BlockStructure((("a", 1),)), [[1]])
+    assert topo.is_cycle_free()
+    with pytest.raises(InvalidRealizationError) as e:
+        cut_dims(code, topo)
+    assert [i.tag for i in e.value.issues] == ["normality"]
+    assert "symbol 'a' must be involved in exactly one constraint" in str(e.value)
