@@ -105,10 +105,13 @@ def _residues(values, p: int) -> np.ndarray:
     through `operator.index` and is reduced in Python, so no int wraps; a
     float must be integral, and text or complex raises TypeError."""
     a = np.asarray(values)
+    if a.dtype.kind == "f" and not ((np.trunc(a) == a) & (abs(a) < 2.0 ** 63)).all():
+        # numpy reads ints past int64 next to negative ones as floats: read them as objects
+        a = np.asarray(values, dtype=object)
+        if any(isinstance(x, (float, np.floating)) for x in a.flat):
+            raise ValueError("entries must be integers; got a non-integral or non-finite float")
     if a.dtype.kind in "Ou":
         a = np.reshape([operator.index(x) % p for x in a.flat], a.shape)
-    elif a.dtype.kind == "f" and not ((np.trunc(a) == a) & (abs(a) < 2.0 ** 63)).all():
-        raise ValueError("entries must be integers; got a non-integral or non-finite float")
     elif a.dtype.kind not in "bif":
         raise TypeError(f"entries must be integers, got {a.dtype} entries")
     return a.astype(np.int64, copy=False) % p
@@ -142,7 +145,8 @@ class MatrixF:
         width = widths.pop() if data else (0 if cols is None else cols)
         if cols is not None and width != cols:
             raise DimensionMismatchError(f"rows have width {width}, expected {cols}")
-        return cls(field, np.reshape(data, (len(data), width)))
+        # the list itself, not an array numpy may have read as floats
+        return cls(field, data or np.zeros((0, width), dtype=np.int64))
 
     @property
     def array(self) -> np.ndarray:

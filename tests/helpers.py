@@ -51,7 +51,7 @@ from ncl import (
     unobservable_behavior,
 )
 from ncl.blockcode import _trusted
-from ncl.constructions import CONVENTIONAL, TAIL_BITING, _symbol_vars
+from ncl.constructions import _ROWS, CONVENTIONAL, TAIL_BITING, _symbol_vars
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
 from ncl.fields import _bit_rows, _held, _null_rows
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
@@ -884,6 +884,58 @@ def reference_cut_dims(code: BlockedCode, topology: Topology) -> list[EdgeCut]:
                 f"cut at {s.id!r}: past gives {proj - sect}, future gives {f_dim}")
         cuts.append(EdgeCut(s.id, tuple(past), proj, sect))
     return cuts
+
+
+# constructions._bipartite verbatim as it was while it read every entry of the
+# dense matrix in three Python passes (the residues, the supports, the columns):
+# the reference for the builder that reads them once, as one residue array
+def reference_bipartite(field: PrimeField, n: int, matrix: Sequence[Sequence[int]],
+                        node: str, node_code: Callable[[int], np.ndarray],
+                        position_code: Callable[[np.ndarray], np.ndarray]) -> Realization:
+    """The graph both builders share, one node per row and one per position.
+
+    Each nonzero entry m[i][k] becomes a dim-1 state "g{i}@p{k}" from
+    row node "{node}{i}" to position node "pos{k}", whose vars are the
+    symbol a_k and then its states. node_code(w) gives the residue rows
+    generating a row node with w states, position_code(entries) those of
+    a position node from its column's nonzero entries in row order.
+    """
+    noun, zero = _ROWS[node]
+    rows = [tuple(int(v) % field.p for v in row) for row in matrix]
+    if not rows:
+        raise ValueError(f"at least one {noun} required")
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"all {noun}s must have length n")
+    if any(not any(row) for row in rows):
+        raise ValueError(zero)
+
+    supports = [tuple(k for k, v in enumerate(row) if v) for row in rows]
+    columns = [tuple(i for i, row in enumerate(rows) if row[k]) for k in range(n)]
+
+    states = tuple(StateVar(f"g{i}@p{k}", 1, f"{node}{i}", f"pos{k}")
+                   for i, supp in enumerate(supports) for k in supp)
+    constraints = []
+    codes: dict[str, BlockedCode] = {}
+    # (width, generator rows) -> the one space built for them, as parse_realization keys it
+    spaces: dict[tuple, Subspace] = {}
+
+    def add(cid: str, vars_: tuple[str, ...], local: np.ndarray) -> None:
+        constraints.append(Constraint(cid, vars_))
+        key = (len(vars_), tuple(map(tuple, local.tolist())))
+        if key not in spaces:
+            spaces[key] = Subspace.spanned_by(field, len(vars_), _held(field, local))
+        codes[cid] = BlockedCode(BlockStructure(tuple((v, 1) for v in vars_)), spaces[key])
+
+    for i, supp in enumerate(supports):
+        add(f"{node}{i}", tuple(f"g{i}@p{k}" for k in supp), node_code(len(supp)))
+    for k in range(n):
+        entries = np.array([rows[i][k] for i in columns[k]], dtype=np.int64)
+        add(f"pos{k}", (f"a{k}",) + tuple(f"g{i}@p{k}" for i in columns[k]),
+            position_code(entries))
+
+    topo = Topology(_symbol_vars(n), states, tuple(constraints))
+    return _trusted(Realization, field=field, topology=topo, _codes=codes,
+                    _issues=tuple(topo._graph_issues()))  # zero columns disconnect
 
 
 # --- one injected defect --------------------------------------------------

@@ -166,6 +166,16 @@ class TestMatrixF:
         assert line.contains([2 * x for x in big])
         assert not line.contains([2 ** 70, 0, 0, 0])
 
+    def test_an_int_past_int64_next_to_a_negative_is_exact(self):
+        # numpy reads such a list as float64, past the floats' exact range: read as objects
+        assert MatrixF(GF3, [[-1, 2 ** 63]]).tolist() == [[2, 2 ** 63 % 3]]
+        assert MatrixF.from_rows(GF3, [[-1], [2 ** 64 - 1]]).tolist() == [[2], [0]]
+        assert GF3.residues([-2 ** 63 - 5, 2 ** 63]).tolist() == [(-2 ** 63 - 5) % 3, 2]
+        with pytest.raises(ValueError):
+            MatrixF(GF3, [[-1.5, 2 ** 63]])
+        with pytest.raises(ValueError):
+            MatrixF(GF3, np.array([[1.0, 2.0 ** 63]]))
+
     def test_identity_zeros_transpose(self):
         assert identity(GF2, 2).tolist() == [[1, 0], [0, 1]]
         assert zeros(GF2, 1, 2).tolist() == [[0, 0]]

@@ -7,11 +7,16 @@ annotated Realization), so a new one is swept with no edit here. validate
 and emit_realization are left out: validate reports the findings the others
 refuse on, and the writer's contract is pinned in test_docio_reference.py.
 cut_dims is judged by the topology's findings alone: a dim mismatch is a
-finding of the codes, and cut_dims reads no code but the one it is given."""
+finding of the codes, and cut_dims reads no code but the one it is given.
+
+The builders take their entries by the MatrixF rule (fields._residues): a
+fractional or non-finite float raises ValueError, text or an object with
+no __index__ TypeError, and no entry is truncated or parsed."""
 
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,12 +27,18 @@ from ncl import (
     InvalidRealizationError,
     NclError,
     NotCycleFreeError,
+    GF3,
     PrimeField,
     Realization,
+    Span,
+    SpannedGenerator,
     SymbolVar,
     StateVar,
     Topology,
     cut_dims,
+    generator_realization,
+    parity_check_realization,
+    product_trellis,
     validate,
 )
 from helpers import DEFECTS, random_blocked_code, random_realization, with_defect
@@ -137,3 +148,37 @@ def test_a_symbol_listed_by_both_constraints_is_refused():
         cut_dims(code, topo)
     assert [i.tag for i in e.value.issues] == ["normality"]
     assert "symbol 'a' must be involved in exactly one constraint" in str(e.value)
+
+
+GF5 = PrimeField(5)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: parity_check_realization(GF3, 3, [[1.7, 1, "2"]]), TypeError),
+    (lambda: parity_check_realization(GF3, 3, [[1.7, 1, 2]]), ValueError),
+    (lambda: parity_check_realization(GF3, 2, [[float("inf"), 1]]), ValueError),
+    (lambda: generator_realization(GF5, 2, [[1, "2"]]), TypeError),
+    (lambda: generator_realization(GF5, 2, [[1, 1], [2.5, 1]]), ValueError),
+    (lambda: generator_realization(GF5, 2, [[Fraction(3, 2), 1]]), TypeError),
+    (lambda: SpannedGenerator((1.5, 0), Span(0, 0)), ValueError),
+    (lambda: SpannedGenerator(("1", 0), Span(0, 0)), TypeError),
+    (lambda: SpannedGenerator((Fraction(1, 2), 2 ** 70), Span(0, 1)), TypeError),
+], ids=["check-text", "check-fraction", "check-inf", "generator-text", "generator-fraction",
+        "generator-object-fraction", "spanned-fraction", "spanned-text",
+        "spanned-object-fraction"])
+def test_a_builder_entry_is_never_truncated_or_parsed(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_a_builder_reads_integral_floats_and_any_int_exactly():
+    big = [2 ** 63, -1, 2 ** 70]
+    residues = [x % 3 for x in big]
+    for build in (generator_realization, parity_check_realization):
+        assert build(GF3, 3, [[4.0, -2.0, 1.0]]) == build(GF3, 3, [[1, 1, 1]])
+        assert build(GF3, 3, [big]) == build(GF3, 3, [residues])
+    g = SpannedGenerator((3.0, -1), Span(0, 1))
+    assert g.vector == (3, -1) and all(type(v) is int for v in g.vector)
+    assert product_trellis(GF3, 2, [g]) == product_trellis(
+        GF3, 2, [SpannedGenerator((0, 2), Span(0, 1))])
+    assert SpannedGenerator(tuple(big), Span(0, 2)).vector == tuple(big)

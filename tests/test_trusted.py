@@ -10,7 +10,9 @@ the declared vars, read only after the realization is validated. An ast
 check, like tests/test_settings.py."""
 
 import ast
+import dataclasses
 import random
+from functools import cached_property
 
 import pytest
 
@@ -74,3 +76,36 @@ def test_a_trusted_realization_has_the_constructors_layout(site):
     r = TRUSTED_SITES[site]()
     fresh = Realization(r.field, r.topology, r.codes)
     assert set(vars(r)) == set(vars(fresh)) | {"_issues"}
+
+
+# each builder's realizations, a disconnected one among them
+BUILT_PARTS = {
+    "generator": lambda: generator_realization(GF3, 5, [[1, 1, 0, 2, 1], [1, 1, 0, 2, 1],
+                                                       [0, 0, 0, 1, 1]]),
+    "parity-check": lambda: parity_check_realization(GF3, 4, [[1, 2, 0, 1], [0, 1, 1, 0]]),
+    "product_trellis": example1,
+}
+
+
+@pytest.mark.parametrize("builder", BUILT_PARTS)
+def test_a_builders_parts_equal_their_public_copies(builder):
+    """Every SymbolVar, StateVar, Constraint and BlockStructure, rebuilt
+    through its public constructor from its fields, is equal and has the
+    same vars() layout and value types, once both have filled their
+    cached properties."""
+    r = BUILT_PARTS[builder]()
+    topo = r.topology
+    parts = [*topo.symbols, *topo.states, *topo.constraints,
+             *(code.structure for code in r.codes.values())]
+    assert {type(part).__name__ for part in parts} == {"SymbolVar", "StateVar", "Constraint",
+                                                       "BlockStructure"}
+    for part in parts:
+        cls = type(part)
+        fresh = cls(**{f.name: getattr(part, f.name) for f in dataclasses.fields(cls)})
+        assert fresh == part
+        for name, attr in vars(cls).items():
+            if isinstance(attr, cached_property):
+                assert getattr(part, name) == getattr(fresh, name)
+        assert {k: type(v) for k, v in vars(part).items()} == {
+            k: type(v) for k, v in vars(fresh).items()}
+        assert vars(part) == vars(fresh)
