@@ -51,7 +51,7 @@ from ncl import (
     unobservable_behavior,
 )
 from ncl.blockcode import _trusted
-from ncl.constructions import _ROWS, CONVENTIONAL, TAIL_BITING, _symbol_vars
+from ncl.constructions import _ROWS, CONVENTIONAL, TAIL_BITING
 from ncl.docio import DocumentError, _document_head, _int_rows, _matrix, _require
 from ncl.fields import _bit_rows, _held, _null_rows
 from ncl.oracle import _CHUNK, _global_layout, _nullspace
@@ -387,7 +387,15 @@ def random_tail_biting_product(rng: random.Random, field: PrimeField, *,
 
 def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
                    chain: int = 6) -> Realization:
-    """A tail-biting trellis shaped like the benchmark's trellis-reduce documents.
+    """The tail-biting product trellis of ladder_generators."""
+    return product_trellis(field, n, ladder_generators(rng, field, n, chain=chain),
+                           "tail-biting")
+
+
+def ladder_generators(rng: random.Random, field: PrimeField, n: int, *,
+                      chain: int = 6) -> list[SpannedGenerator]:
+    """The generators of a tail-biting trellis shaped like the benchmark's
+    trellis-reduce documents, in a shuffled order.
 
     chain generators tile the circle with values that cancel where they
     meet, so their sum is zero: one unobservable direction that only the
@@ -428,7 +436,7 @@ def ladder_trellis(rng: random.Random, field: PrimeField, n: int, *,
             vec[covered[rng.choice((0, -1))]] = 0
         gens.append(SpannedGenerator(tuple(vec), Span(start, (start + length) % n)))
     rng.shuffle(gens)
-    return product_trellis(field, n, gens, "tail-biting")
+    return gens
 
 
 def ladder_conventional_trellis(rng: random.Random, field: PrimeField, n: int) -> Realization:
@@ -770,6 +778,12 @@ def reference_graph_issues(topo: Topology) -> list[ValidationIssue]:
             f"constraint graph has {len(comps)} components; "
             f"one contains {sorted(smaller)!r}", tuple(sorted(smaller))))
     return found
+
+
+def _symbol_vars(n: int) -> tuple[SymbolVar, ...]:
+    """The dim-1 symbols a0 .. a{n-1} of the references below, through the
+    public constructor (the builders make them with _trusted)."""
+    return tuple(SymbolVar(f"a{k}", 1) for k in range(n))
 
 
 # constructions.product_trellis and reduction.cut_dims (with _side_symbols)

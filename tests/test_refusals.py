@@ -11,13 +11,15 @@ finding of the codes, and cut_dims reads no code but the one it is given.
 
 The builders take their entries by the MatrixF rule (fields._residues): a
 fractional or non-finite float raises ValueError, text or an object with
-no __index__ TypeError, and no entry is truncated or parsed."""
+no __index__ TypeError, and no entry is truncated or parsed. Their n, and
+a Span's start and end, go through operator.index, as every dim does."""
 
 import inspect
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ncl
@@ -182,3 +184,78 @@ def test_a_builder_reads_integral_floats_and_any_int_exactly():
     assert product_trellis(GF3, 2, [g]) == product_trellis(
         GF3, 2, [SpannedGenerator((0, 2), Span(0, 1))])
     assert SpannedGenerator(tuple(big), Span(0, 2)).vector == tuple(big)
+
+
+# one builder call per builder on n = 4, or on the n given: n goes through operator.index
+BUILDS_AT = {
+    "parity-check": lambda n: parity_check_realization(GF3, n, [[1, 2, 0, 1]]),
+    "generator": lambda n: generator_realization(GF3, n, [[1, 2, 0, 1]]),
+    "tail-biting": lambda n: product_trellis(
+        GF3, n, [SpannedGenerator((1, 2, 0, 0), Span(0, 1))], "tail-biting"),
+    "conventional": lambda n: product_trellis(
+        GF3, n, [SpannedGenerator((1, 2, 0, 0), Span(0, 1))], "conventional"),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDS_AT)
+@pytest.mark.parametrize("n", [4.0, 4.5, "4"], ids=["integral-float", "fraction", "text"])
+def test_a_builder_takes_n_through_index(builder, n):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        BUILDS_AT[builder](n)
+
+
+@pytest.mark.parametrize("builder", BUILDS_AT)
+def test_a_builder_reads_an_index_n_as_its_int(builder):
+    assert BUILDS_AT[builder](np.int64(4)) == BUILDS_AT[builder](4)
+
+
+def test_a_builder_reads_true_as_n_equal_to_one():
+    for build in (parity_check_realization, generator_realization):
+        assert build(GF3, True, [[2]]) == build(GF3, 1, [[2]])
+    gens = [SpannedGenerator((2,), Span(0, 0))]
+    assert product_trellis(GF3, True, gens, "conventional") == product_trellis(
+        GF3, 1, gens, "conventional")
+    with pytest.raises(ValueError, match="tail-biting trellis needs n >= 2"):
+        product_trellis(GF3, True, gens, "tail-biting")
+
+
+@pytest.mark.parametrize("start, end", [(0.5, 1), ("0", 1), (0, 1.0), (0, "1"), (None, 1)])
+def test_a_span_takes_its_ends_through_index(start, end):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Span(start, end)
+
+
+def test_a_span_holds_its_ends_as_ints():
+    for span in (Span(np.int64(2), np.int64(0)), Span(True, 2), Span(1, 2)):
+        assert all(type(x) is int for x in (span.start, span.end))
+    assert Span(np.int64(2), np.int64(0)) == Span(2, 0)
+    assert Span(True, 2) == Span(1, 2)
+
+
+@pytest.mark.parametrize("vector, stored", [
+    ((1, 0, 2), (1, 0, 2)),
+    ((True, 0), (1, 0)),
+    ((np.int64(3), 1), (3, 1)),
+    ((2.0, -1), (2, -1)),
+    ((10 ** 30, 0), (10 ** 30, 0)),
+    ((-5, 2 ** 63), (-5, 2 ** 63)),
+    ((1, np.int64(2), True, 2.0), (1, 2, 1, 2)),
+    ((), ()),
+], ids=["ints", "bool", "int64", "integral-float", "past-int64", "negative", "mixed", "empty"])
+def test_a_spanned_generator_stores_exact_ints(vector, stored):
+    g = SpannedGenerator(vector, Span(0, 0))
+    assert g.vector == stored
+    assert all(type(v) is int for v in g.vector)
+
+
+@pytest.mark.parametrize("vector, error, message", [
+    ((1.7, 0), ValueError, "entries must be integers; got a non-integral or non-finite float"),
+    ((1, 1.7), ValueError, "entries must be integers; got a non-integral or non-finite float"),
+    (("1",), TypeError, "entries must be integers, got <U1 entries"),
+    (("1", 0), TypeError, "entries must be integers, got <U21 entries"),
+    ((2.0, 10 ** 30), TypeError, "'float' object cannot be interpreted as an integer"),
+], ids=["fraction", "fraction-after-int", "text", "text-and-int", "float-beside-a-big-int"])
+def test_a_spanned_generator_refuses_as_matrix_entries_do(vector, error, message):
+    with pytest.raises(error) as e:
+        SpannedGenerator(vector, Span(0, 0))
+    assert str(e.value) == message

@@ -1,7 +1,11 @@
 """product_trellis and cut_dims against their references
 (helpers.reference_product_trellis and helpers.reference_cut_dims): the
 same realizations, topology and code order included, the same EdgeCut
-lists, and the same refusals with the same messages."""
+lists, and the same refusals with the same messages. The reference
+eliminates every section from one word per generator; product_trellis
+from the words of the generators active there, so the wider sweep adds
+the cases that tell them apart: dim-0 states, rank-deficient sections,
+large fields and the benchmark's n = 128 shape."""
 
 import random
 
@@ -19,6 +23,7 @@ from ncl import (
     realized_code,
 )
 from helpers import (
+    ladder_generators,
     random_realization,
     random_spanned_generator,
     random_tree_realization,
@@ -87,6 +92,110 @@ def test_product_trellis_builds_what_the_reference_builds():
         seen["degenerate"] += any(g.span.degenerate for g in gens)
     assert seen["tail-biting"] == 264 and seen["conventional"] == 288
     assert seen["degenerate"] > 100, seen
+
+
+def gapped_generators(rng: random.Random, field: PrimeField, n: int, kind: str
+                      ) -> list[SpannedGenerator]:
+    """Generators whose spans cross no edge of a random set of gaps, so those
+    states have dim 0, with dependent ones among them: two multiples of one
+    generator on a one-position span, whose section words are equal up to
+    scale, so that section is rank-deficient; an all-zero generator; and the
+    sum of two generators on their common span. A conventional trellis gets
+    no wrapping span."""
+    edges = n if kind == "tail-biting" else n + 1
+    gaps = set(rng.sample(range(edges), rng.randint(1, max(1, edges // 3))))
+
+    def span() -> Span:
+        while True:
+            start = rng.randrange(n)
+            end = (start + rng.randint(0, 2)) % n
+            s = Span(start, end)
+            if not gaps.intersection(s.crossed(n)) and not (
+                    kind == "conventional" and s.wraps(n)):
+                return s
+
+    def draw(s: Span) -> tuple[int, ...]:
+        vec = [0] * n
+        for k in s.covered(n):
+            vec[k] = rng.randrange(field.p)
+        vec[rng.choice(s.covered(n))] = rng.randrange(1, field.p)
+        return tuple(vec)
+
+    gens = [SpannedGenerator(draw(s), s) for s in (span() for _ in range(rng.randint(1, 4)))]
+    k = rng.randrange(n)
+    one = [0] * n
+    one[k] = rng.randrange(1, field.p)
+    gens += [SpannedGenerator(tuple(one), Span(k, k)),
+             SpannedGenerator(tuple(c * rng.randrange(1, field.p) for c in one), Span(k, k))]
+    s = span()
+    gens.append(SpannedGenerator((0,) * n, s))
+    a, b = draw(s), draw(s)
+    gens += [SpannedGenerator(a, s), SpannedGenerator(b, s),
+             SpannedGenerator(tuple((x + y) % field.p for x, y in zip(a, b)), s)]
+    rng.shuffle(gens)
+    return gens
+
+
+def wider_trellis_cases():
+    """(field, n, gens, kind), 280 builds in all:
+    - 160 random trellises over GF(7) and GF(8191), as trellis_cases draws
+      them: four tail-biting ones at each n from 2 to 11 and four
+      conventional ones at each n from 1 to 10, per field;
+    - 12 ladder trellises, the benchmark's trellis-reduce shape (a chain
+      whose values sum to zero, and short spans, some with a zero at one
+      end), at n = 32, 64 and 128 over GF(2), GF(3), GF(5) and GF(7);
+    - 108 trellises of gapped_generators (uncrossed edges, rank-deficient
+      sections) over GF(2), GF(3) and GF(7): at each n from 2 to 10, two
+      tail-biting and two conventional ones per field."""
+    rng = random.Random(4004)
+    for field in (PrimeField(7), PrimeField(8191)):
+        for kind, sizes in (("tail-biting", range(2, 12)), ("conventional", range(1, 11))):
+            draw = random_spanned_generator if kind == "tail-biting" else path_generator
+            for n in sizes:
+                for _ in range(4):
+                    gens = [draw(rng, field, n) for _ in range(rng.randint(1, 6))]
+                    if rng.random() < 1 / 3:
+                        gens = [off_residue(rng, field, g) for g in gens]
+                    yield field, n, gens, kind
+    for field in (GF2, GF3, PrimeField(5), PrimeField(7)):
+        for n in (32, 64, 128):
+            yield field, n, ladder_generators(rng, field, n), "tail-biting"
+    for field in (GF2, GF3, PrimeField(7)):
+        for n in range(2, 11):
+            for kind in ("tail-biting", "conventional"):
+                for _ in range(2):
+                    yield field, n, gapped_generators(rng, field, n, kind), kind
+
+
+def section_is_rank_deficient(r, field: PrimeField, n: int, gens, i: int) -> bool:
+    """Whether section c{i} has a lower dim than the number of generators
+    active there (crossing its in- or out-edge, or nonzero at i)."""
+    out = (i + 1) % len(r.topology.states)
+    active = [g for g in gens
+              if i in g.span.crossed(n) or out in g.span.crossed(n) or g.vector[i] % field.p]
+    return r.codes[f"c{i}"].dim < len(active)
+
+
+def test_product_trellis_builds_what_the_reference_builds_on_wider_cases():
+    """wider_trellis_cases, each built by product_trellis and by the
+    reference: 280 builds, about 0.3 s on a 2-core x86-64 VM. Every
+    gapped_generators build has a rank-deficient section."""
+    seen = {"builds": 0, "ladder": 0, "dim-0 states": 0, "rank-deficient": 0, "big-field": 0}
+    for field, n, gens, kind in wider_trellis_cases():
+        got = product_trellis(field, n, gens, kind)
+        want = reference_product_trellis(field, n, gens, kind)
+        assert got == want
+        assert list(got.codes) == list(want.codes)
+        assert vars(got)["_issues"] == vars(want)["_issues"] == ()
+        seen["builds"] += 1
+        seen["ladder"] += n >= 32
+        seen["big-field"] += field.p == 8191
+        inner = got.topology.states if kind == "tail-biting" else got.topology.states[1:-1]
+        seen["dim-0 states"] += any(s.dim == 0 for s in inner)
+        seen["rank-deficient"] += any(section_is_rank_deficient(got, field, n, gens, i)
+                                      for i in range(n))
+    assert seen["builds"] == 280 and seen["ladder"] == 12 and seen["big-field"] == 80, seen
+    assert seen["dim-0 states"] >= 100 and seen["rank-deficient"] >= 108, seen
 
 
 def bad_trellis_arguments():
